@@ -1,7 +1,7 @@
 #!/usr/bin/env python3
 """Run the benchmark over several seeds and summarize the spread.
 
-    python3 perfbench/collect.py --seeds 1-10 --seconds 20 --out .bench_out/seeds.json
+    python3 perfbench/collect.py --seeds 1-10 --seconds 25 --out .bench_out/seeds.json
     python3 perfbench/collect.py --workloads lattice-anneal --seeds 11 --trace 1
 
 Each (workload, seed) runs as its own `run.py` process, one after another.
@@ -60,7 +60,7 @@ def main(argv=None) -> int:
     p = argparse.ArgumentParser(description=__doc__.split("\n")[0])
     p.add_argument("--workloads", default=",".join(WORKLOADS))
     p.add_argument("--seeds", default="1-10")
-    p.add_argument("--seconds", type=int, default=20)
+    p.add_argument("--seconds", type=int, default=25)
     p.add_argument("--trace", type=int, choices=(0, 1), default=0)
     p.add_argument("--out", type=Path)
     args = p.parse_args(argv)

@@ -3,7 +3,9 @@
     python3 -m pytest -q perfbench
 
 Tiny versions of every workload run end to end; the printed metric names
-must match BENCHMARK.json; planted wrong outputs must count as failures.
+must match BENCHMARK.json; planted wrong outputs must count as failures; the
+known-defect probe stays outside the counts but not outside the correctness
+check.
 """
 
 import functools
@@ -23,7 +25,7 @@ BENCHMARK = json.loads((run.ROOT / "BENCHMARK.json").read_text())
 
 
 def tiny(name, tmp_path, seed=3):
-    w, ops, _ = run.setup(name, seed, tmp_path, tiny=True)
+    w, ops, *_ = run.setup(name, seed, tmp_path, tiny=True)
     return w, ops
 
 
@@ -79,6 +81,25 @@ def test_planted_artifact_byte_is_a_failure(tmp_path, monkeypatch):
     again = run.measure(w, ops, passes=1)
     assert again.failures["oracle:artifact_bytes"] == len(ops)
     assert again.wrong == len(ops)
+
+
+def test_known_defects_are_probed_outside_the_counts(tmp_path, monkeypatch, capsys):
+    w, ops = tiny("dilate-nonconvex", tmp_path)
+    assert run.measure(w, ops, passes=1).failed == 0
+    outcome = run.probe_defects(w, 3)
+    assert set(outcome) == {f"regular{k}+seg2" for k in w.DEFECT_SPIKES}
+    assert not any(o.startswith("wrong") for o in outcome.values())
+    # a probe that stops raising but returns a wrong result makes the run incorrect
+    monkeypatch.setattr(w, "run", lambda op: {"fd": 1.0, "fd_error": 0.0, "bi": 2.0,
+                                              "epsilons": (), "quotients": (),
+                                              "area": 1.0})
+    assert set(run.probe_defects(w, 3).values()) == {"wrong: oracle:fd_bi_agreement"}
+    monkeypatch.setattr(run, "setup", functools.partial(run.setup, tiny=True))
+    monkeypatch.setattr(run, "probe_defects", lambda w, seed: {"x": "wrong: planted"})
+    assert run.main(["--workload", "dilate-nonconvex", "--seed", "5", "--seconds", "0",
+                     "--trace", "0"]) == 0
+    result = json.loads(capsys.readouterr().out.strip().splitlines()[-1])
+    assert result["failed"] == 0 and not result["correct"]
 
 
 def test_self_time_subtracts_the_union_of_children():
