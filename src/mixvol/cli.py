@@ -160,12 +160,6 @@ def _parse_n_values(raw: str) -> list[int]:
     return [int(raw)]
 
 
-def _normalized(P: geom2d.Polygon) -> geom2d.Polygon:
-    out = geom2d.scale_polygon(P, 1.0 / math.sqrt(geom2d.area(P)))
-    cx, cy = geom2d.centroid(out)
-    return geom2d.translate(out, (-cx, -cy))
-
-
 # ---------------------------------------------------------------------------
 # Subcommands
 
@@ -258,7 +252,7 @@ def cmd_lattice(cfg: RunConfig) -> int:
         results = list(pool.map(solve, ns))
     out = Path(cfg.out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    shape = _normalized(predicted)
+    shape = geom2d.unit_area_centered(predicted)
     for res in results:
         write_json(out / f"opt_{cfg.mode}_n{res.n}.json", res.to_dict())
         cells = list(res.witness)

@@ -23,11 +23,6 @@ TAU = 1e-12
 
 _EPS_MACH = 2.220446049250313e-16
 
-#: Simplicity (self-intersection) checking is quadratic, so it only runs for
-#: hand-sized polygons; larger ones come from internal constructors that are
-#: convex by construction and validated in O(n).
-_SIMPLE_CHECK_MAX = 64
-
 Vec2 = tuple[float, float]
 
 
@@ -63,29 +58,32 @@ def _signed_area(verts: Sequence[Vec2]) -> float:
     return 0.5 * acc
 
 
-def _segments_cross(p1: Vec2, p2: Vec2, q1: Vec2, q2: Vec2) -> bool:
-    """Proper or improper crossing of open segments, excluding shared endpoints."""
-    d1 = _cross(q1, q2, p1)
-    d2 = _cross(q1, q2, p2)
-    d3 = _cross(p1, p2, q1)
-    d4 = _cross(p1, p2, q2)
-    if ((d1 > TAU and d2 < -TAU) or (d1 < -TAU and d2 > TAU)) and (
-        (d3 > TAU and d4 < -TAU) or (d3 < -TAU and d4 > TAU)
-    ):
-        return True
-    return False
-
-
 def _is_simple(verts: Sequence[Vec2]) -> bool:
-    n = len(verts)
-    for i in range(n):
-        p1, p2 = verts[i], verts[(i + 1) % n]
-        for j in range(i + 1, n):
-            if j == i or (j + 1) % n == i or (i + 1) % n == j:
-                continue
-            q1, q2 = verts[j], verts[(j + 1) % n]
-            if _segments_cross(p1, p2, q1, q2):
-                return False
+    """No two non-adjacent edges cross properly (TAU sign tests on all four
+    orientations).  All edge pairs are tested with numpy, in blocks of rows
+    that keep each temporary array near 2**18 entries at any n."""
+    a = np.asarray(verts)
+    b = np.roll(a, -1, axis=0)
+    n = len(a)
+    j = np.arange(n)
+
+    def orient(o, p, q):
+        return ((p[..., 0] - o[..., 0]) * (q[..., 1] - o[..., 1])
+                - (p[..., 1] - o[..., 1]) * (q[..., 0] - o[..., 0]))
+
+    def straddles(d1, d2):
+        return ((d1 > TAU) & (d2 < -TAU)) | ((d1 < -TAU) & (d2 > TAU))
+
+    rows = max(1, (1 << 18) // n)
+    for lo in range(0, n, rows):
+        i = j[lo:lo + rows, None]
+        p1, p2 = a[i], b[i]
+        cross = (straddles(orient(a, b, p1), orient(a, b, p2))
+                 & straddles(orient(p1, p2, a), orient(p1, p2, b)))
+        # pairs j > i only; edges sharing a vertex never count
+        cross &= (j > i + 1) & ~((i == 0) & (j == n - 1))
+        if cross.any():
+            return False
     return True
 
 
@@ -105,7 +103,7 @@ class Polygon:
                 raise ValueError("consecutive duplicate vertices")
         if _signed_area(verts) <= TAU:
             raise ValueError("vertices must wind counterclockwise with positive area")
-        if len(verts) <= _SIMPLE_CHECK_MAX and not _is_simple(verts):
+        if not _is_simple(verts):
             raise ValueError("boundary is self-intersecting")
         object.__setattr__(self, "vertices", verts)
 
@@ -128,6 +126,15 @@ def _merge_collinear(verts: Sequence[Vec2]) -> list[Vec2]:
     return out
 
 
+def _is_convex_position(verts: Sequence[Vec2]) -> bool:
+    n = len(verts)
+    for i in range(n):
+        o, a, b = verts[i - 1], verts[i], verts[(i + 1) % n]
+        if _cross(o, a, b) < -_turn_tol(o, a, b):
+            return False
+    return True
+
+
 @dataclass(frozen=True)
 class ConvexPolygon(Polygon):
     """Polygon with every vertex extreme; canonical start at the lex-min vertex."""
@@ -139,12 +146,9 @@ class ConvexPolygon(Polygon):
         verts = _merge_collinear(verts)
         if len(verts) < 3 or _signed_area(verts) <= TAU:
             raise ValueError("vertices must wind counterclockwise with positive area")
-        n = len(verts)
-        for i in range(n):
-            o, a, b = verts[i - 1], verts[i], verts[(i + 1) % n]
-            if _cross(o, a, b) <= -_turn_tol(o, a, b):
-                raise ValueError("vertices are not in convex position")
-        k = min(range(n), key=lambda i: verts[i])
+        if not _is_convex_position(verts):
+            raise ValueError("vertices are not in convex position")
+        k = min(range(len(verts)), key=lambda i: verts[i])
         object.__setattr__(self, "vertices", tuple(verts[k:] + verts[:k]))
 
 
@@ -215,6 +219,13 @@ def scale_polygon(P: Polygon, s: float) -> Polygon:
     return type(P)(tuple((x * s, y * s) for x, y in P.vertices))
 
 
+def unit_area_centered(P: Polygon) -> Polygon:
+    """P scaled to unit area and translated so its centroid is the origin."""
+    out = scale_polygon(P, 1.0 / math.sqrt(area(P)))
+    cx, cy = centroid(out)
+    return translate(out, (-cx, -cy))
+
+
 def convex_hull(points: Iterable) -> ConvexPolygon:
     """Convex hull by monotone chain; collinear boundary points are merged.
 
@@ -244,15 +255,6 @@ def convex_hull(points: Iterable) -> ConvexPolygon:
     return ConvexPolygon(tuple(verts))
 
 
-def _is_convex_position(verts: Sequence[Vec2]) -> bool:
-    n = len(verts)
-    for i in range(n):
-        o, a, b = verts[i - 1], verts[i], verts[(i + 1) % n]
-        if _cross(o, a, b) < -_turn_tol(o, a, b):
-            return False
-    return True
-
-
 # ---------------------------------------------------------------------------
 # Minkowski sums
 
@@ -262,30 +264,22 @@ def _rotate_to_bottom(verts: Sequence[Vec2]) -> list[Vec2]:
     return list(verts[k:]) + list(verts[:k])
 
 
-def _edge_angles(verts: Sequence[Vec2]) -> list[float]:
-    """Edge direction angles in [0, 2pi), monotone for a bottom-anchored CCW walk."""
-    out = []
-    n = len(verts)
-    for i in range(n):
-        dx = verts[(i + 1) % n][0] - verts[i][0]
-        dy = verts[(i + 1) % n][1] - verts[i][1]
-        a = math.atan2(dy, dx)
-        if a < -TAU:
-            a += 2.0 * math.pi
-        out.append(max(a, 0.0))
-    return out
-
-
 def _minkowski_chain(vp: Sequence[Vec2], vq: Sequence[Vec2]) -> list[Vec2]:
-    """Vertices of the sum of two convex CCW chains (chains of length 2 allowed)."""
+    """Vertices of the sum of two convex CCW chains (chains of length 2 allowed).
+
+    Both walks start at their bottom vertex, so their edge directions turn
+    monotonically through [0, 2pi) and the two current edges are less than pi
+    apart: the sign of their cross product orders them, with no angles.
+    Edges parallel within TAU radians are merged when they point the same
+    way; an antiparallel pair only arises when vp's edge runs along the
+    first half of a length-2 chain vq, so vp's edge goes first.
+    """
     vp = _rotate_to_bottom(vp)
     vq = _rotate_to_bottom(vq)
     ep = [(vp[(i + 1) % len(vp)][0] - vp[i][0], vp[(i + 1) % len(vp)][1] - vp[i][1])
           for i in range(len(vp))]
     eq = [(vq[(i + 1) % len(vq)][0] - vq[i][0], vq[(i + 1) % len(vq)][1] - vq[i][1])
           for i in range(len(vq))]
-    ap = _edge_angles(vp)
-    aq = _edge_angles(vq)
     cur = (vp[0][0] + vq[0][0], vp[0][1] + vq[0][1])
     out = [cur]
     i = j = 0
@@ -294,12 +288,16 @@ def _minkowski_chain(vp: Sequence[Vec2], vq: Sequence[Vec2]) -> list[Vec2]:
             step = ep[i]; i += 1
         elif i >= len(ep):
             step = eq[j]; j += 1
-        elif abs(ap[i] - aq[j]) <= 1e-12:
-            step = (ep[i][0] + eq[j][0], ep[i][1] + eq[j][1]); i += 1; j += 1
-        elif ap[i] < aq[j]:
-            step = ep[i]; i += 1
         else:
-            step = eq[j]; j += 1
+            (px, py), (qx, qy) = ep[i], eq[j]
+            c = px * qy - py * qx
+            parallel = c * c <= TAU * TAU * (px * px + py * py) * (qx * qx + qy * qy)
+            if parallel and px * qx + py * qy > 0.0:
+                step = (px + qx, py + qy); i += 1; j += 1
+            elif parallel or c > 0.0:
+                step = ep[i]; i += 1
+            else:
+                step = eq[j]; j += 1
         cur = (cur[0] + step[0], cur[1] + step[1])
         out.append(cur)
     return out[:-1]  # closing vertex duplicates the start
@@ -351,24 +349,28 @@ def triangulate(P: Polygon) -> list[tuple[Vec2, Vec2, Vec2]]:
     return tris
 
 
-def minkowski_segment(P: Polygon, a, b) -> RegionUnion:
-    """Minkowski sum of a polygon with the segment [a, b].
+def convex_parts(P: Polygon) -> list[ConvexPolygon]:
+    """P as convex pieces whose union is P: P itself when its vertices are in
+    convex position, else its ear-clipping triangles."""
+    if isinstance(P, ConvexPolygon):
+        return [P]
+    if _is_convex_position(P.vertices):
+        return [ConvexPolygon(P.vertices)]
+    return [ConvexPolygon(t) for t in triangulate(P)]
 
-    Convex input yields a single convex part; nonconvex input is triangulated
-    and summed per triangle (the union of the parts is the exact sum).
-    A zero-length segment degenerates to a translation.
+
+def minkowski_segment(P: Polygon, a, b) -> RegionUnion:
+    """Minkowski sum of a polygon with the segment [a, b], one convex part per
+    piece of `convex_parts(P)` (the union of the parts is the exact sum).
+    A zero-length segment degenerates to a translation of those pieces.
     """
     a = _as_vec2(a)
     b = _as_vec2(b)
+    pieces = convex_parts(P)
     if math.hypot(b[0] - a[0], b[1] - a[1]) <= TAU:
-        return RegionUnion((translate(P, a),))
-    if isinstance(P, ConvexPolygon) or _is_convex_position(P.vertices):
-        part = ConvexPolygon(tuple(_minkowski_chain(P.vertices, (a, b))))
-        return RegionUnion((part,))
-    parts = tuple(
-        ConvexPolygon(tuple(_minkowski_chain(t, (a, b)))) for t in triangulate(P)
-    )
-    return RegionUnion(parts)
+        return RegionUnion(tuple(translate(piece, a) for piece in pieces))
+    return RegionUnion(tuple(ConvexPolygon(tuple(_minkowski_chain(piece.vertices, (a, b))))
+                             for piece in pieces))
 
 
 # ---------------------------------------------------------------------------
@@ -493,15 +495,10 @@ def union_area(region: RegionUnion) -> float:
     The slab decomposition's events are exactly the overlay vertices (part
     vertices plus pairwise edge crossings), so between events the interval
     structure is constant and midpoint evaluation integrates each trapezoid
-    exactly.  Nonconvex parts are triangulated first.
+    exactly.  Nonconvex parts are split by `convex_parts` first.
     """
-    convex_parts: list[Sequence[Vec2]] = []
-    for p in region.parts:
-        if isinstance(p, ConvexPolygon) or _is_convex_position(p.vertices):
-            convex_parts.append(p.vertices)
-        else:
-            convex_parts.extend(triangulate(p))
-    return _convex_union_area(convex_parts)
+    return _convex_union_area([piece.vertices for part in region.parts
+                               for piece in convex_parts(part)])
 
 
 # ---------------------------------------------------------------------------

@@ -457,10 +457,7 @@ def convergence_diagnostic(results: Sequence[OptResult],
     """
     if len(results) < 2:
         raise ValueError("need at least two results for a convergence trend")
-    s = 1.0 / math.sqrt(geom2d.area(predicted))
-    shape = geom2d.scale_polygon(predicted, s)
-    cx, cy = geom2d.centroid(shape)
-    shape = geom2d.translate(shape, (-cx, -cy))
+    shape = geom2d.unit_area_centered(predicted)
     samples = _region_samples(shape, spacing=0.01)
     rows = []
     for res in results:

@@ -89,46 +89,37 @@ class SeriesFit:
 # Dilation regions and volumes
 
 
-def _convex_or_triangles(M: Polygon) -> list[ConvexPolygon]:
-    if isinstance(M, ConvexPolygon):
-        return [M]
-    if geom2d._is_convex_position(M.vertices):
-        return [ConvexPolygon(M.vertices)]
-    return [ConvexPolygon(t) for t in geom2d.triangulate(M)]
-
-
 def sum_region(M: Polygon, N: StructuringSet, eps: float) -> RegionUnion:
-    """The dilation M + eps*N as an explicit union of convex parts."""
+    """The dilation M + eps*N as an explicit union of convex parts.
+
+    M is split into convex pieces once (`geom2d.convex_parts`) and every
+    component of N is summed against each piece; eps = 0 gives the pieces.
+    """
     if eps < 0:
         raise ValueError("epsilon must be nonnegative")
+    pieces = geom2d.convex_parts(M)
     if eps == 0.0:
-        return RegionUnion((M,))
-    parts: list[Polygon] = []
-    pieces = None  # lazy convex decomposition of M
+        return RegionUnion(tuple(pieces))
+    parts: list[ConvexPolygon] = []
     for comp in N.components:
         if isinstance(comp, Points):
-            for p in comp.pts:
-                parts.append(geom2d.translate(M, (eps * p[0], eps * p[1])))
-            continue
-        if isinstance(comp, Segment):
+            parts.extend(geom2d.translate(piece, (eps * x, eps * y))
+                         for x, y in comp.pts for piece in pieces)
+        elif isinstance(comp, Segment):
             a = (eps * comp.a[0], eps * comp.a[1])
             b = (eps * comp.b[0], eps * comp.b[1])
-            parts.extend(geom2d.minkowski_segment(M, a, b).parts)
-            continue
-        if pieces is None:
-            pieces = _convex_or_triangles(M)
-        if isinstance(comp, Disc):
-            disc = geom2d.regular_disc(structuring.DISC_RESOLUTION,
-                                       eps * comp.radius)
-            shift = (eps * comp.center[0], eps * comp.center[1])
             for piece in pieces:
-                parts.append(geom2d.translate(
-                    geom2d.minkowski_convex(piece, disc), shift))
-        else:  # polygon component
-            scaled = geom2d.scale_polygon(comp, eps)
-            for q in _convex_or_triangles(scaled):
-                for piece in pieces:
-                    parts.append(geom2d.minkowski_convex(piece, q))
+                parts.extend(geom2d.minkowski_segment(piece, a, b).parts)
+        else:
+            if isinstance(comp, Disc):
+                disc = geom2d.regular_disc(structuring.DISC_RESOLUTION,
+                                           eps * comp.radius)
+                qs = [geom2d.translate(disc, (eps * comp.center[0],
+                                              eps * comp.center[1]))]
+            else:  # polygon component
+                qs = geom2d.convex_parts(geom2d.scale_polygon(comp, eps))
+            parts.extend(geom2d.minkowski_convex(piece, q)
+                         for q in qs for piece in pieces)
     return RegionUnion(tuple(parts))
 
 

@@ -105,6 +105,16 @@ def test_estimate_rejects_region_union(tmp_path, files, capsys):
 # failure modes
 
 
+def test_estimate_rejects_self_crossing_80_gon(tmp_path, files, capsys):
+    verts = [[2.2 * math.cos(2 * math.pi * i / 80), 2.2 * math.sin(2 * math.pi * i / 80)]
+             for i in range(80)]
+    verts[10], verts[11] = verts[11], verts[10]
+    rc = cli.main(["estimate", "--m", files("m.json", {"vertices": verts}),
+                   "--n", files("n.json", PLUS), "--out-dir", str(tmp_path)])
+    assert rc == 2
+    assert "self-intersecting" in capsys.readouterr().err
+
+
 def test_missing_file(tmp_path):
     rc = cli.main(["estimate", "--m", str(tmp_path / "nope.json"),
                    "--n", str(tmp_path / "alsono.json"),

@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import closed_form_plus_dilation
 from mixvol import geom2d
@@ -40,6 +42,54 @@ def test_polygon_rejects_duplicate_consecutive():
 def test_polygon_rejects_bowtie():
     with pytest.raises(ValueError):
         Polygon(((0, 0), (1, 1), (1, 0), (0, 1)))
+
+
+@pytest.mark.parametrize("n, k", [(80, 10), (1200, 1100)])
+def test_polygon_rejects_self_crossing_above_64_vertices(n, k):
+    # two swapped neighbours on an n-gon make a small bowtie in its boundary
+    verts = [(2.2 * math.cos(2 * math.pi * i / n), 2.2 * math.sin(2 * math.pi * i / n))
+             for i in range(n)]
+    verts[k], verts[k + 1] = verts[k + 1], verts[k]
+    with pytest.raises(ValueError, match="self-intersecting"):
+        Polygon(tuple(verts))
+
+
+def _is_simple_reference(verts):
+    """The pairwise loop the numpy check replaced, kept as its reference."""
+    def straddles(d1, d2):
+        return (d1 > geom2d.TAU and d2 < -geom2d.TAU) or (d1 < -geom2d.TAU and d2 > geom2d.TAU)
+
+    n = len(verts)
+    for i in range(n):
+        p1, p2 = verts[i], verts[(i + 1) % n]
+        for j in range(i + 2, n - 1 if i == 0 else n):
+            q1, q2 = verts[j], verts[(j + 1) % n]
+            if (straddles(geom2d._cross(q1, q2, p1), geom2d._cross(q1, q2, p2))
+                    and straddles(geom2d._cross(p1, p2, q1), geom2d._cross(p1, p2, q2))):
+                return False
+    return True
+
+
+def test_is_simple_matches_pairwise_loop():
+    rng = np.random.default_rng(7)
+    for trial in range(300):
+        n = int(rng.integers(3, 30))
+        if trial % 2:  # grid points: many collinear and touching edges
+            pts = rng.integers(0, 4, size=(n, 2)).astype(float)
+        else:
+            pts = rng.uniform(-1, 1, size=(n, 2))
+        if trial % 3 == 0:  # angular order around the origin: mostly simple
+            pts = pts[np.argsort(np.arctan2(pts[:, 1] - 0.1, pts[:, 0] - 0.1))]
+        verts = tuple(map(tuple, pts.tolist()))
+        assert geom2d._is_simple(verts) == _is_simple_reference(verts)
+
+
+def test_polygon_accepts_large_simple_star():
+    k = 60
+    verts = tuple(((1.0 if i % 2 == 0 else 0.5) * math.cos(math.pi * i / k),
+                   (1.0 if i % 2 == 0 else 0.5) * math.sin(math.pi * i / k))
+                  for i in range(2 * k))
+    assert len(Polygon(verts).vertices) == 2 * k
 
 
 def test_convex_polygon_rejects_reflex():
@@ -156,6 +206,43 @@ def test_minkowski_translation_invariant():
     a = geom2d.area(geom2d.minkowski_convex(P, Q))
     b = geom2d.area(geom2d.minkowski_convex(ConvexPolygon(Pt.vertices), Q))
     assert a == pytest.approx(b, rel=1e-12)
+
+
+def test_minkowski_bottom_vertex_round_off():
+    # the closing edge points 1.2e-16 below the x-axis; an angle merge read it
+    # as angle 0 instead of 2pi and produced a non-convex vertex order
+    P = ConvexPolygon(((-1, 1.2e-16), (1, 0), (0, 0.5)))
+    T = ConvexPolygon(((0, 0), (1, 0), (0, 1)))
+    hull = geom2d.convex_hull([(p[0] + q[0], p[1] + q[1])
+                               for p in P.vertices for q in T.vertices])
+    assert geom2d.area(geom2d.minkowski_convex(P, T)) == \
+        pytest.approx(geom2d.area(hull), rel=1e-12)
+
+
+@st.composite
+def nudged_convex(draw):
+    """Convex polygon with a horizontal bottom edge, one end of it raised by
+    1e-16 to 1e-15: the round-off that reorders edges in an angle merge."""
+    left = draw(st.floats(-1.0, -0.2))
+    right = draw(st.floats(0.2, 1.0))
+    top = draw(st.lists(st.tuples(st.floats(-1.0, 1.0), st.floats(0.1, 1.0)),
+                        min_size=1, max_size=6))
+    hull = geom2d.convex_hull([(left, 0.0), (right, 0.0)] + top)
+    raised = (left, 0.0) if draw(st.booleans()) else (right, 0.0)
+    dy = draw(st.floats(1e-16, 1e-15))
+    return ConvexPolygon(tuple((x, y + dy) if (x, y) == raised else (x, y)
+                               for x, y in hull.vertices))
+
+
+@settings(derandomize=True, max_examples=60, deadline=None)
+@given(nudged_convex(), nudged_convex(), st.booleans())
+def test_minkowski_is_hull_of_vertex_sums(P, Q, flip):
+    if flip:  # also put the near-tie at the top of Q
+        Q = ConvexPolygon(tuple((-x, -y) for x, y in Q.vertices))
+    hull = geom2d.convex_hull([(p[0] + q[0], p[1] + q[1])
+                               for p in P.vertices for q in Q.vertices])
+    assert geom2d.area(geom2d.minkowski_convex(P, Q)) == \
+        pytest.approx(geom2d.area(hull), rel=1e-12)
 
 
 def test_minkowski_segment_square(unit_square):

@@ -61,6 +61,21 @@ def test_sum_volume_point_set_translates(unit_square):
     assert mixedvol.sum_volume(unit_square, N, 1.0) == pytest.approx(1.0, abs=1e-12)
 
 
+def test_sum_region_parts_are_convex():
+    L = geom2d.Polygon(((0, 0), (2, 0), (2, 1), (1, 1), (1, 2), (0, 2)))
+    N = StructuringSet((
+        Points(((0.5, 0.5), (-1.0, 0.0))),
+        Segment((0, 0), (1, 2)),
+        geom2d.Polygon(((0, 0), (2, 0), (2, 1), (1, 0.5), (0, 1))),
+        Disc((0.3, -0.2), 0.5),
+    ))
+    for eps in (0.0, 0.1):
+        region = mixedvol.sum_region(L, N, eps)
+        assert all(isinstance(p, ConvexPolygon) for p in region.parts)
+    assert geom2d.union_area(mixedvol.sum_region(L, N, 0.0)) == \
+        pytest.approx(3.0, abs=1e-12)
+
+
 # ---------------------------------------------------------------------------
 # finite differences
 
@@ -328,6 +343,18 @@ def test_fd_bi_agreement_small_batch():
         fd = mixedvol.d_finite_difference(M, N)
         bi = mixedvol.d_boundary_integral(M, N)
         assert abs(fd.value - bi.value) <= max(1e-3, 3 * fd.error_estimate)
+
+
+@pytest.mark.parametrize("k", [8, 12, 16])
+def test_fd_bi_agreement_regular_star(k, plus_set):
+    # vertices at exact multiples of pi/k: its triangles have bottom edges a
+    # rounding error off horizontal, which broke the angle-based edge merge
+    M = geom2d.Polygon(tuple(((1.0 if i % 2 == 0 else 0.4) * math.cos(math.pi * i / k),
+                              (1.0 if i % 2 == 0 else 0.4) * math.sin(math.pi * i / k))
+                             for i in range(2 * k)))
+    fd = mixedvol.d_finite_difference(M, plus_set)
+    bi = mixedvol.d_boundary_integral(M, plus_set)
+    assert abs(fd.value - bi.value) <= max(1e-3, 3 * fd.error_estimate)
 
 
 # ---------------------------------------------------------------------------
