@@ -115,7 +115,7 @@ def _load_json(path: str) -> dict:
 
 
 def _load_region(path: str, resolution: int):
-    """Shape JSON: a polygon, a disc to polygonalize, or a union of parts."""
+    """Shape JSON: a polygon or a disc to polygonalize."""
     d = _load_json(path)
     if "vertices" in d:
         return geom2d.polygon_from_dict(d)
@@ -123,10 +123,7 @@ def _load_region(path: str, resolution: int):
         params = d["disc"]
         P = geom2d.regular_disc(resolution, float(params["r"]))
         return geom2d.translate(P, tuple(float(c) for c in params.get("c", (0.0, 0.0))))
-    if "parts" in d:
-        return geom2d.RegionUnion(tuple(geom2d.polygon_from_dict(p)
-                                        for p in d["parts"]))
-    raise ValueError(f"{path}: expected 'vertices', 'disc', or 'parts'")
+    raise ValueError(f"{path}: expected 'vertices' or 'disc'")
 
 
 def _workers() -> int:
@@ -168,9 +165,6 @@ def cmd_estimate(cfg: RunConfig) -> int:
     if not cfg.m or not cfg.n:
         raise ValueError("estimate needs --m and --n")
     M = _load_region(cfg.m, cfg.resolution)
-    if isinstance(M, geom2d.RegionUnion):
-        raise ValueError("the boundary-integral route needs --m to be a "
-                         "single polygon, not a union")
     N = structuring.from_dict(_load_json(cfg.n))
     schedule = _schedule(cfg)
     with ThreadPoolExecutor(max_workers=_workers()) as pool:
@@ -303,8 +297,6 @@ def cmd_probe(cfg: RunConfig) -> int:
     if not cfg.m or not cfg.n:
         raise ValueError("probe needs --m and --n")
     M = _load_region(cfg.m, cfg.resolution)
-    if isinstance(M, geom2d.RegionUnion):
-        raise ValueError("probe needs --m to be a single polygon")
     N = structuring.from_dict(_load_json(cfg.n))
     schedule = _schedule(cfg)
     excess = [mixedvol.local_expansion_probe(M, (cfg.edge, cfg.t), N, e)

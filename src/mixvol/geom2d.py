@@ -33,43 +33,74 @@ def _as_vec2(p) -> Vec2:
     return (x, y)
 
 
-def _cross(o: Vec2, a: Vec2, b: Vec2) -> float:
-    return (a[0] - o[0]) * (b[1] - o[1]) - (a[1] - o[1]) * (b[0] - o[0])
+def _shift(V: np.ndarray, k: int) -> np.ndarray:
+    """Rows of V moved by k places: row i of the result is V[(i + k) % n]."""
+    return np.concatenate((V[k:], V[:k]))
 
 
-def _turn_tol(o: Vec2, a: Vec2, b: Vec2) -> float:
-    """Collinearity threshold for the turn (o, a, b): an angular tolerance of
-    TAU radians, floored by the round-off noise of the cross product (which
+def _cross(o, a, b):
+    """Turn of the corner (o, a, b), positive when it turns left.  Points have
+    shape (..., 2) and broadcast; a single corner is the shape-(2,) case."""
+    oa, ob = np.subtract(a, o), np.subtract(b, o)
+    return oa[..., 0] * ob[..., 1] - oa[..., 1] * ob[..., 0]
+
+
+def _tol(la, lb, scale):
+    """Collinearity threshold for a turn with legs la, lb and coordinates up to
+    `scale`: TAU radians, floored by the cross product's round-off noise (which
     grows with the coordinate magnitude, not with the leg lengths)."""
-    la = math.hypot(a[0] - o[0], a[1] - o[1])
-    lb = math.hypot(b[0] - a[0], b[1] - a[1])
-    scale = max(abs(o[0]), abs(o[1]), abs(a[0]), abs(a[1]),
-                abs(b[0]), abs(b[1]), 1e-30)
-    return max(TAU * la * lb, 64.0 * _EPS_MACH * scale * max(la, lb))
+    scale = np.maximum(scale, 1e-30)
+    return np.maximum(TAU * la * lb, 64.0 * _EPS_MACH * scale * np.maximum(la, lb))
 
 
-def _signed_area(verts: Sequence[Vec2]) -> float:
-    acc = 0.0
-    n = len(verts)
-    for i in range(n):
-        x0, y0 = verts[i]
-        x1, y1 = verts[(i + 1) % n]
-        acc += x0 * y1 - x1 * y0
-    return 0.5 * acc
+def _turn_tol(o, a, b):
+    """`_tol` of the turn (o, a, b); points broadcast as in `_cross`."""
+    oa, ab = np.subtract(a, o), np.subtract(b, a)
+    m = np.maximum(np.maximum(np.abs(o), np.abs(a)), np.abs(b))
+    return _tol(np.hypot(oa[..., 0], oa[..., 1]), np.hypot(ab[..., 0], ab[..., 1]),
+                np.maximum(m[..., 0], m[..., 1]))
 
 
-def _is_simple(verts: Sequence[Vec2]) -> bool:
+def _corners(V: np.ndarray):
+    """`_cross` and `_turn_tol` at every corner of the closed vertex array V."""
+    W = np.concatenate((V[-1:], V, V[:1]))
+    E = W[1:] - W[:-1]
+    L = np.hypot(E[:, 0], E[:, 1])
+    m = np.abs(W)
+    m = np.maximum(m[:, 0], m[:, 1])
+    scale = np.maximum(np.maximum(m[:-2], m[1:-1]), m[2:])
+    return _cross(W[:-2], V, W[2:]), _tol(L[:-1], L[1:], scale)
+
+
+def _vertex_array(vertices) -> np.ndarray:
+    """Polygon vertices as an (n, 2) float array: finite, with n >= 3."""
+    V = np.asarray(vertices, dtype=float)
+    if V.ndim != 2 or V.shape[1] != 2 or len(V) < 3:
+        raise ValueError("polygon needs at least 3 vertices, each an (x, y) pair")
+    if np.count_nonzero(np.isfinite(V)) < V.size:
+        raise ValueError("non-finite coordinate")
+    return V
+
+
+def _vertex_tuple(V: np.ndarray) -> tuple[Vec2, ...]:
+    return tuple(map(tuple, V.tolist()))
+
+
+def _signed_area(verts) -> float:
+    V = np.asarray(verts, dtype=float)
+    W = _shift(V, 1)
+    # Python's sum adds left to right; np.sum pairs terms and moves last bits
+    return 0.5 * sum((V[:, 0] * W[:, 1] - W[:, 0] * V[:, 1]).tolist())
+
+
+def _is_simple(verts) -> bool:
     """No two non-adjacent edges cross properly (TAU sign tests on all four
     orientations).  All edge pairs are tested with numpy, in blocks of rows
     that keep each temporary array near 2**18 entries at any n."""
-    a = np.asarray(verts)
-    b = np.roll(a, -1, axis=0)
+    a = np.asarray(verts, dtype=float)
+    b = _shift(a, 1)
     n = len(a)
     j = np.arange(n)
-
-    def orient(o, p, q):
-        return ((p[..., 0] - o[..., 0]) * (q[..., 1] - o[..., 1])
-                - (p[..., 1] - o[..., 1]) * (q[..., 0] - o[..., 0]))
 
     def straddles(d1, d2):
         return ((d1 > TAU) & (d2 < -TAU)) | ((d1 < -TAU) & (d2 > TAU))
@@ -78,8 +109,8 @@ def _is_simple(verts: Sequence[Vec2]) -> bool:
     for lo in range(0, n, rows):
         i = j[lo:lo + rows, None]
         p1, p2 = a[i], b[i]
-        cross = (straddles(orient(a, b, p1), orient(a, b, p2))
-                 & straddles(orient(p1, p2, a), orient(p1, p2, b)))
+        cross = (straddles(_cross(a, b, p1), _cross(a, b, p2))
+                 & straddles(_cross(p1, p2, a), _cross(p1, p2, b)))
         # pairs j > i only; edges sharing a vertex never count
         cross &= (j > i + 1) & ~((i == 0) & (j == n - 1))
         if cross.any():
@@ -94,45 +125,53 @@ class Polygon:
     vertices: tuple[Vec2, ...]
 
     def __post_init__(self):
-        verts = tuple(_as_vec2(p) for p in self.vertices)
-        if len(verts) < 3:
-            raise ValueError("polygon needs at least 3 vertices")
-        for i in range(len(verts)):
-            a, b = verts[i], verts[(i + 1) % len(verts)]
-            if abs(a[0] - b[0]) <= TAU and abs(a[1] - b[1]) <= TAU:
-                raise ValueError("consecutive duplicate vertices")
-        if _signed_area(verts) <= TAU:
+        V = _vertex_array(self.vertices)
+        gap = np.abs(_shift(V, 1) - V)
+        if ((gap[:, 0] <= TAU) & (gap[:, 1] <= TAU)).any():
+            raise ValueError("consecutive duplicate vertices")
+        if _signed_area(V) <= TAU:
             raise ValueError("vertices must wind counterclockwise with positive area")
-        if not _is_simple(verts):
+        if not _is_simple(V):
             raise ValueError("boundary is self-intersecting")
-        object.__setattr__(self, "vertices", verts)
+        object.__setattr__(self, "vertices", _vertex_tuple(V))
 
 
-def _merge_collinear(verts: Sequence[Vec2]) -> list[Vec2]:
-    """Drop vertices interior to straight runs (relative angular tolerance)."""
-    out = list(verts)
-    changed = True
-    while changed and len(out) > 3:
-        changed = False
-        n = len(out)
-        kept: list[Vec2] = []
-        for i in range(n):
-            o, a, b = out[i - 1], out[i], out[(i + 1) % n]
-            if abs(_cross(o, a, b)) <= _turn_tol(o, a, b):
-                changed = True
-                continue
-            kept.append(a)
-        out = kept
-    return out
+def _merge_collinear(V: np.ndarray):
+    """Drop vertices interior to straight runs, each round testing every
+    corner of the last; returns the remaining vertices and their `_corners`."""
+    c, tol = _corners(V)
+    while len(V) > 3:
+        keep = np.abs(c) > tol
+        if np.count_nonzero(keep) == len(V):
+            break
+        V = V[keep]
+        c, tol = _corners(V)
+    return V, c, tol
 
 
-def _is_convex_position(verts: Sequence[Vec2]) -> bool:
-    n = len(verts)
-    for i in range(n):
-        o, a, b = verts[i - 1], verts[i], verts[(i + 1) % n]
-        if _cross(o, a, b) < -_turn_tol(o, a, b):
-            return False
-    return True
+def _lex_first(V: np.ndarray) -> np.ndarray:
+    """V rotated to start at its lex-min vertex."""
+    return _shift(V, int(np.lexsort((V[:, 1], V[:, 0]))[0]))
+
+
+def _winds_once(R: np.ndarray) -> bool:
+    """Whether R, turning left at every corner from its lex-min vertex, winds
+    once: its x-coordinates rise, then fall.  A star polygon (five corners or
+    more) winds twice or more, and its x-direction reverses more often."""
+    if len(R) < 5:
+        return True
+    s = np.sign(R[1:, 0] - R[:-1, 0])
+    s = s[s != 0.0]
+    return np.count_nonzero(s[1:] != s[:-1]) <= 1
+
+
+def _is_convex_position(verts) -> bool:
+    """Every corner turns left (within `_turn_tol`) and the boundary winds once
+    (read after merging: a vertex just off a vertical edge reverses x twice)."""
+    V = np.asarray(verts, dtype=float)
+    c, tol = _corners(V)
+    M = _merge_collinear(V)[0]  # fewer than 3 left: not a polygon, ConvexPolygon refuses it
+    return not np.count_nonzero(c < -tol) and (len(M) < 3 or _winds_once(_lex_first(M)))
 
 
 @dataclass(frozen=True)
@@ -140,16 +179,13 @@ class ConvexPolygon(Polygon):
     """Polygon with every vertex extreme; canonical start at the lex-min vertex."""
 
     def __post_init__(self):
-        verts = [_as_vec2(p) for p in self.vertices]
-        if len(verts) < 3:
-            raise ValueError("polygon needs at least 3 vertices")
-        verts = _merge_collinear(verts)
-        if len(verts) < 3 or _signed_area(verts) <= TAU:
+        V, c, tol = _merge_collinear(_vertex_array(self.vertices))
+        if len(V) < 3 or _signed_area(V) <= TAU:
             raise ValueError("vertices must wind counterclockwise with positive area")
-        if not _is_convex_position(verts):
+        R = _lex_first(V)
+        if np.count_nonzero(c < -tol) or not _winds_once(R):
             raise ValueError("vertices are not in convex position")
-        k = min(range(len(verts)), key=lambda i: verts[i])
-        object.__setattr__(self, "vertices", tuple(verts[k:] + verts[:k]))
+        object.__setattr__(self, "vertices", _vertex_tuple(R))
 
 
 @dataclass(frozen=True)
@@ -184,39 +220,30 @@ def area(P: Polygon) -> float:
 
 
 def perimeter(P: Polygon) -> float:
-    verts = P.vertices
-    return sum(
-        math.hypot(verts[(i + 1) % len(verts)][0] - verts[i][0],
-                   verts[(i + 1) % len(verts)][1] - verts[i][1])
-        for i in range(len(verts))
-    )
+    V = np.asarray(P.vertices)
+    E = _shift(V, 1) - V
+    return sum(np.hypot(E[:, 0], E[:, 1]).tolist())
 
 
 def centroid(P: Polygon) -> Vec2:
     """Area centroid."""
-    cx = cy = acc = 0.0
-    verts = P.vertices
-    n = len(verts)
-    for i in range(n):
-        x0, y0 = verts[i]
-        x1, y1 = verts[(i + 1) % n]
-        w = x0 * y1 - x1 * y0
-        acc += w
-        cx += (x0 + x1) * w
-        cy += (y0 + y1) * w
-    acc *= 0.5
+    V = np.asarray(P.vertices)
+    W = _shift(V, 1)
+    w = V[:, 0] * W[:, 1] - W[:, 0] * V[:, 1]
+    acc = 0.5 * sum(w.tolist())
+    cx = sum(((V[:, 0] + W[:, 0]) * w).tolist())
+    cy = sum(((V[:, 1] + W[:, 1]) * w).tolist())
     return (cx / (6.0 * acc), cy / (6.0 * acc))
 
 
 def translate(P: Polygon, t) -> Polygon:
-    tx, ty = _as_vec2(t)
-    return type(P)(tuple((x + tx, y + ty) for x, y in P.vertices))
+    return type(P)(np.asarray(P.vertices) + _as_vec2(t))
 
 
 def scale_polygon(P: Polygon, s: float) -> Polygon:
     if s <= 0:
         raise ValueError("scale factor must be positive")
-    return type(P)(tuple((x * s, y * s) for x, y in P.vertices))
+    return type(P)(np.asarray(P.vertices) * s)
 
 
 def unit_area_centered(P: Polygon) -> Polygon:
@@ -231,28 +258,28 @@ def convex_hull(points: Iterable) -> ConvexPolygon:
 
     Raises DegenerateInput when the hull would be a point or segment.
     """
-    pts = sorted({_as_vec2(p) for p in points})
+    pts = np.array(sorted({_as_vec2(p) for p in points}))
     if len(pts) < 3:
         raise DegenerateInput("need at least 3 distinct points")
 
+    # no turn's tolerance exceeds twice that of two legs as long as the box
+    # diagonal, so only turns between 0 and this bound need their own
+    diag = np.hypot(*(pts.max(0) - pts.min(0)))
+    bound = 2.0 * _tol(diag, diag, np.abs(pts).max())
+
     def chain(seq):
-        out: list[Vec2] = []
+        out: list[np.ndarray] = []
         for p in seq:
-            while len(out) >= 2:
-                o, a = out[-2], out[-1]
-                if _cross(o, a, p) <= _turn_tol(o, a, p):
-                    out.pop()
-                else:
-                    break
+            while len(out) >= 2 and ((c := _cross(out[-2], out[-1], p)) <= 0.0 or (
+                    c <= bound and c <= _turn_tol(out[-2], out[-1], p))):
+                out.pop()
             out.append(p)
         return out
 
-    lower = chain(pts)
-    upper = chain(reversed(pts))
-    verts = lower[:-1] + upper[:-1]
+    verts = chain(pts)[:-1] + chain(pts[::-1])[:-1]
     if len(verts) < 3:
         raise DegenerateInput("points are collinear; hull is a point or segment")
-    return ConvexPolygon(tuple(verts))
+    return ConvexPolygon(np.array(verts))
 
 
 # ---------------------------------------------------------------------------
@@ -312,40 +339,29 @@ def minkowski_convex(P: ConvexPolygon, Q: ConvexPolygon) -> ConvexPolygon:
 
 def triangulate(P: Polygon) -> list[tuple[Vec2, Vec2, Vec2]]:
     """Ear-clipping triangulation of a simple CCW polygon."""
-    verts = list(P.vertices)
+    V = np.asarray(P.vertices)
     tris: list[tuple[Vec2, Vec2, Vec2]] = []
-    guard = 0
-    while len(verts) > 3:
-        n = len(verts)
-        clipped = False
-        for i in range(n):
-            o, a, b = verts[i - 1], verts[i], verts[(i + 1) % n]
-            c = _cross(o, a, b)
-            tol = _turn_tol(o, a, b)
-            if abs(c) <= tol:
-                # straight (or folded) corner: drop the vertex, no triangle
-                del verts[i]
-                clipped = True
+    while len(V) > 3:
+        c, tol = (x.tolist() for x in _corners(V))
+        for i in range(len(V)):
+            # a straight (or folded) corner is dropped with no triangle
+            if abs(c[i]) <= tol[i]:
                 break
-            if c < 0:
+            if c[i] < 0:
                 continue
-            ok = True
-            for q in verts:
-                if q in (o, a, b):
-                    continue
-                if (_cross(o, a, q) >= -tol and _cross(a, b, q) >= -tol
-                        and _cross(b, o, q) >= -tol):
-                    ok = False
-                    break
-            if ok:
-                tris.append((o, a, b))
-                del verts[i]
-                clipped = True
+            # a vertex q blocks the ear T = (o, a, b) when (o, a, q), (a, b, q)
+            # and (b, o, q) all turn left, unless q is a copy of o, a or b
+            Q = V.take((i - 1, i, i + 1, i - 1), axis=0, mode="wrap")
+            T = Q[:3]
+            inside = (_cross(T, Q[1:], V[:, None]) >= -tol[i]).all(1)
+            inside[[i - 1, i, (i + 1) % len(V)]] = False
+            if not np.count_nonzero(inside) or (V[inside][:, None] == T).all(2).any(1).all():
+                tris.append(_vertex_tuple(T))
                 break
-        guard += 1
-        if not clipped or guard > 4 * len(P.vertices) + 16:
+        else:
             raise NumericalDegeneracy("ear clipping failed; polygon may be degenerate")
-    tris.append((verts[0], verts[1], verts[2]))
+        V = np.concatenate((V[:i], V[i + 1:]))
+    tris.append(_vertex_tuple(V))
     return tris
 
 
@@ -587,25 +603,14 @@ def regular_disc(n: int, r: float) -> ConvexPolygon:
 
 def point_in_polygon(p, P: Polygon) -> bool:
     """Even-odd test; boundary points count as inside."""
-    x, y = _as_vec2(p)
-    verts = P.vertices
-    n = len(verts)
-    inside = False
-    for i in range(n):
-        x0, y0 = verts[i]
-        x1, y1 = verts[(i + 1) % n]
-        # on-edge check
-        if min(x0, x1) - TAU <= x <= max(x0, x1) + TAU and \
-           min(y0, y1) - TAU <= y <= max(y0, y1) + TAU:
-            if abs(_cross((x0, y0), (x1, y1), (x, y))) <= TAU * max(
-                1.0, math.hypot(x1 - x0, y1 - y0)
-            ):
-                return True
-        if (y0 > y) != (y1 > y):
-            xi = x0 + (y - y0) * (x1 - x0) / (y1 - y0)
-            if xi > x:
-                inside = not inside
-    return inside
+    p = np.array(_as_vec2(p))
+    V = np.asarray(P.vertices)
+    W = _shift(V, 1)
+    E = W - V
+    near = ((np.minimum(V, W) - TAU <= p) & (p <= np.maximum(V, W) + TAU)).all(1)
+    on_edge = near & (np.abs(_cross(V, W, p))
+                      <= TAU * np.maximum(1.0, np.hypot(E[:, 0], E[:, 1])))
+    return bool(on_edge.any() or points_in_polygon(p[None], P)[0])
 
 
 def points_in_polygon(pts: np.ndarray, P: Polygon) -> np.ndarray:
@@ -665,19 +670,14 @@ def ray_exit(origin, direction, region: RegionUnion) -> float:
     dx, dy = _as_vec2(direction)
     best = 0.0
     for part in region.parts:
-        verts = part.vertices
-        n = len(verts)
-        for i in range(n):
-            ax, ay = verts[i]
-            bx, by = verts[(i + 1) % n]
-            ex, ey = bx - ax, by - ay
-            denom = dx * ey - dy * ex
-            if abs(denom) <= TAU:
-                continue
-            s = ((ax - ox) * ey - (ay - oy) * ex) / denom
-            t = (dy * (ax - ox) - dx * (ay - oy)) / denom
-            if -1e-9 <= t <= 1.0 + 1e-9 and s > best:
-                best = s
+        A = np.asarray(part.vertices)
+        E = _shift(A, 1) - A
+        denom = dx * E[:, 1] - dy * E[:, 0]
+        crossing = np.abs(denom) > TAU
+        A, E, denom = A[crossing], E[crossing], denom[crossing]
+        s = ((A[:, 0] - ox) * E[:, 1] - (A[:, 1] - oy) * E[:, 0]) / denom
+        t = (dy * (A[:, 0] - ox) - dx * (A[:, 1] - oy)) / denom
+        best = max([best] + s[(-1e-9 <= t) & (t <= 1.0 + 1e-9)].tolist())
     return best
 
 
@@ -690,10 +690,10 @@ def polygon_to_dict(P: Polygon) -> dict:
 
 
 def polygon_from_dict(d: dict) -> Polygon:
-    verts = d["vertices"]
-    if _is_convex_position([_as_vec2(v) for v in verts]):
+    V = _vertex_array(d["vertices"])
+    if _is_convex_position(V):
         try:
-            return ConvexPolygon(tuple(map(tuple, verts)))
+            return ConvexPolygon(V)
         except ValueError:
             pass
-    return Polygon(tuple(map(tuple, verts)))
+    return Polygon(V)

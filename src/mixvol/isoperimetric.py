@@ -148,11 +148,9 @@ def wulff_shape(N: StructuringSet, n_dirs: int = 360) -> ConvexPolygon:
     """
     if n_dirs < 16:
         raise ValueError("need at least 16 directions")
-    lines = []
-    for j in range(n_dirs):
-        th = 2.0 * math.pi * j / n_dirs
-        u = (math.cos(th), math.sin(th))
-        lines.append((u[0], u[1], structuring.support(N, u)))
+    angles = [2.0 * math.pi * j / n_dirs for j in range(n_dirs)]
+    U = [(math.cos(th), math.sin(th)) for th in angles]
+    lines = [(ux, uy, h) for (ux, uy), h in zip(U, structuring.support(N, U).tolist())]
     verts = _halfplane_intersection(lines)
     scale = max(max(abs(x), abs(y)) for x, y in verts)
     verts = _dedupe_close(verts, 1e-9 * max(1.0, scale))

@@ -13,6 +13,8 @@ import math
 from dataclasses import dataclass
 from typing import Union
 
+import numpy as np
+
 from . import geom2d
 from .errors import DegenerateHull, DegenerateInput, NegativeScale, ZeroDirection
 from .geom2d import ConvexPolygon, Polygon, Vec2, _as_vec2
@@ -89,21 +91,28 @@ def _component_points(c: Component) -> list[Vec2]:
     raise TypeError(type(c).__name__)
 
 
-def support(N: StructuringSet, u) -> float:
-    """Support value sup_{x in N} <x, u>; positively homogeneous in u."""
-    ux, uy = _as_vec2(u)
-    norm = math.hypot(ux, uy)
-    if norm <= geom2d.TAU:
+def support(N: StructuringSet, u):
+    """Support value sup_{x in N} <x, u>; positively homogeneous in u.  `u` is
+    one direction (giving a float) or an (m, 2) array of them (m values)."""
+    U = np.asarray(u, dtype=float)
+    if U.shape[-1:] != (2,) or U.ndim > 2 or not np.isfinite(U).all():
+        raise ValueError(f"directions must be finite (x, y) pairs: {u!r}")
+    D = U.reshape(-1, 2)
+    # math.hypot, not np.hypot: the two differ in the last bit on some inputs
+    norm = np.array([math.hypot(x, y) for x, y in D.tolist()])
+    if (norm <= geom2d.TAU).any():
         raise ZeroDirection("support direction must be nonzero")
-    best = -math.inf
+    best = np.full(len(D), -math.inf)
     for c in N.components:
         if isinstance(c, Disc):
-            val = c.center[0] * ux + c.center[1] * uy + c.radius * norm
-        else:
-            val = max(p[0] * ux + p[1] * uy for p in _component_points(c))
-        if val > best:
-            best = val
-    return best
+            val = c.center[0] * D[:, 0] + c.center[1] * D[:, 1] + c.radius * norm
+        else:  # directions in blocks that keep each product near 2**18 entries
+            P = np.array(_component_points(c))
+            rows = max(1, (1 << 18) // len(P))
+            val = np.concatenate([(P[:, 0] * D[k:k + rows, :1] + P[:, 1] * D[k:k + rows, 1:])
+                                  .max(axis=1) for k in range(0, len(D), rows)])
+        best = np.maximum(best, val)
+    return float(best[0]) if U.ndim == 1 else best
 
 
 def hull(N: StructuringSet) -> ConvexPolygon:

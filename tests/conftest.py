@@ -1,8 +1,11 @@
 import math
 
 import pytest
+from hypothesis import assume
+from hypothesis import strategies as st
 
 from mixvol import geom2d, structuring
+from mixvol.errors import DegenerateInput
 
 
 @pytest.fixture
@@ -48,3 +51,35 @@ def closed_form_plus_dilation(eps: float) -> float:
         + 2.0 * math.asin(0.5 * (e - s))
         + 2.0 * math.asin(0.5 * (s + e))
     )
+
+
+#: Offsets, as a share of the edge, of the vertices `near_collinear_convex`
+#: inserts: exactly on the edge, at round-off, around the collinearity
+#: tolerance (1e-12 radians) and well away from it, outward (+) and inward (-).
+EDGE_OFFSETS = (0.0, 1e-16, -1e-16, 3e-13, -3e-13, 1e-12, -1e-12,
+                3e-12, -3e-12, 1e-9, -1e-9)
+
+
+@st.composite
+def near_collinear_convex(draw):
+    """Vertex list of a convex polygon with extra vertices along its edges,
+    each pushed off its edge by one of EDGE_OFFSETS, and its lowest vertex
+    raised by 1e-16 to 1e-15."""
+    pts = draw(st.lists(st.tuples(st.floats(-1.0, 1.0), st.floats(-1.0, 1.0)),
+                        min_size=3, max_size=8))
+    try:
+        hull = geom2d.convex_hull(pts).vertices
+    except (DegenerateInput, ValueError):
+        assume(False)
+    verts = []
+    for i, (x0, y0) in enumerate(hull):
+        x1, y1 = hull[(i + 1) % len(hull)]
+        verts.append((x0, y0))
+        for t in sorted(draw(st.lists(st.floats(0.05, 0.95), max_size=3, unique=True))):
+            off = draw(st.sampled_from(EDGE_OFFSETS))
+            verts.append((x0 + t * (x1 - x0) + off * (y1 - y0),
+                          y0 + t * (y1 - y0) - off * (x1 - x0)))
+    k = min(range(len(verts)), key=lambda i: (verts[i][1], verts[i][0]))
+    x, y = verts[k]
+    verts[k] = (x, y + draw(st.floats(1e-16, 1e-15)))
+    return verts

@@ -101,8 +101,26 @@ def test_estimate_rejects_region_union(tmp_path, files, capsys):
     assert rc == 2
 
 
+def test_series_rejects_region_union(tmp_path, files, capsys):
+    union = {"parts": [SQUARE, {"vertices": [[5, 0], [6, 0], [6, 1], [5, 1]]}]}
+    rc = cli.main(["series", "--m", files("m.json", union),
+                   "--n", files("n.json", PLUS), "--out-dir", str(tmp_path)])
+    assert rc == 2
+    assert "expected 'vertices' or 'disc'" in capsys.readouterr().err
+
+
 # ---------------------------------------------------------------------------
 # failure modes
+
+
+@pytest.mark.parametrize("p", [5, 7])
+def test_estimate_rejects_star_polygon(tmp_path, files, capsys, p):
+    # {p/2} in drawing order: every corner turns left, the boundary winds twice
+    star = [[math.cos(4 * math.pi * k / p), math.sin(4 * math.pi * k / p)] for k in range(p)]
+    rc = cli.main(["estimate", "--m", files("m.json", {"vertices": star}),
+                   "--n", files("n.json", PLUS), "--out-dir", str(tmp_path)])
+    assert rc == 2
+    assert "self-intersecting" in capsys.readouterr().err
 
 
 def test_estimate_rejects_self_crossing_80_gon(tmp_path, files, capsys):

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import closed_form_plus_dilation
+from conftest import closed_form_plus_dilation, near_collinear_convex
 from mixvol import geom2d
 from mixvol.errors import DegenerateInput, ResolutionTooCoarse
 from mixvol.geom2d import ConvexPolygon, Polygon, RegionUnion
@@ -92,6 +92,154 @@ def test_polygon_accepts_large_simple_star():
     assert len(Polygon(verts).vertices) == 2 * k
 
 
+def _signed_area_reference(verts):
+    """The per-vertex loops the array kernel replaced, kept as its reference;
+    they evaluate the kernel's turn predicate one corner at a time."""
+    acc = 0.0
+    for i in range(len(verts)):
+        x0, y0 = verts[i]
+        x1, y1 = verts[(i + 1) % len(verts)]
+        acc += x0 * y1 - x1 * y0
+    return 0.5 * acc
+
+
+def _merge_collinear_reference(verts):
+    out = list(verts)
+    changed = True
+    while changed and len(out) > 3:
+        changed = False
+        n = len(out)
+        kept = []
+        for i in range(n):
+            o, a, b = out[i - 1], out[i], out[(i + 1) % n]
+            if abs(geom2d._cross(o, a, b)) <= geom2d._turn_tol(o, a, b):
+                changed = True
+                continue
+            kept.append(a)
+        out = kept
+    return out
+
+
+def _is_convex_position_reference(verts):
+    n = len(verts)
+    for i in range(n):
+        o, a, b = verts[i - 1], verts[i], verts[(i + 1) % n]
+        if geom2d._cross(o, a, b) < -geom2d._turn_tol(o, a, b):
+            return False
+    return True
+
+
+def _convex_polygon_reference(verts):
+    """ConvexPolygon's vertices as the scalar loops made them (merged, then
+    rotated to the lex-min vertex), or None where they refused the input."""
+    verts = _merge_collinear_reference(verts)
+    if (len(verts) < 3 or _signed_area_reference(verts) <= geom2d.TAU
+            or not _is_convex_position_reference(verts)):
+        return None
+    k = min(range(len(verts)), key=lambda i: verts[i])
+    return tuple(verts[k:] + verts[:k])
+
+
+@settings(derandomize=True, max_examples=150, deadline=None)
+@given(near_collinear_convex(), st.booleans())
+def test_convex_polygon_matches_scalar_loops(verts, mirror):
+    if mirror:  # clockwise input: refused by both
+        verts = [(-x, y) for x, y in verts]
+    try:
+        got = ConvexPolygon(verts).vertices
+    except ValueError:
+        got = None
+    assert got == _convex_polygon_reference(verts)
+    assert geom2d._is_convex_position(verts) == _is_convex_position_reference(verts)
+    assert geom2d._signed_area(verts) == _signed_area_reference(verts)
+
+
+def _regular_star(p, q, r=1.0):
+    """The star polygon {p/q}: p points on a circle joined q apart, in
+    drawing order, so every corner turns left."""
+    return tuple((r * math.cos(2 * math.pi * q * k / p), r * math.sin(2 * math.pi * q * k / p))
+                 for k in range(p))
+
+
+@pytest.mark.parametrize("p, q", [(5, 2), (7, 2)])
+def test_convex_polygon_rejects_star_polygons(p, q):
+    star = _regular_star(p, q)
+    assert _is_convex_position_reference(star)  # left turns only
+    assert geom2d._signed_area(star) > 0
+    with pytest.raises(ValueError, match="convex position"):
+        ConvexPolygon(star)
+    with pytest.raises(ValueError, match="self-intersecting"):
+        geom2d.polygon_from_dict({"vertices": [list(v) for v in star]})
+
+
+def _triangulate_reference(P):
+    """The ear-clipping scan that evaluated the turn predicate one vertex at
+    a time, kept as the reference of the array rounds."""
+    verts = list(P.vertices)
+    tris = []
+    while len(verts) > 3:
+        n = len(verts)
+        for i in range(n):
+            o, a, b = verts[i - 1], verts[i], verts[(i + 1) % n]
+            c, tol = geom2d._cross(o, a, b), geom2d._turn_tol(o, a, b)
+            if abs(c) <= tol:
+                del verts[i]
+                break
+            if c < 0:
+                continue
+            if not any(q not in (o, a, b) and geom2d._cross(o, a, q) >= -tol
+                       and geom2d._cross(a, b, q) >= -tol and geom2d._cross(b, o, q) >= -tol
+                       for q in verts):
+                tris.append((o, a, b))
+                del verts[i]
+                break
+    tris.append(tuple(verts))
+    return tris
+
+
+@st.composite
+def polar_polygon(draw):
+    """A simple polygon with vertices at increasing angles, some of them
+    exactly regular, and some edges split at their midpoint (straight corners)."""
+    n = draw(st.integers(4, 24))
+    if draw(st.booleans()):
+        angles = [2 * math.pi * k / n for k in range(n)]
+        radii = [1.0 if k % 2 == 0 else 0.4 for k in range(n)]
+    else:
+        angles = sorted(set(draw(st.lists(st.floats(0, 2 * math.pi, exclude_max=True),
+                                          min_size=n, max_size=n))))
+        radii = draw(st.lists(st.floats(0.3, 1.0), min_size=len(angles), max_size=len(angles)))
+    verts = [(r * math.cos(t), r * math.sin(t)) for t, r in zip(angles, radii)]
+    for k in sorted(draw(st.sets(st.integers(0, len(verts) - 1), max_size=3)), reverse=True):
+        (x0, y0), (x1, y1) = verts[k], verts[(k + 1) % len(verts)]
+        verts.insert(k + 1, ((x0 + x1) / 2, (y0 + y1) / 2))
+    return verts
+
+
+@settings(derandomize=True, max_examples=80, deadline=None)
+@given(polar_polygon())
+def test_triangulate_matches_scalar_scan(verts):
+    try:
+        P = Polygon(verts)
+    except ValueError:  # angles too close together for a positive-area boundary
+        return
+    assert geom2d.triangulate(P) == _triangulate_reference(P)
+
+
+def test_triangulate_pinched_polygon():
+    # two triangles touching at (1, 1), which the boundary visits twice
+    P = Polygon(((0, 0), (2, 0), (1, 1), (2, 2), (0, 2), (1, 1)))
+    tris = geom2d.triangulate(P)
+    assert tris == _triangulate_reference(P)
+    assert sum(geom2d._signed_area(t) for t in tris) == pytest.approx(2.0)
+
+
+def test_polygon_from_dict_rejects_collinear_points():
+    # every corner is straight, so merging leaves no polygon at all
+    with pytest.raises(ValueError):
+        geom2d.polygon_from_dict({"vertices": [[0, 0], [1, 1], [2, 2], [3, 3]]})
+
+
 def test_convex_polygon_rejects_reflex():
     with pytest.raises(ValueError):
         ConvexPolygon(((0, 0), (2, 0), (2, 2), (1, 0.5), (0, 2)))
@@ -137,6 +285,30 @@ def test_hull_idempotent():
     P = random_convex(rng, 12)
     H = geom2d.convex_hull(P.vertices)
     assert H.vertices == P.vertices
+
+
+def _convex_hull_reference(points):
+    """The monotone chain with the turn predicate evaluated at every step."""
+    pts = sorted({(float(x), float(y)) for x, y in points})
+
+    def chain(seq):
+        out = []
+        for p in seq:
+            while len(out) >= 2 and geom2d._cross(out[-2], out[-1], p) <= \
+                    geom2d._turn_tol(out[-2], out[-1], p):
+                out.pop()
+            out.append(p)
+        return out
+
+    return ConvexPolygon(tuple(chain(pts)[:-1] + chain(pts[::-1])[:-1])).vertices
+
+
+@settings(derandomize=True, max_examples=100, deadline=None)
+@given(near_collinear_convex(), st.lists(st.tuples(st.floats(-0.5, 0.5), st.floats(-0.5, 0.5)),
+                                         max_size=10))
+def test_hull_matches_stepwise_chain(verts, inner):
+    points = verts + inner
+    assert geom2d.convex_hull(points).vertices == _convex_hull_reference(points)
 
 
 def test_hull_collinear_raises():
@@ -391,6 +563,41 @@ def test_point_in_polygon(unit_square):
     assert not geom2d.point_in_polygon((1.5, 0.5), unit_square)
 
 
+def _point_in_polygon_reference(p, P):
+    """The even-odd loop with its on-edge test that point_in_polygon replaced."""
+    x, y = p
+    verts = P.vertices
+    inside = False
+    for i in range(len(verts)):
+        x0, y0 = verts[i]
+        x1, y1 = verts[(i + 1) % len(verts)]
+        if min(x0, x1) - geom2d.TAU <= x <= max(x0, x1) + geom2d.TAU and \
+           min(y0, y1) - geom2d.TAU <= y <= max(y0, y1) + geom2d.TAU:
+            if abs(geom2d._cross((x0, y0), (x1, y1), (x, y))) <= geom2d.TAU * max(
+                    1.0, math.hypot(x1 - x0, y1 - y0)):
+                return True
+        if (y0 > y) != (y1 > y):
+            xi = x0 + (y - y0) * (x1 - x0) / (y1 - y0)
+            if xi > x:
+                inside = not inside
+    return inside
+
+
+def test_point_in_polygon_matches_even_odd_loop():
+    rng = np.random.default_rng(17)
+    k = 7
+    star = Polygon(tuple(((1.0 if i % 2 == 0 else 0.45) * math.cos(math.pi * i / k),
+                          (1.0 if i % 2 == 0 else 0.45) * math.sin(math.pi * i / k))
+                         for i in range(2 * k)))
+    for P in (random_convex(rng, 9), star, geom2d.regular_disc(64, 1.0)):
+        V = np.array(P.vertices)
+        t = rng.uniform(0, 1, size=(len(V), 1))
+        on_edges = V + t * (np.roll(V, -1, axis=0) - V)
+        for p in np.concatenate([rng.uniform(-1.2, 1.2, size=(300, 2)), V, on_edges]):
+            p = tuple(p.tolist())
+            assert geom2d.point_in_polygon(p, P) == _point_in_polygon_reference(p, P)
+
+
 def test_polygon_distance(unit_square):
     assert geom2d.polygon_distance((0.5, 0.5), unit_square) == 0.0
     assert geom2d.polygon_distance((2.0, 0.5), unit_square) == pytest.approx(1.0)
@@ -408,6 +615,41 @@ def test_ray_exit(unit_square):
     R = RegionUnion((unit_square,))
     assert geom2d.ray_exit((0.5, 0.5), (0, 1), R) == pytest.approx(0.5)
     assert geom2d.ray_exit((0.5, 0.5), (1, 0), R) == pytest.approx(0.5)
+
+
+def _ray_exit_reference(origin, direction, region):
+    """The per-edge loop ray_exit replaced."""
+    (ox, oy), (dx, dy) = origin, direction
+    best = 0.0
+    for part in region.parts:
+        verts = part.vertices
+        for i in range(len(verts)):
+            ax, ay = verts[i]
+            bx, by = verts[(i + 1) % len(verts)]
+            ex, ey = bx - ax, by - ay
+            denom = dx * ey - dy * ex
+            if abs(denom) <= geom2d.TAU:
+                continue
+            s = ((ax - ox) * ey - (ay - oy) * ex) / denom
+            t = (dy * (ax - ox) - dx * (ay - oy)) / denom
+            if -1e-9 <= t <= 1.0 + 1e-9 and s > best:
+                best = s
+    return best
+
+
+def test_ray_exit_matches_per_edge_loop(unit_square):
+    rng = np.random.default_rng(23)
+    region = RegionUnion((random_convex(rng, 9), geom2d.translate(unit_square, (0.3, -0.2)),
+                          geom2d.regular_disc(64, 0.8)))
+    for _ in range(200):
+        origin = tuple(rng.uniform(-1, 1, 2).tolist())
+        th = rng.uniform(0, 2 * math.pi)
+        direction = (math.cos(th), math.sin(th))
+        assert geom2d.ray_exit(origin, direction, region) == \
+            _ray_exit_reference(origin, direction, region)
+    # axis-parallel rays meet the square's edges end-on
+    assert geom2d.ray_exit((0.5, 0.0), (1.0, 0.0), region) == \
+        _ray_exit_reference((0.5, 0.0), (1.0, 0.0), region)
 
 
 def test_ray_exit_takes_farthest(unit_square):

@@ -41,6 +41,52 @@ def test_support_zero_direction(plus_set):
         structuring.support(plus_set, (0, 0))
 
 
+def _support_reference(N, u):
+    """The per-direction loop that support's array evaluation replaced."""
+    ux, uy = u
+    norm = math.hypot(ux, uy)
+    best = -math.inf
+    for c in N.components:
+        if isinstance(c, Disc):
+            val = c.center[0] * ux + c.center[1] * uy + c.radius * norm
+        else:
+            pts = c.pts if isinstance(c, Points) else (
+                (c.a, c.b) if isinstance(c, Segment) else c.vertices)
+            val = max(p[0] * ux + p[1] * uy for p in pts)
+        best = max(best, val)
+    return best
+
+
+def test_support_over_directions_matches_scalar_loop(plus_set):
+    rng = np.random.default_rng(8)
+    U = np.concatenate([rng.normal(size=(300, 2)) * rng.uniform(0.01, 100, size=(300, 1)),
+                        [[1, 0], [0, -1], [-3, 0], [1e-9, 2e-9]]])
+    poly = StructuringSet((geom2d.regular_disc(7, 0.4), Points(((1, 1),))))
+    for N in (plus_set, mixed_set(), poly):
+        values = structuring.support(N, U)
+        assert values.shape == (len(U),)
+        assert values.tolist() == [_support_reference(N, u) for u in U.tolist()]
+        one = structuring.support(N, tuple(U[0]))
+        assert isinstance(one, float) and one == values[0]
+
+
+def test_support_over_directions_in_blocks():
+    # 70000 points leave room for 3 directions per block of 2**18 products
+    rng = np.random.default_rng(4)
+    N = StructuringSet((Points(tuple(map(tuple, rng.normal(size=(70000, 2)).tolist()))),))
+    U = rng.normal(size=(10, 2))
+    assert structuring.support(N, U).tolist() == [_support_reference(N, u) for u in U.tolist()]
+
+
+def test_support_rejects_bad_directions(plus_set):
+    with pytest.raises(ZeroDirection):
+        structuring.support(plus_set, [[1.0, 0.0], [0.0, 0.0]])
+    with pytest.raises(ValueError):
+        structuring.support(plus_set, [[1.0, 0.0, 0.0]])
+    with pytest.raises(ValueError):
+        structuring.support(plus_set, [[1.0, math.nan]])
+
+
 def test_support_homogeneous(plus_set):
     rng = np.random.default_rng(21)
     for _ in range(50):
