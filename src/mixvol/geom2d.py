@@ -11,6 +11,7 @@ Region unions are flat tuples of polygon parts, possibly overlapping.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 from typing import Callable, Iterable, Sequence
@@ -93,29 +94,49 @@ def _signed_area(verts) -> float:
     return 0.5 * sum((V[:, 0] * W[:, 1] - W[:, 0] * V[:, 1]).tolist())
 
 
+def _straddles(d1, d2):
+    return ((d1 > TAU) & (d2 < -TAU)) | ((d1 < -TAU) & (d2 > TAU))
+
+
+#: Edge pairs `_crossings` tests at a time: a block's temporaries stay under
+#: 1 MB (2**14 raised the union peak of a 4096-gon disc's dilation by a sixth).
+_PAIR_BLOCK = 1 << 13
+
+
+def _crossings(P: np.ndarray, Q: np.ndarray, owner: np.ndarray) -> np.ndarray:
+    """x of every proper crossing between edges P[i] -> Q[i] of different
+    owners: TAU sign tests on all four orientations.
+
+    One sort-and-sweep over x-extents, after Shamos and Hoey (1976): with the edges
+    ordered by their x minimum, the candidates of an edge are the later edges
+    that start before it ends.  Those whose y-extents meet too are tested in
+    blocks of `_PAIR_BLOCK` pairs at any edge count.  Edges that share an
+    endpoint never cross: its cross product is exactly 0.
+    """
+    lo, hi = np.minimum(P, Q), np.maximum(P, Q)
+    order = np.argsort(lo[:, 0], kind="stable")
+    P, Q, owner, lo, hi = P[order], Q[order], owner[order], lo[order], hi[order]
+    # edge i meets the x-extents of edges i + 1 .. i + count[i]
+    count = np.searchsorted(lo[:, 0], hi[:, 0], side="right") - np.arange(1, len(P) + 1)
+    last = np.cumsum(count)
+    out = [np.empty(0)]
+    for start in range(0, int(count.sum()), _PAIR_BLOCK):
+        k = np.arange(start, min(start + _PAIR_BLOCK, last[-1]))
+        i = np.searchsorted(last, k, side="right")
+        j = k - last[i] + count[i] + i + 1
+        near = (owner[i] != owner[j]) & (lo[j, 1] <= hi[i, 1]) & (lo[i, 1] <= hi[j, 1])
+        a, b, c, d = P[i[near]], Q[i[near]], P[j[near]], Q[j[near]]
+        d1, d2 = _cross(c, d, a), _cross(c, d, b)
+        hit = _straddles(d1, d2) & _straddles(_cross(a, b, c), _cross(a, b, d))
+        a, b, d1, d2 = a[hit, 0], b[hit, 0], d1[hit], d2[hit]
+        out.append(a + d1 / (d1 - d2) * (b - a))
+    return np.concatenate(out)
+
+
 def _is_simple(verts) -> bool:
-    """No two non-adjacent edges cross properly (TAU sign tests on all four
-    orientations).  All edge pairs are tested with numpy, in blocks of rows
-    that keep each temporary array near 2**18 entries at any n."""
+    """No two edges cross properly: `_crossings` with every edge its own owner."""
     a = np.asarray(verts, dtype=float)
-    b = _shift(a, 1)
-    n = len(a)
-    j = np.arange(n)
-
-    def straddles(d1, d2):
-        return ((d1 > TAU) & (d2 < -TAU)) | ((d1 < -TAU) & (d2 > TAU))
-
-    rows = max(1, (1 << 18) // n)
-    for lo in range(0, n, rows):
-        i = j[lo:lo + rows, None]
-        p1, p2 = a[i], b[i]
-        cross = (straddles(_cross(a, b, p1), _cross(a, b, p2))
-                 & straddles(_cross(p1, p2, a), _cross(p1, p2, b)))
-        # pairs j > i only; edges sharing a vertex never count
-        cross &= (j > i + 1) & ~((i == 0) & (j == n - 1))
-        if cross.any():
-            return False
-    return True
+    return not _crossings(a, _shift(a, 1), np.arange(len(a))).size
 
 
 @dataclass(frozen=True)
@@ -390,91 +411,56 @@ def minkowski_segment(P: Polygon, a, b) -> RegionUnion:
 
 
 # ---------------------------------------------------------------------------
-# Exact union area via slab decomposition of the edge overlay
+# Exact union area via slab decomposition of the edge overlay; the events
+# are the part vertices plus the crossings from one sweep over all edges
 
 
-def _monotone_chains(verts: Sequence[Vec2]):
-    """Split a convex CCW polygon into lower/upper chains as functions of x."""
-    n = len(verts)
-    imin = min(range(n), key=lambda i: verts[i])
-    imax = max(range(n), key=lambda i: verts[i])
-    lower: list[Vec2] = []
-    i = imin
-    while True:
-        lower.append(verts[i])
-        if i == imax:
-            break
-        i = (i + 1) % n
-    upper: list[Vec2] = []
-    i = imax
-    while True:
-        upper.append(verts[i])
-        if i == imin:
-            break
-        i = (i + 1) % n
-    upper.reverse()
-
-    def dedup(chain, keep_low):
-        out: list[Vec2] = []
-        for p in chain:
-            if out and abs(p[0] - out[-1][0]) <= TAU:
-                if (p[1] < out[-1][1]) == keep_low:
-                    out[-1] = p
-            else:
-                out.append(p)
-        return out
-
-    lo = dedup(lower, True)
-    hi = dedup(upper, False)
-    xs_lo = np.array([p[0] for p in lo])
-    ys_lo = np.array([p[1] for p in lo])
-    xs_hi = np.array([p[0] for p in hi])
-    ys_hi = np.array([p[1] for p in hi])
-    return xs_lo, ys_lo, xs_hi, ys_hi
-
-
-def _chain_crossings(xs1, ys1, xs2, ys2) -> list[float]:
-    """x-coordinates where two piecewise-linear chains cross transversally."""
-    a = max(xs1[0], xs2[0])
-    b = min(xs1[-1], xs2[-1])
-    if b - a <= TAU:
-        return []
-    bp = np.unique(np.clip(np.concatenate([xs1, xs2]), a, b))
-    f = np.interp(bp, xs1, ys1) - np.interp(bp, xs2, ys2)
-    s = np.sign(f)
-    flips = np.nonzero(s[:-1] * s[1:] < 0)[0]
-    out = []
-    for t in flips:
-        denom = f[t] - f[t + 1]
-        out.append(float(bp[t] + (bp[t + 1] - bp[t]) * f[t] / denom))
-    return out
+def _monotone_chains(V: np.ndarray, n: np.ndarray):
+    """Lower and upper chains, as functions of x, of the convex CCW parts
+    whose vertices are V's rows in runs of n[p].  Returns the chain points
+    and their chain numbers, 2p (lower) and 2p + 1 (upper) for part p: both
+    run from the part's lex-min vertex to its lex-max one.  Of vertices
+    within TAU in x of the last one kept, a lower chain keeps the lowest and
+    an upper chain the highest."""
+    start = np.cumsum(n) - n
+    order = np.lexsort((V[:, 1], V[:, 0], np.repeat(np.arange(len(n)), n)))
+    imin, imax = order[start] - start, order[start + n - 1] - start
+    # the lower chain walks forward from the lex-min vertex, the upper backward
+    length = np.stack(((imax - imin) % n, (imin - imax) % n), 1).ravel() + 1
+    chain = np.repeat(np.arange(length.size), length)
+    step = np.arange(length.sum()) - np.repeat(np.cumsum(length) - length, length)
+    p = chain // 2
+    C = V[start[p] + (imin[p] + np.where(chain % 2, -step, step)) % n[p]]
+    keep = np.ones(len(C), dtype=bool)
+    close = (np.abs(np.diff(C[:, 0])) <= TAU) & (chain[1:] == chain[:-1])
+    # x never falls along a chain, so a vertex more than TAU right of the one
+    # before it starts a new run and is kept; only close steps need a walk
+    x, y = C[:, 0], C[:, 1]
+    prev = -1
+    for i in (np.flatnonzero(close) + 1).tolist():
+        if prev != i - 1:
+            last = i - 1
+        prev = i
+        if abs(x[i] - x[last]) > TAU:
+            last = i
+        elif (y[i] < y[last]) == (chain[i] % 2 == 0):
+            keep[last] = False
+            last = i
+        else:
+            keep[i] = False
+    return C[keep], chain[keep]
 
 
 def _convex_union_area(parts: list[Sequence[Vec2]]) -> float:
-    chains = []
-    boxes = []
-    for verts in parts:
-        xs_lo, ys_lo, xs_hi, ys_hi = _monotone_chains(verts)
-        chains.append((xs_lo, ys_lo, xs_hi, ys_hi))
-        ys = [p[1] for p in verts]
-        boxes.append((float(xs_lo[0]), float(xs_lo[-1]), min(ys), max(ys)))
-
-    events = [np.array([p[0] for p in verts]) for verts in parts]
     k = len(parts)
-    for i in range(k):
-        for j in range(i + 1, k):
-            bi, bj = boxes[i], boxes[j]
-            if bi[1] <= bj[0] or bj[1] <= bi[0] or bi[3] <= bj[2] or bj[3] <= bi[2]:
-                continue
-            ci, cj = chains[i], chains[j]
-            xs = []
-            for c1 in (ci[:2], ci[2:]):
-                for c2 in (cj[:2], cj[2:]):
-                    xs.extend(_chain_crossings(c1[0], c1[1], c2[0], c2[1]))
-            if xs:
-                events.append(np.array(xs))
+    n = np.array([len(verts) for verts in parts])
+    flat = itertools.chain.from_iterable
+    V = np.fromiter(flat(flat(parts)), dtype=float).reshape(-1, 2)
+    C, chain = _monotone_chains(V, n)
+    edge = chain[1:] == chain[:-1]
+    crossings = _crossings(C[:-1][edge], C[1:][edge], chain[:-1][edge] // 2)
 
-    xs = np.unique(np.concatenate(events))
+    xs = np.unique(np.concatenate((V[:, 0], crossings)))
     if xs.size < 2:
         raise NumericalDegeneracy("union has no horizontal extent")
     mids = 0.5 * (xs[:-1] + xs[1:])
@@ -482,11 +468,18 @@ def _convex_union_area(parts: list[Sequence[Vec2]]) -> float:
     S = mids.size
     lo = np.full((S, k), np.inf)
     hi = np.full((S, k), -np.inf)
-    for idx, (xs_lo, ys_lo, xs_hi, ys_hi) in enumerate(chains):
-        mask = (mids > xs_lo[0]) & (mids < xs_lo[-1])
-        if mask.any():
-            lo[mask, idx] = np.interp(mids[mask], xs_lo, ys_lo)
-            hi[mask, idx] = np.interp(mids[mask], xs_hi, ys_hi)
+    bound = np.searchsorted(chain, np.arange(2 * k + 1))
+    # each part fills the slabs strictly inside its lower chain's x-range
+    first = np.searchsorted(mids, C[bound[:-1:2], 0], side="right").tolist()
+    stop = np.searchsorted(mids, C[bound[1::2] - 1, 0], side="left").tolist()
+    bound = bound.tolist()
+    for idx in range(k):
+        a, b = first[idx], stop[idx]
+        if a < b:
+            lower = C[bound[2 * idx]:bound[2 * idx + 1]]
+            upper = C[bound[2 * idx + 1]:bound[2 * idx + 2]]
+            lo[a:b, idx] = np.interp(mids[a:b], lower[:, 0], lower[:, 1])
+            hi[a:b, idx] = np.interp(mids[a:b], upper[:, 0], upper[:, 1])
 
     order = np.argsort(lo, axis=1)
     lo = np.take_along_axis(lo, order, axis=1)
@@ -508,10 +501,11 @@ def _convex_union_area(parts: list[Sequence[Vec2]]) -> float:
 def union_area(region: RegionUnion) -> float:
     """Exact area of a union of polygon parts.
 
-    The slab decomposition's events are exactly the overlay vertices (part
-    vertices plus pairwise edge crossings), so between events the interval
-    structure is constant and midpoint evaluation integrates each trapezoid
-    exactly.  Nonconvex parts are split by `convex_parts` first.
+    The slab decomposition's events are exactly the overlay vertices: part
+    vertices plus the edge crossings that one sweep over every part's edges
+    finds (`_crossings`).  Between events the interval structure is constant,
+    so midpoint evaluation integrates each trapezoid exactly.  Nonconvex
+    parts are split by `convex_parts` first.
     """
     return _convex_union_area([piece.vertices for part in region.parts
                                for piece in convex_parts(part)])

@@ -1,12 +1,13 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from conftest import closed_form_plus_dilation, near_collinear_convex
-from mixvol import geom2d
+from mixvol import geom2d, mixedvol, structuring
 from mixvol.errors import DegenerateInput, ResolutionTooCoarse
 from mixvol.geom2d import ConvexPolygon, Polygon, RegionUnion
 
@@ -44,12 +45,28 @@ def test_polygon_rejects_bowtie():
         Polygon(((0, 0), (1, 1), (1, 0), (0, 1)))
 
 
-@pytest.mark.parametrize("n, k", [(80, 10), (1200, 1100)])
-def test_polygon_rejects_self_crossing_above_64_vertices(n, k):
-    # two swapped neighbours on an n-gon make a small bowtie in its boundary
-    verts = [(2.2 * math.cos(2 * math.pi * i / n), 2.2 * math.sin(2 * math.pi * i / n))
-             for i in range(n)]
-    verts[k], verts[k + 1] = verts[k + 1], verts[k]
+def _ngon(n):
+    return [(2.2 * math.cos(2 * math.pi * i / n), 2.2 * math.sin(2 * math.pi * i / n))
+            for i in range(n)]
+
+
+def _star(k, inner=0.5):
+    """A star with k spikes and 2k vertices at angles pi*i/k, radii 1 and inner."""
+    return [((1.0 if i % 2 == 0 else inner) * math.cos(math.pi * i / k),
+             (1.0 if i % 2 == 0 else inner) * math.sin(math.pi * i / k))
+            for i in range(2 * k)]
+
+
+@pytest.mark.parametrize("verts, k, gap", [
+    pytest.param(_ngon(80), 10, 1, id="80-10"),
+    pytest.param(_ngon(1200), 1100, 1, id="1200-1100"),
+    pytest.param(_star(2048), 3000, 2, id="star4096-3000"),
+])
+def test_polygon_rejects_self_crossing_above_64_vertices(verts, k, gap):
+    # two swapped neighbours on an n-gon make a small bowtie in its boundary;
+    # on a star, swapping two spike tips crosses the edges up to the dip between
+    verts = list(verts)
+    verts[k], verts[k + gap] = verts[k + gap], verts[k]
     with pytest.raises(ValueError, match="self-intersecting"):
         Polygon(tuple(verts))
 
@@ -85,11 +102,8 @@ def test_is_simple_matches_pairwise_loop():
 
 
 def test_polygon_accepts_large_simple_star():
-    k = 60
-    verts = tuple(((1.0 if i % 2 == 0 else 0.5) * math.cos(math.pi * i / k),
-                   (1.0 if i % 2 == 0 else 0.5) * math.sin(math.pi * i / k))
-                  for i in range(2 * k))
-    assert len(Polygon(verts).vertices) == 2 * k
+    for k in (60, 2048):
+        assert len(Polygon(tuple(_star(k))).vertices) == 2 * k
 
 
 def _signed_area_reference(verts):
@@ -488,6 +502,281 @@ def test_union_equals_sum_iff_disjoint(unit_square):
         pytest.approx(2.0, abs=1e-12)
     overlapped = geom2d.union_area(RegionUnion((unit_square, near)))
     assert overlapped < 2.0 - 1e-9
+
+
+def _monotone_chains_reference(verts):
+    """The per-vertex walks the array chains replaced, kept as their
+    reference, with the pair loop below."""
+    n = len(verts)
+    imin = min(range(n), key=lambda i: verts[i])
+    imax = max(range(n), key=lambda i: verts[i])
+    lower = []
+    i = imin
+    while True:
+        lower.append(verts[i])
+        if i == imax:
+            break
+        i = (i + 1) % n
+    upper = []
+    i = imax
+    while True:
+        upper.append(verts[i])
+        if i == imin:
+            break
+        i = (i + 1) % n
+    upper.reverse()
+
+    def dedup(chain, keep_low):
+        out = []
+        for p in chain:
+            if out and abs(p[0] - out[-1][0]) <= geom2d.TAU:
+                if (p[1] < out[-1][1]) == keep_low:
+                    out[-1] = p
+            else:
+                out.append(p)
+        return out
+
+    lo = dedup(lower, True)
+    hi = dedup(upper, False)
+    return (np.array([p[0] for p in lo]), np.array([p[1] for p in lo]),
+            np.array([p[0] for p in hi]), np.array([p[1] for p in hi]))
+
+
+def _chain_crossings_reference(xs1, ys1, xs2, ys2):
+    a = max(xs1[0], xs2[0])
+    b = min(xs1[-1], xs2[-1])
+    if b - a <= geom2d.TAU:
+        return []
+    bp = np.unique(np.clip(np.concatenate([xs1, xs2]), a, b))
+    f = np.interp(bp, xs1, ys1) - np.interp(bp, xs2, ys2)
+    s = np.sign(f)
+    flips = np.nonzero(s[:-1] * s[1:] < 0)[0]
+    return [float(bp[t] + (bp[t + 1] - bp[t]) * f[t] / (f[t] - f[t + 1])) for t in flips]
+
+
+def _convex_union_area_reference(parts):
+    """The union area with its events from a Python loop over part pairs."""
+    chains = []
+    boxes = []
+    for verts in parts:
+        xs_lo, ys_lo, xs_hi, ys_hi = _monotone_chains_reference(verts)
+        chains.append((xs_lo, ys_lo, xs_hi, ys_hi))
+        ys = [p[1] for p in verts]
+        boxes.append((float(xs_lo[0]), float(xs_lo[-1]), min(ys), max(ys)))
+
+    events = [np.array([p[0] for p in verts]) for verts in parts]
+    k = len(parts)
+    for i in range(k):
+        for j in range(i + 1, k):
+            bi, bj = boxes[i], boxes[j]
+            if bi[1] <= bj[0] or bj[1] <= bi[0] or bi[3] <= bj[2] or bj[3] <= bi[2]:
+                continue
+            ci, cj = chains[i], chains[j]
+            xs = []
+            for c1 in (ci[:2], ci[2:]):
+                for c2 in (cj[:2], cj[2:]):
+                    xs.extend(_chain_crossings_reference(c1[0], c1[1], c2[0], c2[1]))
+            if xs:
+                events.append(np.array(xs))
+
+    xs = np.unique(np.concatenate(events))
+    mids = 0.5 * (xs[:-1] + xs[1:])
+    widths = np.diff(xs)
+    S = mids.size
+    lo = np.full((S, k), np.inf)
+    hi = np.full((S, k), -np.inf)
+    for idx, (xs_lo, ys_lo, xs_hi, ys_hi) in enumerate(chains):
+        mask = (mids > xs_lo[0]) & (mids < xs_lo[-1])
+        if mask.any():
+            lo[mask, idx] = np.interp(mids[mask], xs_lo, ys_lo)
+            hi[mask, idx] = np.interp(mids[mask], xs_hi, ys_hi)
+
+    order = np.argsort(lo, axis=1)
+    lo = np.take_along_axis(lo, order, axis=1)
+    hi = np.take_along_axis(hi, order, axis=1)
+    acc = np.zeros(S)
+    cur = np.full(S, -np.inf)
+    with np.errstate(invalid="ignore"):
+        for j in range(k):
+            start = np.maximum(lo[:, j], cur)
+            gain = hi[:, j] - start
+            acc += np.where(gain > 0.0, gain, 0.0)
+            cur = np.maximum(cur, hi[:, j])
+    return float(np.dot(acc, widths))
+
+
+@st.composite
+def bulged_box(draw):
+    """A box whose vertical edges bulge out through one to four extra
+    vertices, by up to 1e-16 to 1e-9 times the edge: runs of vertices within
+    TAU of each other in x, with less and more than TAU between their ends."""
+    w, h = draw(st.floats(0.1, 2.0)), draw(st.floats(0.1, 2.0))
+
+    def side(x, y0, y1, out):
+        m = draw(st.integers(1, 4))
+        bulge = out * abs(y1 - y0) * draw(st.sampled_from((1e-16, 3e-13, 1e-12, 3e-12, 1e-9)))
+        return [(x + 4 * bulge * t * (1 - t), y0 + t * (y1 - y0))
+                for t in ((i + 1) / (m + 1) for i in range(m))]
+
+    return [(0.0, 0.0), (w, 0.0)] + side(w, 0.0, h, 1) + [(w, h), (0.0, h)] + side(0.0, h, 0.0, -1)
+
+
+@settings(derandomize=True, max_examples=150, deadline=None)
+@given(st.lists(st.one_of(near_collinear_convex(), bulged_box()), min_size=1, max_size=3),
+       st.integers(0, 7))
+def test_monotone_chains_match_reference(polys, turn):
+    parts = []
+    for verts in polys:
+        try:
+            V = ConvexPolygon(verts).vertices
+        except ValueError:
+            continue
+        k = turn % len(V)  # any start vertex, not only the lex-min one
+        parts.append(V[k:] + V[:k])
+    if not parts:
+        return
+    C, chain = geom2d._monotone_chains(np.array([p for V in parts for p in V]),
+                                       np.array([len(V) for V in parts]))
+    for p, V in enumerate(parts):
+        xs_lo, ys_lo, xs_hi, ys_hi = _monotone_chains_reference(V)
+        assert C[chain == 2 * p, 0].tolist() == xs_lo.tolist()
+        assert C[chain == 2 * p, 1].tolist() == ys_lo.tolist()
+        assert C[chain == 2 * p + 1, 0].tolist() == xs_hi.tolist()
+        assert C[chain == 2 * p + 1, 1].tolist() == ys_hi.tolist()
+
+
+def _star_parts(draw):
+    """The `sum_region` parts of a star, jittered or exactly regular, with
+    one to three segments."""
+    k = draw(st.integers(3, 12))
+    regular = draw(st.booleans())
+    jitter = 0.0 if regular else 0.2
+    ang = [math.pi * (i + draw(st.floats(-jitter, jitter))) / k for i in range(2 * k)]
+    rad = [1.0 if i % 2 == 0 else 0.4 for i in range(2 * k)]
+    M = Polygon(tuple((r * math.cos(t), r * math.sin(t)) for t, r in zip(ang, rad)))
+    coord = st.floats(-0.3, 0.3)
+    segs = draw(st.lists(st.tuples(coord, coord, coord, coord), min_size=1, max_size=3))
+    N = structuring.StructuringSet(tuple(structuring.Segment((ax, ay), (bx, by))
+                                         for ax, ay, bx, by in segs))
+    return list(mixedvol.sum_region(M, N, draw(st.sampled_from((0.01, 0.1, 0.5)))).parts)
+
+
+def _box_parts(draw):
+    """Axis-aligned boxes on an integer grid, so edges and corners coincide."""
+    cell = st.integers(0, 3)
+    boxes = draw(st.lists(st.tuples(cell, cell, st.integers(1, 2), st.integers(1, 2)),
+                          min_size=2, max_size=6))
+    s = draw(st.sampled_from((1.0, 0.1, 3.7)))
+    return [ConvexPolygon(((s * x, s * y), (s * (x + w), s * y),
+                           (s * (x + w), s * (y + h)), (s * x, s * (y + h))))
+            for x, y, w, h in boxes]
+
+
+def _duplicated_parts(draw):
+    """A convex part several times over, and a translate of it."""
+    pts = draw(st.lists(st.tuples(st.floats(-1, 1), st.floats(-1, 1)), min_size=3, max_size=8))
+    try:
+        P = geom2d.convex_hull(pts)
+    except DegenerateInput:
+        P = geom2d.regular_disc(5, 1.0)
+    shift = draw(st.tuples(st.floats(-0.5, 0.5), st.floats(-0.5, 0.5)))
+    return [P] * draw(st.integers(2, 3)) + [geom2d.translate(P, shift)]
+
+
+def _touching_triangles(draw):
+    """Triangles that meet at one vertex, each copy of it nudged by 1e-16 to 1e-13."""
+    nudge = st.sampled_from((1e-16, -1e-16, 1e-15, -1e-15, 1e-14, -1e-14, 1e-13, -1e-13, 0.0))
+    parts = []
+    for t in draw(st.lists(st.floats(0, 2 * math.pi), min_size=2, max_size=4)):
+        o = (draw(nudge), draw(nudge))
+        a = (o[0] + math.cos(t), o[1] + math.sin(t))
+        b = (o[0] + math.cos(t + 0.8), o[1] + math.sin(t + 0.8))
+        parts.append(ConvexPolygon((o, a, b)))
+    return parts
+
+
+def _disc_with_small_parts(draw):
+    """A 1024-gon and small triangles across its boundary."""
+    parts = [geom2d.regular_disc(1024, 1.0)]
+    for t in draw(st.lists(st.floats(0, 2 * math.pi), min_size=1, max_size=5)):
+        c = (math.cos(t), math.sin(t))
+        parts.append(ConvexPolygon(((c[0] - 0.05, c[1] - 0.05), (c[0] + 0.05, c[1] - 0.05),
+                                    (c[0], c[1] + 0.05))))
+    return parts
+
+
+@st.composite
+def union_parts(draw):
+    family = draw(st.sampled_from((_star_parts, _box_parts, _duplicated_parts,
+                                   _touching_triangles, _disc_with_small_parts)))
+    return family(draw)
+
+
+@settings(derandomize=True, max_examples=60, deadline=None)
+@given(union_parts())
+def test_union_area_matches_pair_loop(parts):
+    want = _convex_union_area_reference([p.vertices for p in parts])
+    assert geom2d.union_area(RegionUnion(tuple(parts))) == pytest.approx(want, rel=1e-12)
+
+
+def _clip_area(A, B):
+    """|A ∩ B| for convex CCW vertex lists: A clipped by each edge of B
+    (Sutherland and Hodgman, 1974), then the shoelace formula."""
+    out = list(A)
+    for p, q in zip(B, B[1:] + B[:1]):
+        pts, out = out, []
+        for s, e in zip(pts[-1:] + pts[:-1], pts):
+            ds, de = geom2d._cross(p, q, s), geom2d._cross(p, q, e)
+            if (ds < 0) != (de < 0):
+                t = ds / (ds - de)
+                out.append((s[0] + t * (e[0] - s[0]), s[1] + t * (e[1] - s[1])))
+            if de >= 0:
+                out.append(e)
+        if not out:
+            return 0.0
+    return _signed_area_reference(out)
+
+
+@st.composite
+def convex_part(draw):
+    if draw(st.booleans()):  # axis-aligned: parallel and collinear edges
+        x0, y0 = draw(st.floats(-1, 1)), draw(st.floats(-1, 1))
+        x1, y1 = x0 + draw(st.floats(0.1, 2)), y0 + draw(st.floats(0.1, 2))
+        return ConvexPolygon(((x0, y0), (x1, y0), (x1, y1), (x0, y1)))
+    pts = draw(st.lists(st.tuples(st.floats(-1, 1), st.floats(-1, 1)), min_size=3, max_size=10))
+    try:
+        return geom2d.convex_hull(pts)
+    except DegenerateInput:
+        return ConvexPolygon(((0, 0), (1, 0), (1, 1), (0, 1)))
+
+
+_SQUARE = ConvexPolygon(((0, 0), (1, 0), (1, 1), (0, 1)))
+
+
+@settings(derandomize=True, max_examples=200, deadline=None)
+@given(convex_part(), convex_part())
+@example(_SQUARE, geom2d.translate(_SQUARE, (0.5, 0.0)))  # edges on edges or parallel
+def test_union_of_two_convex_parts_is_inclusion_exclusion(A, B):
+    want = geom2d.area(A) + geom2d.area(B) - _clip_area(list(A.vertices), list(B.vertices))
+    assert geom2d.union_area(RegionUnion((A, B))) == pytest.approx(want, rel=1e-12)
+
+
+@pytest.mark.parametrize("shape, parts, limit_mb", [
+    ("disc", 2, 3.0),
+    ("star24", 92, 8.0),
+])
+def test_union_area_peak_memory(disc_4096, plus_set, shape, parts, limit_mb):
+    M = disc_4096 if shape == "disc" else Polygon(tuple(_star(24, 0.4)))
+    region = mixedvol.sum_region(M, plus_set, 0.1)
+    assert len(region.parts) == parts
+    geom2d.union_area(region)  # first call outside the trace
+    tracemalloc.start()
+    try:
+        geom2d.union_area(region)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= limit_mb * 2 ** 20
 
 
 # ---------------------------------------------------------------------------
