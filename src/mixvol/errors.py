@@ -50,10 +50,6 @@ class RankDeficient(MixvolError):
     """Generators fail to span the ambient space."""
 
 
-class EmptyIntersection(MixvolError):
-    """Halfspace intersection came out empty (defensive guard)."""
-
-
 class NotPrimitive(MixvolError):
     """Lattice edge vector has a nontrivial common divisor."""
 

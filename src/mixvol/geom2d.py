@@ -186,15 +186,6 @@ def _winds_once(R: np.ndarray) -> bool:
     return np.count_nonzero(s[1:] != s[:-1]) <= 1
 
 
-def _is_convex_position(verts) -> bool:
-    """Every corner turns left (within `_turn_tol`) and the boundary winds once
-    (read after merging: a vertex just off a vertical edge reverses x twice)."""
-    V = np.asarray(verts, dtype=float)
-    c, tol = _corners(V)
-    M = _merge_collinear(V)[0]  # fewer than 3 left: not a polygon, ConvexPolygon refuses it
-    return not np.count_nonzero(c < -tol) and (len(M) < 3 or _winds_once(_lex_first(M)))
-
-
 @dataclass(frozen=True)
 class ConvexPolygon(Polygon):
     """Polygon with every vertex extreme; canonical start at the lex-min vertex."""
@@ -387,13 +378,14 @@ def triangulate(P: Polygon) -> list[tuple[Vec2, Vec2, Vec2]]:
 
 
 def convex_parts(P: Polygon) -> list[ConvexPolygon]:
-    """P as convex pieces whose union is P: P itself when its vertices are in
-    convex position, else its ear-clipping triangles."""
+    """P as convex pieces whose union is P: P as a ConvexPolygon when that
+    accepts its vertices, else its ear-clipping triangles."""
     if isinstance(P, ConvexPolygon):
         return [P]
-    if _is_convex_position(P.vertices):
+    try:
         return [ConvexPolygon(P.vertices)]
-    return [ConvexPolygon(t) for t in triangulate(P)]
+    except ValueError:
+        return [ConvexPolygon(t) for t in triangulate(P)]
 
 
 def minkowski_segment(P: Polygon, a, b) -> RegionUnion:
@@ -515,19 +507,9 @@ def union_area(region: RegionUnion) -> float:
 # Grids
 
 
-def _apply_indicator(indicator: Callable, pts: np.ndarray) -> np.ndarray:
-    try:
-        res = np.asarray(indicator(pts))
-        if res.shape == (pts.shape[0],):
-            return res.astype(bool)
-    except Exception:
-        pass
-    return np.fromiter((bool(indicator(p)) for p in pts), dtype=bool, count=len(pts))
-
-
-def rasterize(indicator: Callable, bounds: Sequence[tuple[float, float]],
-              h: float) -> GridRegion:
-    """Sample an indicator on cell centers of a uniform grid over `bounds`."""
+def _cell_centers(bounds: Sequence[tuple[float, float]], h: float):
+    """Origin, cell counts and (N, d) cell centers of a uniform grid over
+    `bounds` with cell size h."""
     if h <= 0:
         raise ValueError("cell size must be positive")
     d = len(bounds)
@@ -543,9 +525,18 @@ def rasterize(indicator: Callable, bounds: Sequence[tuple[float, float]],
         origin.append(lo)
     axes = [origin[i] + (np.arange(counts[i]) + 0.5) * h for i in range(d)]
     mesh = np.meshgrid(*axes, indexing="ij")
-    pts = np.stack([m.ravel() for m in mesh], axis=1)
-    occ = _apply_indicator(indicator, pts).reshape(counts)
-    return GridRegion(d, tuple(origin), h, occ)
+    return tuple(origin), counts, np.stack([m.ravel() for m in mesh], axis=1)
+
+
+def rasterize(indicator: Callable, bounds: Sequence[tuple[float, float]],
+              h: float) -> GridRegion:
+    """Sample an indicator on cell centers of a uniform grid over `bounds`.
+    The indicator maps an (N, d) array of points to N truth values."""
+    origin, counts, pts = _cell_centers(bounds, h)
+    occ = np.asarray(indicator(pts))
+    if occ.shape != (len(pts),):
+        raise ValueError(f"indicator returned shape {occ.shape}, expected ({len(pts)},)")
+    return GridRegion(len(counts), origin, h, occ.astype(bool).reshape(counts))
 
 
 def grid_volume(indicator: Callable, bounds: Sequence[tuple[float, float]],
@@ -685,9 +676,7 @@ def polygon_to_dict(P: Polygon) -> dict:
 
 def polygon_from_dict(d: dict) -> Polygon:
     V = _vertex_array(d["vertices"])
-    if _is_convex_position(V):
-        try:
-            return ConvexPolygon(V)
-        except ValueError:
-            pass
-    return Polygon(V)
+    try:
+        return ConvexPolygon(V)
+    except ValueError:
+        return Polygon(V)

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import geom2d, mixedvol, structuring
-from .errors import EmptyIntersection, RankDeficient
+from .errors import RankDeficient
 from .geom2d import ConvexPolygon, Polygon, Vec2, _as_vec2
 from .structuring import Segment, StructuringSet
 
@@ -84,40 +84,6 @@ def zonotope(F: SegmentFamily) -> ConvexPolygon:
     return ConvexPolygon(tuple(verts))
 
 
-def _halfplane_intersection(lines: list[tuple[float, float, float]]) -> list[Vec2]:
-    """Vertices of the intersection of halfplanes x*u <= h.
-
-    `lines` holds (ux, uy, h) with unit normals sorted by angle and covering
-    all directions (bounded intersection).  Deque algorithm, O(n).
-    """
-
-    def inter(l1, l2) -> Vec2:
-        (a1, b1, c1), (a2, b2, c2) = l1, l2
-        det = a1 * b2 - a2 * b1
-        if abs(det) <= geom2d.TAU:
-            raise EmptyIntersection("parallel support lines cannot close a body")
-        return ((c1 * b2 - c2 * b1) / det, (a1 * c2 - a2 * c1) / det)
-
-    def violates(p: Vec2, line) -> bool:
-        ux, uy, h = line
-        return p[0] * ux + p[1] * uy > h + 1e-9 * max(1.0, abs(h))
-
-    dq: list[tuple[float, float, float]] = []
-    for line in lines:
-        while len(dq) >= 2 and violates(inter(dq[-2], dq[-1]), line):
-            dq.pop()
-        while len(dq) >= 2 and violates(inter(dq[0], dq[1]), line):
-            dq.pop(0)
-        dq.append(line)
-    while len(dq) >= 3 and violates(inter(dq[-2], dq[-1]), dq[0]):
-        dq.pop()
-    while len(dq) >= 3 and violates(inter(dq[0], dq[1]), dq[-1]):
-        dq.pop(0)
-    if len(dq) < 3:
-        raise EmptyIntersection("halfplane intersection has no interior")
-    return [inter(dq[i], dq[(i + 1) % len(dq)]) for i in range(len(dq))]
-
-
 def _dedupe_close(pts: list[Vec2], tol: float) -> list[Vec2]:
     """Average runs of nearly coincident consecutive vertices (cyclically).
 
@@ -141,19 +107,27 @@ def _dedupe_close(pts: list[Vec2], tol: float) -> list[Vec2]:
 
 
 def wulff_shape(N: StructuringSet, n_dirs: int = 360) -> ConvexPolygon:
-    """Intersection of support halfplanes of N over n_dirs uniform directions.
+    """Intersection of the support halfplanes x.u <= h_N(u) over n_dirs
+    uniform directions u.
 
+    Every support line touches hull(N), which lies in every halfplane, and
+    neighbouring normals are less than pi apart, so the vertices are the
+    crossings of consecutive lines in grid order.  Lines concurring at a hull
+    corner repeat a crossing up to round-off; `_dedupe_close` merges those.
     Converges to hull(N) as directions refine; exact (to round-off) whenever
     every hull edge normal lies on the direction grid.
     """
     if n_dirs < 16:
         raise ValueError("need at least 16 directions")
     angles = [2.0 * math.pi * j / n_dirs for j in range(n_dirs)]
-    U = [(math.cos(th), math.sin(th)) for th in angles]
-    lines = [(ux, uy, h) for (ux, uy), h in zip(U, structuring.support(N, U).tolist())]
-    verts = _halfplane_intersection(lines)
-    scale = max(max(abs(x), abs(y)) for x, y in verts)
-    verts = _dedupe_close(verts, 1e-9 * max(1.0, scale))
+    U = np.array([(math.cos(th), math.sin(th)) for th in angles])
+    h = structuring.support(N, U)
+    V, g = np.roll(U, -1, axis=0), np.roll(h, -1)
+    # crossing of line j, x.U[j] = h[j], with line j + 1 by Cramer's rule
+    det = U[:, 0] * V[:, 1] - V[:, 0] * U[:, 1]
+    verts = np.stack(((h * V[:, 1] - g * U[:, 1]) / det,
+                      (U[:, 0] * g - V[:, 0] * h) / det), 1)
+    verts = _dedupe_close(verts.tolist(), 1e-9 * max(1.0, float(np.abs(verts).max())))
     return geom2d.convex_hull(verts)
 
 

@@ -326,11 +326,7 @@ def d_grid_distance_field(distance_fn: Callable,
             f"schedule needs at least {fit_degree + 3} epsilons for a "
             f"degree-{fit_degree} fit")
     d = len(bounds)
-    grid = geom2d.rasterize(lambda pts: np.ones(len(pts), bool), bounds, h)
-    counts = grid.occupancy.shape
-    axes = [grid.origin[i] + (np.arange(counts[i]) + 0.5) * h for i in range(d)]
-    mesh = np.meshgrid(*axes, indexing="ij")
-    pts = np.stack([m.ravel() for m in mesh], axis=1)
+    pts = geom2d._cell_centers(bounds, h)[2]
     dist = np.asarray(distance_fn(pts), dtype=float)
     cellvol = h ** d
     base = float((dist <= 0.0).sum()) * cellvol

@@ -27,6 +27,16 @@ def plus_set():
     ))
 
 
+#: A 0.8 x 1 box whose bottom edge is a run of nearly straight corners
+#: turning by (-0.9, -0.9, -0.9, +1.5, -0.9, -0.9, -0.9) times their tolerance:
+#: merging the run keeps only the corner near (0.4, 0), which then turns
+#: reflex (-1.2 times its tolerance), so ConvexPolygon refuses the polygon.
+NEAR_STRAIGHT_RUN = [
+    [0, 0], [0.1, 0], [0.2, -9.000000000000001e-14], [0.30000000000000004, -2.7e-13],
+    [0.4, -5.4e-13], [0.5, -6.6e-13], [0.6, -8.7e-13], [0.7, -1.17e-12],
+    [0.7999999999999999, -1.56e-12], [0.7999999999999999, 1], [0, 1]]
+
+
 @pytest.fixture(scope="session")
 def disc_4096():
     return geom2d.regular_disc(4096, 1.0)

@@ -4,6 +4,7 @@ import xml.etree.ElementTree as ET
 
 import pytest
 
+from conftest import NEAR_STRAIGHT_RUN
 from mixvol import cli, geom2d
 
 
@@ -107,6 +108,15 @@ def test_series_rejects_region_union(tmp_path, files, capsys):
                    "--n", files("n.json", PLUS), "--out-dir", str(tmp_path)])
     assert rc == 2
     assert "expected 'vertices' or 'disc'" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("cmd", [["estimate"], ["series"], ["probe", "--edge", "9", "--t", "0.5"]],
+                         ids=["estimate", "series", "probe"])
+def test_near_straight_run_runs(tmp_path, files, cmd):
+    # a valid polygon that ConvexPolygon refuses goes through its triangles
+    rc = cli.main([*cmd, "--m", files("m.json", {"vertices": NEAR_STRAIGHT_RUN}),
+                   "--n", files("n.json", PLUS), "--out-dir", str(tmp_path)])
+    assert rc == 0
 
 
 # ---------------------------------------------------------------------------

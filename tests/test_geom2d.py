@@ -6,7 +6,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from conftest import closed_form_plus_dilation, near_collinear_convex
+from conftest import NEAR_STRAIGHT_RUN, closed_form_plus_dilation, near_collinear_convex
 from mixvol import geom2d, mixedvol, structuring
 from mixvol.errors import DegenerateInput, ResolutionTooCoarse
 from mixvol.geom2d import ConvexPolygon, Polygon, RegionUnion
@@ -164,7 +164,13 @@ def test_convex_polygon_matches_scalar_loops(verts, mirror):
     except ValueError:
         got = None
     assert got == _convex_polygon_reference(verts)
-    assert geom2d._is_convex_position(verts) == _is_convex_position_reference(verts)
+    # ConvexPolygon is the only convexity test: polygon_from_dict returns one
+    # exactly when it accepts the vertices
+    try:
+        from_dict = geom2d.polygon_from_dict({"vertices": verts})
+    except ValueError:
+        from_dict = None
+    assert isinstance(from_dict, ConvexPolygon) == (got is not None)
     assert geom2d._signed_area(verts) == _signed_area_reference(verts)
 
 
@@ -252,6 +258,20 @@ def test_polygon_from_dict_rejects_collinear_points():
     # every corner is straight, so merging leaves no polygon at all
     with pytest.raises(ValueError):
         geom2d.polygon_from_dict({"vertices": [[0, 0], [1, 1], [2, 2], [3, 3]]})
+
+
+def test_near_straight_run_splits_into_convex_pieces(plus_set):
+    # ConvexPolygon refuses the merged run; the pieces must cover P exactly
+    P = geom2d.polygon_from_dict({"vertices": NEAR_STRAIGHT_RUN})
+    assert type(P) is Polygon
+    with pytest.raises(ValueError, match="convex position"):
+        ConvexPolygon(P.vertices)
+    pieces = geom2d.convex_parts(P)
+    assert all(isinstance(piece, ConvexPolygon) for piece in pieces)
+    assert geom2d.union_area(RegionUnion(tuple(pieces))) == pytest.approx(geom2d.area(P), rel=1e-12)
+    assert geom2d.union_area(RegionUnion((P,))) == pytest.approx(geom2d.area(P), rel=1e-12)
+    # the box [0, 0.8] x [0, 1] plus 0.1 times the axis cross has area 1.16
+    assert mixedvol.sum_volume(P, plus_set, 0.1) == pytest.approx(1.16, abs=1e-9)
 
 
 def test_convex_polygon_rejects_reflex():
@@ -811,6 +831,17 @@ def test_grid_volume_error_bound_holds():
         f = lambda pts: geom2d.points_in_polygon(pts, P)
         est, bound = geom2d.grid_volume(f, ((-1.1, 1.1), (-1.1, 1.1)), 0.02)
         assert abs(est - geom2d.area(P)) <= bound
+
+
+@pytest.mark.parametrize("indicator, match", [
+    (lambda pts: True, "indicator returned shape"),
+    (lambda p: p[0] < 0.5, "indicator returned shape"),
+    (lambda p: 1.0 if p[0] < 0.5 else 0.0, "ambiguous"),  # its own error propagates
+], ids=["scalar", "first-row", "per-point"])
+def test_grid_volume_refuses_non_array_indicator(indicator, match):
+    # an indicator maps all cell centres at once; it is never called per point
+    with pytest.raises(ValueError, match=match):
+        geom2d.grid_volume(indicator, ((0, 1), (0, 1)), 0.1)
 
 
 def test_grid_volume_too_coarse():

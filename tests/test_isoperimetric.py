@@ -2,12 +2,14 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from mixvol import geom2d, isoperimetric, structuring
-from mixvol.errors import RankDeficient
+from mixvol.errors import DegenerateInput, RankDeficient
 from mixvol.geom2d import ConvexPolygon
 from mixvol.isoperimetric import SegmentFamily
-from mixvol.structuring import Points, Segment, StructuringSet
+from mixvol.structuring import Disc, Points, Segment, StructuringSet
 
 
 SQRT2 = math.sqrt(2)
@@ -100,6 +102,83 @@ def test_wulff_square_vertices():
 def test_wulff_needs_enough_directions(plus_set):
     with pytest.raises(ValueError):
         isoperimetric.wulff_shape(plus_set, 8)
+
+
+def _halfplane_intersection_reference(lines):
+    """The deque algorithm wulff_shape used before it took the crossings of
+    consecutive lines, kept as their reference: vertices of the intersection
+    of halfplanes x*u <= h over (ux, uy, h) sorted by angle."""
+
+    def inter(l1, l2):
+        (a1, b1, c1), (a2, b2, c2) = l1, l2
+        det = a1 * b2 - a2 * b1
+        if abs(det) <= geom2d.TAU:
+            raise ValueError("parallel support lines cannot close a body")
+        return ((c1 * b2 - c2 * b1) / det, (a1 * c2 - a2 * c1) / det)
+
+    def violates(p, line):
+        ux, uy, h = line
+        return p[0] * ux + p[1] * uy > h + 1e-9 * max(1.0, abs(h))
+
+    dq = []
+    for line in lines:
+        while len(dq) >= 2 and violates(inter(dq[-2], dq[-1]), line):
+            dq.pop()
+        while len(dq) >= 2 and violates(inter(dq[0], dq[1]), line):
+            dq.pop(0)
+        dq.append(line)
+    while len(dq) >= 3 and violates(inter(dq[-2], dq[-1]), dq[0]):
+        dq.pop()
+    while len(dq) >= 3 and violates(inter(dq[0], dq[1]), dq[-1]):
+        dq.pop(0)
+    if len(dq) < 3:
+        raise ValueError("halfplane intersection has no interior")
+    return [inter(dq[i], dq[(i + 1) % len(dq)]) for i in range(len(dq))]
+
+
+# small integers put hull edge normals on the direction grid, so support
+# lines concur at hull corners and the crossings repeat
+coord = st.one_of(st.integers(-3, 3).map(float), st.floats(-2.0, 2.0))
+point = st.tuples(coord, coord)
+
+
+@st.composite
+def wulff_structuring_set(draw):
+    comps = []
+    for _ in range(draw(st.integers(1, 3))):
+        kind = draw(st.sampled_from(["points", "segment", "symmetric", "disc", "polygon"]))
+        if kind == "points":
+            comps.append(Points(tuple(draw(st.lists(point, min_size=1, max_size=6)))))
+        elif kind == "segment":
+            comps.append(Segment(draw(point), draw(point)))
+        elif kind == "symmetric":
+            x, y = draw(point)
+            comps.append(Segment((x, y), (-x, -y)))
+        elif kind == "disc":
+            comps.append(Disc(draw(point), draw(st.floats(0.01, 2.0))))
+        else:
+            P = geom2d.regular_disc(draw(st.integers(3, 8)), draw(st.floats(0.1, 2.0)))
+            comps.append(geom2d.translate(P, draw(point)))
+    return StructuringSet(tuple(comps))
+
+
+@settings(derandomize=True, max_examples=200, deadline=None)
+@given(wulff_structuring_set(),
+       st.one_of(st.sampled_from([16, 17, 24, 36, 90, 180, 360, 720]), st.integers(16, 720)))
+def test_wulff_matches_halfplane_deque(N, n_dirs):
+    angles = [2.0 * math.pi * j / n_dirs for j in range(n_dirs)]
+    U = [(math.cos(th), math.sin(th)) for th in angles]
+    lines = [(ux, uy, h) for (ux, uy), h in zip(U, structuring.support(N, U).tolist())]
+    verts = _halfplane_intersection_reference(lines)
+    assert len(verts) == n_dirs  # every support line carries an edge
+    scale = max(max(abs(x), abs(y)) for x, y in verts)
+    try:
+        want = geom2d.convex_hull(isoperimetric._dedupe_close(verts, 1e-9 * max(1.0, scale)))
+    except DegenerateInput:  # N is a point or a segment
+        with pytest.raises(DegenerateInput):
+            isoperimetric.wulff_shape(N, n_dirs)
+        return
+    assert isoperimetric.wulff_shape(N, n_dirs).vertices == want.vertices
 
 
 def test_wulff_halving_toward_hull():
