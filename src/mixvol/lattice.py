@@ -115,23 +115,13 @@ def _cells(S) -> set[Cell]:
 def edge_boundary(S, G: PLGGraph) -> int:
     """Number of adjacency edges with exactly one endpoint in S."""
     cells = _cells(S)
-    count = 0
-    for u in cells:
-        for w in G.neighbors(u):
-            if w not in cells:
-                count += 1
-    return count
+    return sum(w not in cells for u in cells for w in G.neighbors(u))
 
 
 def vertex_boundary(S, G: PLGGraph) -> int:
     """Number of cells outside S adjacent to at least one cell of S."""
     cells = _cells(S)
-    outside: set[Cell] = set()
-    for u in cells:
-        for w in G.neighbors(u):
-            if w not in cells:
-                outside.add(w)
-    return len(outside)
+    return len({w for u in cells for w in G.neighbors(u)} - cells)
 
 
 def _boundary(S, G: PLGGraph, mode: str) -> int:
@@ -164,77 +154,119 @@ class OptResult(NamedTuple):
 
 
 class _BoundaryState:
-    """Cell set with incrementally maintained boundary counts.
+    """Cell set with incrementally maintained boundary counts, on int keys.
 
-    Tracks, for every occupied or adjacent-to-occupied cell, its number of
-    occupied neighbors.  Both functionals then read off in O(1): exiting
-    edges = deg * #S - (internal count sum), and the vertex boundary is the
-    number of positive-count outside cells.
+    A cell (x, y) with |x|, |y| <= bound is the key (x + H) * S + (y + H),
+    S = 2 * bound + 1, H = S // 2: distinct cells get distinct keys, keys sort
+    as the cells do, and a neighbour is key + offset.  Every occupied or
+    adjacent cell carries its number of occupied neighbors, so exiting edges
+    = deg * #S - (internal count sum).  The vertex boundary is the outside
+    layer (positive-count cells outside S): a list plus a key -> position
+    index, which samples and swap-removes in O(1).
     """
 
-    def __init__(self, G: PLGGraph, cells: Iterable[Cell] = ()):
-        self.G = G
-        self.deg = len(G.edge_vectors)
-        self.cells: set[Cell] = set()
-        self.cnt: dict[Cell, int] = {}
+    def __init__(self, G: PLGGraph, bound: int, cells: Iterable[Cell] = ()):
+        self.S = 2 * bound + 1
+        self.H = self.S // 2
+        self.offsets = [vx * self.S + vy for vx, vy in G.edge_vectors]
+        self.adjacent = frozenset(self.offsets)
+        self.deg = len(self.offsets)
+        self.cells: set[int] = set()
+        self.cnt: dict[int, int] = {}
+        self.layer: list[int] = []
+        self.pos: dict[int, int] = {}
         self.internal = 0   # twice the number of fully-internal edges
-        self.outside = 0    # outside cells with at least one occupied neighbor
         for c in cells:
-            self.add(c)
+            self.add(self.encode(c))
+
+    def encode(self, cell: Cell) -> int:
+        return (cell[0] + self.H) * self.S + cell[1] + self.H
+
+    def decode(self, key: int) -> Cell:
+        x, y = divmod(key, self.S)
+        return (x - self.H, y - self.H)
 
     def boundary(self, mode: str) -> int:
         if mode == EDGE:
             return len(self.cells) * self.deg - self.internal
         if mode == VERTEX:
-            return self.outside
+            return len(self.layer)
         raise ValueError(f"mode must be 'edge' or 'vertex', got {mode!r}")
 
-    def add(self, cell: Cell) -> None:
-        if self.cnt.get(cell, 0) > 0:
-            self.outside -= 1
-        self.cells.add(cell)
+    def _enter(self, w: int) -> None:
+        self.pos[w] = len(self.layer)
+        self.layer.append(w)
+
+    def _leave(self, w: int) -> None:
+        i = self.pos.pop(w)
+        last = self.layer.pop()
+        if last != w:
+            self.layer[i] = last
+            self.pos[last] = i
+
+    def add(self, c: int) -> None:
+        cells, cnt = self.cells, self.cnt
+        if c in self.pos:
+            self._leave(c)
+        cells.add(c)
         own = 0
-        for w in self.G.neighbors(cell):
-            if w in self.cells:
+        for o in self.offsets:
+            w = c + o
+            if w in cells:
                 own += 1
-                self.cnt[w] += 1
-                self.internal += 2
+                cnt[w] += 1
             else:
-                prev = self.cnt.get(w, 0)
-                if prev == 0:
-                    self.outside += 1
-                self.cnt[w] = prev + 1
-        self.cnt[cell] = own
-
-    def remove(self, cell: Cell) -> None:
-        own = self.cnt.pop(cell)
-        self.cells.discard(cell)
-        for w in self.G.neighbors(cell):
-            if w in self.cells:
-                self.cnt[w] -= 1
-                self.internal -= 2
-            else:
-                k = self.cnt[w] - 1
+                k = cnt.get(w, 0)
                 if k == 0:
-                    del self.cnt[w]
-                    self.outside -= 1
+                    self._enter(w)
+                cnt[w] = k + 1
+        cnt[c] = own
+        self.internal += 2 * own
+
+    def remove(self, c: int) -> None:
+        cells, cnt = self.cells, self.cnt
+        own = cnt.pop(c)
+        cells.discard(c)
+        for o in self.offsets:
+            w = c + o
+            if w in cells:
+                cnt[w] -= 1
+            else:
+                k = cnt[w] - 1
+                if k == 0:
+                    del cnt[w]
+                    self._leave(w)
                 else:
-                    self.cnt[w] = k
+                    cnt[w] = k
+        self.internal -= 2 * own
         if own > 0:
-            self.cnt[cell] = own
-            self.outside += 1
+            cnt[c] = own
+            self._enter(c)
 
-    def outside_candidates(self) -> list[Cell]:
-        return [w for w in self.cnt if w not in self.cells]
+    def delta(self, rem: int, add: int, mode: str) -> int:
+        """Boundary change of moving ``rem`` (in S) to ``add`` (in the layer),
+        read from the counts without changing the state.  In vertex mode add
+        leaves the layer, rem joins it if it keeps a neighbour, and another
+        cell changes only where it touches exactly one of rem and add."""
+        cells, cnt, adjacent = self.cells, self.cnt, self.adjacent
+        adj = (add - rem) in adjacent
+        if mode == EDGE:
+            return 2 * (cnt[rem] - cnt[add] + adj)
+        d = -1 + (cnt[rem] + adj > 0)
+        for o in self.offsets:
+            w = rem + o
+            if cnt.get(w) == 1 and w != add and w not in cells \
+                    and (w - add) not in adjacent:
+                d -= 1
+            w = add + o
+            if w not in cnt and (w - rem) not in adjacent:
+                d += 1
+        return d
 
 
-def _lex_positive(cell: Cell) -> bool:
-    for c in cell:
-        if c > 0:
-            return True
-        if c < 0:
-            return False
-    return True  # the origin itself
+def _reach(G: PLGGraph) -> int:
+    """Largest coordinate step of any edge vector."""
+    return max(abs(c) for v in G.edge_vectors for c in v)
 
 
 def _canonical(cells: Iterable[Cell]) -> LatticeSet:
@@ -268,18 +300,20 @@ def solve_exact(G: PLGGraph, n: int, mode: str, cap: int = 10,
     if n > cap:
         raise CapExceeded(f"n = {n} exceeds the exact enumeration cap {cap}")
 
-    origin: Cell = (0,) * G.dimension
-    state = _BoundaryState(G)
+    # A connected n-set grown from the origin stays within (n - 1) * reach of
+    # it, and its neighbours within n * reach.
+    state = _BoundaryState(G, n * _reach(G))
+    origin = state.encode((0, 0))
     # Steepest possible single-cell decrease of the running boundary: a cell
     # with k occupied neighbors changes the exiting-edge count by deg - 2k,
     # at worst -deg; the vertex boundary loses at most the added cell itself.
     max_drop = state.deg if mode == EDGE else 1
     _boundary((), G, mode)  # validate the mode string up front
     best = math.inf
-    best_witness: tuple[Cell, ...] | None = None
+    best_witness: tuple[int, ...] | None = None
     nodes = 0
 
-    def grow(frontier: list[Cell], reached: set[Cell]) -> None:
+    def grow(frontier: list[int], reached: set[int]) -> None:
         nonlocal best, best_witness, nodes
         while frontier:
             cell = frontier.pop()
@@ -293,14 +327,15 @@ def solve_exact(G: PLGGraph, n: int, mode: str, cap: int = 10,
                     best = b
                     best_witness = tuple(sorted(state.cells))
             elif b - (n - size) * max_drop <= best:
-                fresh = [w for w in G.neighbors(cell)
-                         if _lex_positive(w) and w not in reached]
+                fresh = [w for w in (cell + o for o in state.offsets)
+                         if w >= origin and w not in reached]  # lex-nonnegative
                 grow(frontier + fresh, reached | set(fresh))
             state.remove(cell)
 
     grow([origin], {origin})
     assert best_witness is not None
-    return OptResult(n, mode, int(best), _canonical(best_witness), True, nodes)
+    return OptResult(n, mode, int(best),
+                     _canonical(map(state.decode, best_witness)), True, nodes)
 
 
 def _solve_full(G: PLGGraph, n: int, mode: str) -> OptResult:
@@ -318,7 +353,7 @@ def _solve_full(G: PLGGraph, n: int, mode: str) -> OptResult:
     if n == 1:
         cells = LatticeSet([(0,) * G.dimension])
         return OptResult(n, mode, _boundary(cells, G, mode), cells, True, 1)
-    reach = max(max(abs(c) for c in v) for v in G.edge_vectors)
+    reach = _reach(G)
     W = n * reach
     stride = W + 2 * reach
     positions = [(x, y) for y in range(W) for x in range(W)]
@@ -387,8 +422,9 @@ def solve_heuristic(G: PLGGraph, n: int, mode: str, seed: int = 0,
     """Simulated annealing over single-cell relocations.
 
     Starts from a compact greedy configuration, relocates one cell per step
-    onto the current outside layer, accepts by the Metropolis rule under
-    geometric cooling, and returns the best configuration seen.  The reported
+    onto a uniformly drawn cell of the outside layer, scores the move from the
+    neighbour counts, applies it only if the Metropolis rule under geometric
+    cooling accepts it, and returns the best configuration seen.  The reported
     minimum can therefore never undercut an exact optimum, and for sizes
     where the greedy start is already optimal it matches it.
     """
@@ -398,39 +434,32 @@ def solve_heuristic(G: PLGGraph, n: int, mode: str, seed: int = 0,
         raise ValueError("n must be positive")
     _boundary((), G, mode)
     rng = random.Random(seed)
-    state = _BoundaryState(G, _greedy_init(n, mode))
-    current = state.boundary(mode)
-    best = current
-    best_cells = tuple(sorted(state.cells))
-    if n == 1 or iterations <= 0:
-        return OptResult(n, mode, int(best), _canonical(best_cells), False, 0)
-    cool = (t_end / t_start) ** (1.0 / max(1, iterations - 1))
-    T = t_start
+    steps = max(iterations, 0) if n > 1 else 0
+    # The greedy start lies within ceil(sqrt(n)) of the origin, each step moves
+    # a cell at most reach beyond the set, and a move looks 2 * reach beyond it.
+    bound = math.ceil(math.sqrt(n)) + (steps + 2) * _reach(G)
+    state = _BoundaryState(G, bound, _greedy_init(n, mode))
+    current = best = state.boundary(mode)
     cell_list = sorted(state.cells)
-    steps = 0
-    for _ in range(iterations):
-        steps += 1
-        out = state.outside_candidates()
-        add = out[rng.randrange(len(out))]
+    best_cells = tuple(cell_list)
+    cool = (t_end / t_start) ** (1.0 / max(1, steps - 1)) if steps else 1.0
+    T = t_start
+    for _ in range(steps):
+        add = state.layer[rng.randrange(len(state.layer))]
         j = rng.randrange(n)
         rem = cell_list[j]
         T *= cool
-        if rem == add:
-            continue
-        state.remove(rem)
-        state.add(add)
-        new = state.boundary(mode)
-        delta = new - current
+        delta = state.delta(rem, add, mode)
         if delta <= 0 or rng.random() < math.exp(-delta / T):
-            current = new
+            state.remove(rem)
+            state.add(add)
+            current += delta
             cell_list[j] = add
             if current < best:
                 best = current
-                best_cells = tuple(sorted(state.cells))
-        else:
-            state.remove(add)
-            state.add(rem)
-    return OptResult(n, mode, int(best), _canonical(best_cells), False, steps)
+                best_cells = tuple(cell_list)
+    return OptResult(n, mode, int(best),
+                     _canonical(map(state.decode, best_cells)), False, steps)
 
 
 # ---------------------------------------------------------------------------

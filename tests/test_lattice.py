@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from mixvol import lattice
 from mixvol.errors import CapExceeded, NotPrimitive, RankDeficient
@@ -10,6 +12,9 @@ from mixvol.lattice import LatticeSet, OptResult
 
 
 GRID = lattice.grid_graph(2)
+KING = lattice.validate_plg([(1, 0), (0, 1), (1, 1), (1, -1)])
+TRIANGULAR = lattice.validate_plg([(1, 0), (0, 1), (1, 1)])
+SKEW = lattice.validate_plg([(1, 0), (0, 1), (1, 2)])  # reach 2
 
 EDGE_MINIMA = (4, 6, 8, 8, 10, 10, 12, 12, 12)  # 2*ceil(2*sqrt(n)), n = 1..9
 
@@ -211,6 +216,119 @@ def test_opt_result_to_dict():
     assert sorted(map(tuple, d["witness"])) == list(res.witness)
 
 
+class _TupleBoundaryState:
+    """The tuple-keyed state solve_exact used before cells became int keys,
+    kept as its reference."""
+
+    def __init__(self, G):
+        self.G = G
+        self.deg = len(G.edge_vectors)
+        self.cells = set()
+        self.cnt = {}
+        self.internal = 0
+        self.outside = 0
+
+    def boundary(self, mode):
+        return len(self.cells) * self.deg - self.internal if mode == "edge" \
+            else self.outside
+
+    def add(self, cell):
+        if self.cnt.get(cell, 0) > 0:
+            self.outside -= 1
+        self.cells.add(cell)
+        own = 0
+        for w in self.G.neighbors(cell):
+            if w in self.cells:
+                own += 1
+                self.cnt[w] += 1
+                self.internal += 2
+            else:
+                prev = self.cnt.get(w, 0)
+                if prev == 0:
+                    self.outside += 1
+                self.cnt[w] = prev + 1
+        self.cnt[cell] = own
+
+    def remove(self, cell):
+        own = self.cnt.pop(cell)
+        self.cells.discard(cell)
+        for w in self.G.neighbors(cell):
+            if w in self.cells:
+                self.cnt[w] -= 1
+                self.internal -= 2
+            else:
+                k = self.cnt[w] - 1
+                if k == 0:
+                    del self.cnt[w]
+                    self.outside -= 1
+                else:
+                    self.cnt[w] = k
+        if own > 0:
+            self.cnt[cell] = own
+            self.outside += 1
+
+
+def _lex_positive(cell):
+    for c in cell:
+        if c != 0:
+            return c > 0
+    return True
+
+
+def reference_solve_exact(G, n, mode):
+    """solve_exact on tuple cells, as it was before the int-keyed state."""
+    state = _TupleBoundaryState(G)
+    max_drop = state.deg if mode == "edge" else 1
+    best, best_witness, nodes = math.inf, None, 0
+
+    def grow(frontier, reached):
+        nonlocal best, best_witness, nodes
+        while frontier:
+            cell = frontier.pop()
+            state.add(cell)
+            nodes += 1
+            size = len(state.cells)
+            b = state.boundary(mode)
+            if size == n:
+                if b < best or (b == best and best_witness is not None
+                                and tuple(sorted(state.cells)) < best_witness):
+                    best = b
+                    best_witness = tuple(sorted(state.cells))
+            elif b - (n - size) * max_drop <= best:
+                fresh = [w for w in G.neighbors(cell)
+                         if _lex_positive(w) and w not in reached]
+                grow(frontier + fresh, reached | set(fresh))
+            state.remove(cell)
+
+    grow([(0, 0)], {(0, 0)})
+    return OptResult(n, mode, int(best), lattice._canonical(best_witness), True, nodes)
+
+
+@pytest.mark.parametrize("G, mode, n_max", [
+    (GRID, "edge", 9), (GRID, "vertex", 9), (KING, "vertex", 7),
+    (TRIANGULAR, "edge", 8), (SKEW, "edge", 6), (SKEW, "vertex", 6)],
+    ids=["z2-edge", "z2-vertex", "king-vertex", "triangular-edge",
+         "skew-edge", "skew-vertex"])
+def test_exact_matches_tuple_reference(G, mode, n_max):
+    for n in range(1, n_max + 1):
+        got = lattice.solve_exact(G, n, mode)
+        want = reference_solve_exact(G, n, mode)
+        assert got.to_dict() == want.to_dict()  # nodes_explored included
+
+
+@pytest.mark.parametrize("bound", [1, 2, 7, 40, 100_002])
+def test_cell_keys_round_trip_and_sort_like_tuples(bound):
+    state = lattice._BoundaryState(GRID, bound)
+    edge = (-bound, -bound + 1, -1, 0, 1, bound - 1, bound)
+    cells = sorted({(x, y) for x in edge for y in edge if max(abs(x), abs(y)) <= bound})
+    keys = [state.encode(c) for c in cells]
+    assert [state.decode(k) for k in keys] == cells
+    assert keys == sorted(keys) and len(set(keys)) == len(keys)
+    c = (-bound + 1, 0)  # a neighbour of an interior cell is key + offset
+    assert [state.decode(state.encode(c) + o) for o in state.offsets] == \
+        GRID.neighbors(c)
+
+
 # ---------------------------------------------------------------------------
 # heuristic solver
 
@@ -253,10 +371,56 @@ def test_heuristic_vertex_near_ball_truncation():
 
 
 def test_heuristic_deterministic():
-    a = lattice.solve_heuristic(GRID, 30, "edge", seed=7, iterations=3000)
-    b = lattice.solve_heuristic(GRID, 30, "edge", seed=7, iterations=3000)
-    assert a.minimum == b.minimum
-    assert list(a.witness) == list(b.witness)
+    for G, mode in ((GRID, "edge"), (GRID, "vertex"), (KING, "edge"), (KING, "vertex")):
+        a = lattice.solve_heuristic(G, 30, mode, seed=7, iterations=3000)
+        b = lattice.solve_heuristic(G, 30, mode, seed=7, iterations=3000)
+        assert a.minimum == b.minimum
+        assert list(a.witness) == list(b.witness)
+
+
+@pytest.mark.parametrize("G", [KING, TRIANGULAR], ids=["king", "triangular"])
+@pytest.mark.parametrize("mode", ["edge", "vertex"])
+def test_heuristic_off_z2(G, mode):
+    for n, seed in ((7, 0), (40, 1), (90, 2)):
+        res = lattice.solve_heuristic(G, n, mode, seed=seed, iterations=20_000)
+        assert len(res.witness) == n
+        assert res.nodes_explored == 20_000
+        assert lattice._boundary(res.witness, G, mode) == res.minimum
+        if n == 7:
+            assert res.minimum >= lattice.solve_exact(G, n, mode).minimum
+
+
+def _layer_oracle(cells, G):
+    """Cells outside S with at least one neighbour in S, from the graph."""
+    return {w for c in cells for w in G.neighbors(c)} - set(cells)
+
+
+@settings(derandomize=True, max_examples=150, deadline=None)
+@given(st.sampled_from([GRID, KING, TRIANGULAR, SKEW]),
+       st.sets(st.tuples(st.integers(-3, 3), st.integers(-3, 3)), min_size=1, max_size=20),
+       st.lists(st.tuples(st.integers(0, 10 ** 6), st.integers(0, 10 ** 6)),
+                min_size=1, max_size=25))
+def test_scored_delta_matches_recount(G, cells, moves):
+    bound = 3 + (len(moves) + 2) * lattice._reach(G)
+    state = lattice._BoundaryState(G, bound, sorted(cells))
+    for i, j in moves:
+        rem = sorted(state.cells)[i % len(state.cells)]
+        add = state.layer[j % len(state.layer)]
+        before = [state.decode(k) for k in state.cells]
+        predicted = {mode: state.delta(rem, add, mode) for mode in ("edge", "vertex")}
+        state.remove(rem)
+        state.add(add)
+        after = [state.decode(k) for k in state.cells]
+        assert state.decode(add) in after and state.decode(rem) not in after
+        assert lattice.edge_boundary(after, G) - lattice.edge_boundary(before, G) \
+            == predicted["edge"]
+        assert lattice.vertex_boundary(after, G) - lattice.vertex_boundary(before, G) \
+            == predicted["vertex"]
+        assert state.boundary("edge") == lattice.edge_boundary(after, G)
+        assert len(state.layer) == len(set(state.layer))
+        assert {state.decode(k) for k in state.layer} == _layer_oracle(after, G)
+        assert all(state.layer[p] == k for k, p in state.pos.items())
+        assert len(state.pos) == len(state.layer)
 
 
 # ---------------------------------------------------------------------------
