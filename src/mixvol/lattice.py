@@ -13,7 +13,6 @@ from __future__ import annotations
 import math
 import random
 from dataclasses import dataclass
-from itertools import combinations
 from typing import Iterable, NamedTuple, Sequence
 
 import numpy as np
@@ -276,8 +275,7 @@ def _canonical(cells: Iterable[Cell]) -> LatticeSet:
     return LatticeSet(tuple(c - mc for c, mc in zip(cell, m)) for cell in cells)
 
 
-def solve_exact(G: PLGGraph, n: int, mode: str, cap: int = 10,
-                full_search: bool = False) -> OptResult:
+def solve_exact(G: PLGGraph, n: int, mode: str, cap: int = 10) -> OptResult:
     """Global boundary minimum over n-cell sets, one per translation class.
 
     Enumerates connected sets only, via adjacency growth with the
@@ -286,8 +284,7 @@ def solve_exact(G: PLGGraph, n: int, mode: str, cap: int = 10,
     exactly once).  Branches whose boundary cannot reach the incumbent even
     under the steepest possible per-cell decrease are pruned.  Minimizers of
     either functional are connected — merging distant clusters only removes
-    boundary — so the restriction is lossless; ``full_search=True``
-    cross-validates that for n <= 6 by scanning all n-subsets of a window.
+    boundary — so the restriction is lossless.
 
     Raises CapExceeded beyond the configured size cap.
     """
@@ -295,8 +292,6 @@ def solve_exact(G: PLGGraph, n: int, mode: str, cap: int = 10,
         raise ValueError("exact solver is implemented for dimension 2")
     if n < 1:
         raise ValueError("n must be positive")
-    if full_search:
-        return _solve_full(G, n, mode)
     if n > cap:
         raise CapExceeded(f"n = {n} exceeds the exact enumeration cap {cap}")
 
@@ -336,58 +331,6 @@ def solve_exact(G: PLGGraph, n: int, mode: str, cap: int = 10,
     assert best_witness is not None
     return OptResult(n, mode, int(best),
                      _canonical(map(state.decode, best_witness)), True, nodes)
-
-
-def _solve_full(G: PLGGraph, n: int, mode: str) -> OptResult:
-    """All n-subsets of a window, connected or not, via bitmask scanning.
-
-    Window sufficiency: any set with an empty column or row strictly inside
-    its bounding box can be compressed across the gap; for reach-R vectors
-    new adjacencies appear only once the gap drops below R, and they never
-    increase either boundary functional, so some minimizer fits in an
-    (n*R) x (n*R) box.
-    """
-    if n > 6:
-        raise CapExceeded("full search is limited to n <= 6")
-    _boundary((), G, mode)
-    if n == 1:
-        cells = LatticeSet([(0,) * G.dimension])
-        return OptResult(n, mode, _boundary(cells, G, mode), cells, True, 1)
-    reach = _reach(G)
-    W = n * reach
-    stride = W + 2 * reach
-    positions = [(x, y) for y in range(W) for x in range(W)]
-    masks = [1 << ((y + reach) * stride + x + reach) for x, y in positions]
-    shifts = [v[1] * stride + v[0] for v in G.edge_vectors]
-
-    def boundary_of(mask: int) -> int:
-        # mask & ~shift(mask, v) marks cells of S whose v-neighbor is outside;
-        # over the symmetric vector set each exiting edge is counted once.
-        if mode == EDGE:
-            total = 0
-            for s in shifts:
-                moved = mask << s if s >= 0 else mask >> -s
-                total += (mask & ~moved).bit_count()
-            return total
-        nb = 0
-        for s in shifts:
-            nb |= mask << s if s >= 0 else mask >> -s
-        return (nb & ~mask).bit_count()
-
-    best = math.inf
-    best_mask = 0
-    count = 0
-    for combo in combinations(masks, n):
-        m = 0
-        for piece in combo:
-            m |= piece
-        count += 1
-        b = boundary_of(m)
-        if b < best:
-            best = b
-            best_mask = m
-    cells = [p for p, bit in zip(positions, masks) if best_mask & bit]
-    return OptResult(n, mode, int(best), _canonical(cells), True, count)
 
 
 # ---------------------------------------------------------------------------

@@ -90,36 +90,55 @@ class SeriesFit:
 
 
 def sum_region(M: Polygon, N: StructuringSet, eps: float) -> RegionUnion:
-    """The dilation M + eps*N as an explicit union of convex parts.
+    """The dilation M + eps*N as an explicit union of polygon parts.
 
-    M is split into convex pieces once (`geom2d.convex_parts`) and every
-    component of N is summed against each piece; eps = 0 gives the pieces.
+    A point set gives translates of M.  Every other component gives convex
+    chains C (a segment its two ends, a disc its `regular_disc` vertices
+    moved to its centre, a polygon its `geom2d.convex_parts`), scaled by eps.
+    When `ConvexPolygon` accepts M, each C gives the convex part M + C.
+    Otherwise it gives M + C[0] and the convex part e + C for each edge e of
+    M, because M + C = (M + c) u (bd M + C) for convex C and c in C: take
+    p = m + x.  If p - c is not in M, the segment from m to p - c meets bd M
+    at some y = m + t(x - c), and p = y + (t c + (1 - t) x) lies in bd M + C.
+    An edge part of area at most TAU (an edge parallel to a segment) is left
+    out; it adds no area.  eps = 0 gives M.
     """
     if eps < 0:
         raise ValueError("epsilon must be nonnegative")
-    pieces = geom2d.convex_parts(M)
     if eps == 0.0:
-        return RegionUnion(tuple(pieces))
-    parts: list[ConvexPolygon] = []
+        return RegionUnion((M,))
+    try:
+        K = M if isinstance(M, ConvexPolygon) else ConvexPolygon(M.vertices)
+    except ValueError:
+        K = None
+    V = M.vertices
+    parts: list[Polygon] = []
     for comp in N.components:
         if isinstance(comp, Points):
-            parts.extend(geom2d.translate(piece, (eps * x, eps * y))
-                         for x, y in comp.pts for piece in pieces)
-        elif isinstance(comp, Segment):
+            parts.extend(geom2d.translate(K or M, (eps * x, eps * y)) for x, y in comp.pts)
+            continue
+        if isinstance(comp, Segment):
             a = (eps * comp.a[0], eps * comp.a[1])
             b = (eps * comp.b[0], eps * comp.b[1])
-            for piece in pieces:
-                parts.extend(geom2d.minkowski_segment(piece, a, b).parts)
-        else:
-            if isinstance(comp, Disc):
-                disc = geom2d.regular_disc(structuring.DISC_RESOLUTION,
-                                           eps * comp.radius)
-                qs = [geom2d.translate(disc, (eps * comp.center[0],
-                                              eps * comp.center[1]))]
-            else:  # polygon component
-                qs = geom2d.convex_parts(geom2d.scale_polygon(comp, eps))
-            parts.extend(geom2d.minkowski_convex(piece, q)
-                         for q in qs for piece in pieces)
+            if math.hypot(b[0] - a[0], b[1] - a[1]) <= geom2d.TAU:
+                parts.append(geom2d.translate(K or M, a))
+                continue
+            chains = [(a, b)]
+        elif isinstance(comp, Disc):
+            disc = geom2d.regular_disc(structuring.DISC_RESOLUTION, eps * comp.radius)
+            centre = (eps * comp.center[0], eps * comp.center[1])
+            chains = [geom2d._vertex_tuple(np.asarray(disc.vertices) + centre)]
+        else:  # polygon component
+            chains = [q.vertices for q in geom2d.convex_parts(geom2d.scale_polygon(comp, eps))]
+        for C in chains:
+            if K is not None:
+                parts.append(ConvexPolygon(geom2d._minkowski_chain(K.vertices, C)))
+                continue
+            parts.append(geom2d.translate(M, C[0]))
+            for edge in zip(V, V[1:] + V[:1]):
+                S = geom2d._minkowski_chain(edge, C)
+                if geom2d._signed_area(S) > geom2d.TAU:
+                    parts.append(ConvexPolygon(S))
     return RegionUnion(tuple(parts))
 
 
@@ -134,18 +153,6 @@ def sum_volume(M: Polygon, N: StructuringSet, eps: float) -> float:
 # Extrapolation
 
 
-def _neville_to_zero(xs: Sequence[float], ys: Sequence[float]):
-    """Polynomial extrapolation of (xs, ys) to x=0; returns (diagonal, value)."""
-    n = len(xs)
-    tab = list(ys)
-    diag = [tab[0]]
-    for m in range(1, n):
-        for i in range(n - m):
-            tab[i] = (xs[i + m] * tab[i] - xs[i] * tab[i + 1]) / (xs[i + m] - xs[i])
-        diag.append(tab[0])
-    return diag, tab[0]
-
-
 def _check_schedule(schedule: Sequence[float]) -> tuple[float, ...]:
     eps = tuple(float(e) for e in schedule)
     if len(eps) < 3:
@@ -153,6 +160,21 @@ def _check_schedule(schedule: Sequence[float]) -> tuple[float, ...]:
     if any(e <= 0 for e in eps) or any(a <= b for a, b in zip(eps, eps[1:])):
         raise NonDecreasingSchedule("schedule must be positive and strictly decreasing")
     return eps
+
+
+def _extrapolated(eps: tuple[float, ...], quotients: tuple[float, ...]) -> DEstimate:
+    """Finite-difference estimate from quotients on a checked schedule: their
+    polynomial extrapolation to e=0 by a Neville tableau, with the gap between
+    the last two extrapolants as the error estimate."""
+    n = len(eps)
+    tab = list(quotients)
+    diag = [tab[0]]
+    for m in range(1, n):
+        for i in range(n - m):
+            tab[i] = (eps[i + m] * tab[i] - eps[i] * tab[i + 1]) / (eps[i + m] - eps[i])
+        diag.append(tab[0])
+    return DEstimate(tab[0], FINITE_DIFFERENCE, eps, quotients, extrapolation_order=n - 1,
+                     error_estimate=abs(diag[-1] - diag[-2]))
 
 
 def d_finite_difference(M: Polygon, N: StructuringSet,
@@ -170,11 +192,7 @@ def d_finite_difference(M: Polygon, N: StructuringSet,
         volumes = [sum_volume(M, N, e) for e in eps]
     elif len(volumes) != len(eps):
         raise ValueError("volumes must align with the schedule")
-    quotients = tuple((v - base) / e for v, e in zip(volumes, eps))
-    diag, value = _neville_to_zero(eps, quotients)
-    err = abs(diag[-1] - diag[-2])
-    return DEstimate(value, FINITE_DIFFERENCE, eps, quotients,
-                     extrapolation_order=len(eps) - 1, error_estimate=err)
+    return _extrapolated(eps, tuple((v - base) / e for v, e in zip(volumes, eps)))
 
 
 def d_boundary_integral(M: Polygon, N: StructuringSet) -> DEstimate:
@@ -287,10 +305,7 @@ def d_grid(M: Polygon, N: StructuringSet, schedule: Sequence[float],
     for e in eps:
         v, _ = geom2d.grid_volume(region_indicator(sum_region(M, N, e)), bounds, h)
         quotients.append((v - base) / e)
-    diag, value = _neville_to_zero(eps, quotients)
-    err = abs(diag[-1] - diag[-2])
-    return DEstimate(value, FINITE_DIFFERENCE, eps, tuple(quotients),
-                     extrapolation_order=len(eps) - 1, error_estimate=err)
+    return _extrapolated(eps, tuple(quotients))
 
 
 def box_distance(lo: Sequence[float], hi: Sequence[float]) -> Callable:

@@ -15,7 +15,7 @@ from mixvol import geom2d, isoperimetric, lattice, mixedvol, structuring
 from mixvol.geom2d import ConvexPolygon
 from mixvol.isoperimetric import SegmentFamily
 from mixvol.structuring import Segment, StructuringSet
-from test_lattice import enumerate_polyominoes
+from test_lattice import _solve_full, enumerate_polyominoes
 
 SQRT2 = math.sqrt(2)
 
@@ -206,7 +206,7 @@ def test_criterion_09_edge_minima():
     t0 = time.perf_counter()
     minima = [lattice.solve_exact(GRID, n, "edge").minimum
               for n in range(1, 10)]
-    full = [lattice.solve_exact(GRID, n, "edge", full_search=True).minimum
+    full = [_solve_full(GRID, n, "edge").minimum
             for n in range(1, 7)]
     dt = time.perf_counter() - t0
     print(f"criterion 09: minima={minima} full-search(1..6)={full} "
@@ -221,7 +221,7 @@ def test_criterion_10_vertex_minima():
               for n in range(1, 10)]
     brute = [min(lattice.vertex_boundary(p, GRID)
                  for p in enumerate_polyominoes(n)) for n in range(1, 10)]
-    full = [lattice.solve_exact(GRID, n, "vertex", full_search=True).minimum
+    full = [_solve_full(GRID, n, "vertex").minimum
             for n in range(1, 7)]
     res5 = lattice.solve_exact(GRID, 5, "vertex")
     print(f"criterion 10: minima={minima} brute={brute} witness(5)="

@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import closed_form_plus_dilation, near_collinear_convex
+from test_geom2d import _convex_union_area_reference
 from mixvol import geom2d, mixedvol, structuring
 from mixvol.errors import (IllConditioned, NonDecreasingSchedule, SingularPoint)
 from mixvol.geom2d import ConvexPolygon, Polygon
@@ -63,19 +64,76 @@ def test_sum_volume_point_set_translates(unit_square):
     assert mixedvol.sum_volume(unit_square, N, 1.0) == pytest.approx(1.0, abs=1e-12)
 
 
-def test_sum_region_parts_are_convex():
-    L = geom2d.Polygon(((0, 0), (2, 0), (2, 1), (1, 1), (1, 2), (0, 2)))
-    N = StructuringSet((
-        Points(((0.5, 0.5), (-1.0, 0.0))),
-        Segment((0, 0), (1, 2)),
-        geom2d.Polygon(((0, 0), (2, 0), (2, 1), (1, 0.5), (0, 1))),
-        Disc((0.3, -0.2), 0.5),
-    ))
-    for eps in (0.0, 0.1):
-        region = mixedvol.sum_region(L, N, eps)
-        assert all(isinstance(p, ConvexPolygon) for p in region.parts)
-    assert geom2d.union_area(mixedvol.sum_region(L, N, 0.0)) == \
-        pytest.approx(3.0, abs=1e-12)
+def _convex_decomposition(M, N, eps):
+    """M + eps*N as `sum_region` built it before it kept M whole: every
+    convex piece of M summed with every component of N."""
+    parts = []
+    for piece in geom2d.convex_parts(M):
+        for comp in N.components:
+            if isinstance(comp, Points):
+                parts += [geom2d.translate(piece, (eps * x, eps * y)) for x, y in comp.pts]
+            elif isinstance(comp, Segment):
+                a = (eps * comp.a[0], eps * comp.a[1])
+                parts += geom2d.minkowski_segment(piece, a, (eps * comp.b[0], eps * comp.b[1])).parts
+            elif isinstance(comp, Disc):
+                disc = geom2d.regular_disc(structuring.DISC_RESOLUTION, eps * comp.radius)
+                disc = geom2d.translate(disc, (eps * comp.center[0], eps * comp.center[1]))
+                parts.append(geom2d.minkowski_convex(piece, disc))
+            else:
+                parts += [geom2d.minkowski_convex(piece, q)
+                          for q in geom2d.convex_parts(geom2d.scale_polygon(comp, eps))]
+    return parts
+
+
+_L_SHAPE = Polygon(((0, 0), (2, 0), (2, 1), (1, 1), (1, 2), (0, 2)))
+_MIXED_N = StructuringSet((
+    Points(((0.5, 0.5), (-1.0, 0.0))),
+    Segment((0, 0), (1, 2)),
+    Polygon(((0, 0), (2, 0), (2, 1), (1, 0.5), (0, 1))),
+    Disc((0.3, -0.2), 0.5),
+))
+
+
+@st.composite
+def star_dilations(draw):
+    """A star, jittered or exactly regular, with one to three segments (the
+    first axis-parallel), and maybe points and a triangle."""
+    k = draw(st.integers(3, 12))
+    jitter = 0.0 if draw(st.booleans()) else 0.2
+    ang = [math.pi * (i + draw(st.floats(-jitter, jitter))) / k for i in range(2 * k)]
+    M = Polygon(tuple(((1.0 if i % 2 == 0 else 0.4) * math.cos(t),
+                       (1.0 if i % 2 == 0 else 0.4) * math.sin(t)) for i, t in enumerate(ang)))
+    coord = st.floats(-0.3, 0.3)
+    x, y, length = draw(coord), draw(coord), draw(st.floats(0.05, 0.5))
+    comps = [Segment((x, y), (x + length, y)) if draw(st.booleans())
+             else Segment((x, y), (x, y + length))]
+    comps += [Segment((draw(coord), draw(coord)), (draw(coord), draw(coord)))
+              for _ in range(draw(st.integers(0, 2)))]
+    if draw(st.booleans()):
+        comps.append(Points(((draw(coord), draw(coord)), (draw(coord), draw(coord)))))
+    if draw(st.booleans()):
+        comps.append(ConvexPolygon(((0.0, 0.0), (0.3, 0.0), (0.1, 0.2))))
+    return M, StructuringSet(tuple(comps)), draw(st.sampled_from((0.01, 0.1, 0.5)))
+
+
+@settings(derandomize=True, max_examples=40, deadline=None)
+@given(st.one_of(star_dilations(), st.just((_L_SHAPE, _MIXED_N, 0.1))), st.data())
+def test_sum_region_matches_convex_decomposition(case, data):
+    M, N, eps = case
+    assert mixedvol.sum_region(M, N, 0.0).parts == (M,)
+    want = _convex_decomposition(M, N, eps)
+    got = mixedvol.sum_region(M, N, eps)
+    assert geom2d.union_area(got) == \
+        pytest.approx(_convex_union_area_reference([p.vertices for p in want]), rel=1e-12)
+    if M is _L_SHAPE:
+        return
+    i = data.draw(st.integers(0, len(M.vertices) - 1))
+    t = data.draw(st.floats(0.01, 0.99))
+    (x0, y0), (x1, y1) = M.vertices[i], M.vertices[(i + 1) % len(M.vertices)]
+    L = math.hypot(x1 - x0, y1 - y0)
+    ray = ((x0 + t * (x1 - x0), y0 + t * (y1 - y0)), ((y1 - y0) / L, -(x1 - x0) / L))
+    assert mixedvol.local_expansion_probe(M, (i, t), N, eps) == \
+        pytest.approx(geom2d.ray_exit(*ray, geom2d.RegionUnion(tuple(want))), rel=1e-12)
 
 
 # ---------------------------------------------------------------------------
