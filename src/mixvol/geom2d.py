@@ -98,56 +98,46 @@ def _straddles(d1, d2):
     return ((d1 > TAU) & (d2 < -TAU)) | ((d1 < -TAU) & (d2 > TAU))
 
 
-#: Pairs tested at a time: a block's temporaries stay under 1 MB (2**14
-#: raised the union peak of a 4096-gon disc's dilation by a sixth).
+#: Edge pairs `_crossings` tests at a time, and the fewest edge spans
+#: `union_area` orders at a time: a block's temporaries stay under 1 MB
+#: (2**14 raised the union peak of a 4096-gon disc's dilation by a sixth).
 _PAIR_BLOCK = 1 << 13
 
 
-def _ranges(start: np.ndarray, count: np.ndarray):
-    """Pairs (r, start[r] + s) for 0 <= s < count[r], in blocks of at most
-    `_PAIR_BLOCK` pairs, as two index arrays."""
-    last = np.cumsum(count)
-    total = int(last[-1]) if len(last) else 0
-    for first in range(0, total, _PAIR_BLOCK):
-        k = np.arange(first, min(first + _PAIR_BLOCK, total))
-        r = np.searchsorted(last, k, side="right")
-        yield r, k - last[r] + count[r] + start[r]
+def _crossings(P: np.ndarray, Q: np.ndarray, owner: np.ndarray) -> np.ndarray:
+    """x of every proper crossing between edges P[i] -> Q[i] of different
+    owners: TAU sign tests on all four orientations.
 
-
-def _candidate_pairs(P: np.ndarray, Q: np.ndarray, owner: np.ndarray):
-    """Blocks (i, j) of index arrays: the edges P[i] -> Q[i] and P[j] -> Q[j]
-    of different owners whose bounding boxes, widened by the coordinates'
-    round-off, meet.
-
-    One sort-and-sweep over x-extents, after Shamos and Hoey (1976): with the
-    edges ordered by their x minimum, the candidates of an edge are the later
-    edges that start before it ends.  Those whose owners differ and whose
-    y-extents meet too are kept.
+    One sort-and-sweep over x-extents, after Shamos and Hoey (1976): with the edges
+    ordered by their x minimum, the candidates of an edge are the later edges
+    that start before it ends.  Those whose y-extents meet too are tested in
+    blocks of `_PAIR_BLOCK` pairs at any edge count.  Edges that share an
+    endpoint never cross: its cross product is exactly 0.
     """
-    pad = 64.0 * _EPS_MACH * float(np.abs(P).max())
-    lo, hi = np.minimum(P, Q) - pad, np.maximum(P, Q) + pad
+    lo, hi = np.minimum(P, Q), np.maximum(P, Q)
     order = np.argsort(lo[:, 0], kind="stable")
-    lo, hi, owner = lo[order], hi[order], owner[order]
-    after = np.arange(1, len(P) + 1)
+    P, Q, owner, lo, hi = P[order], Q[order], owner[order], lo[order], hi[order]
     # edge i meets the x-extents of edges i + 1 .. i + count[i]
-    count = np.searchsorted(lo[:, 0], hi[:, 0], side="right") - after
-    for i, j in _ranges(after, count):
+    count = np.searchsorted(lo[:, 0], hi[:, 0], side="right") - np.arange(1, len(P) + 1)
+    last = np.cumsum(count)
+    out = [np.empty(0)]
+    for start in range(0, int(count.sum()), _PAIR_BLOCK):
+        k = np.arange(start, min(start + _PAIR_BLOCK, last[-1]))
+        i = np.searchsorted(last, k, side="right")
+        j = k - last[i] + count[i] + i + 1
         near = (owner[i] != owner[j]) & (lo[j, 1] <= hi[i, 1]) & (lo[i, 1] <= hi[j, 1])
-        yield order[i[near]], order[j[near]]
+        a, b, c, d = P[i[near]], Q[i[near]], P[j[near]], Q[j[near]]
+        d1, d2 = _cross(c, d, a), _cross(c, d, b)
+        hit = _straddles(d1, d2) & _straddles(_cross(a, b, c), _cross(a, b, d))
+        a, b, d1, d2 = a[hit, 0], b[hit, 0], d1[hit], d2[hit]
+        out.append(a + d1 / (d1 - d2) * (b - a))
+    return np.concatenate(out)
 
 
 def _is_simple(verts) -> bool:
-    """No two edges cross properly: the TAU sign tests on all four
-    orientations of every candidate pair, with every edge its own owner.
-    Edges that share an endpoint never cross: its cross product is exactly 0."""
-    P = np.asarray(verts, dtype=float)
-    Q = _shift(P, 1)
-    for i, j in _candidate_pairs(P, Q, np.arange(len(P))):
-        a, b, c, d = P[i], Q[i], P[j], Q[j]
-        if np.any(_straddles(_cross(c, d, a), _cross(c, d, b))
-                  & _straddles(_cross(a, b, c), _cross(a, b, d))):
-            return False
-    return True
+    """No two edges cross properly: `_crossings` with every edge its own owner."""
+    a = np.asarray(verts, dtype=float)
+    return not _crossings(a, _shift(a, 1), np.arange(len(a))).size
 
 
 @dataclass(frozen=True)
@@ -414,160 +404,27 @@ def minkowski_segment(P: Polygon, a, b) -> RegionUnion:
 
 
 # ---------------------------------------------------------------------------
-# Exact union area from the boundary of the union
-
-
-def _param(p: np.ndarray, a: np.ndarray, b: np.ndarray, L2: np.ndarray) -> np.ndarray:
-    """Parameter of the projection of p on the line a + t (b - a); L2 = |b - a|^2."""
-    return ((p - a) * (b - a)).sum(1) / L2
-
-
-def _overlay(P: np.ndarray, Q: np.ndarray, owner: np.ndarray):
-    """Where the edges P[i] -> Q[i] of different owners meet.
-
-    A point lies on an edge's line when its `_cross` with the edge is within
-    the round-off floor of `_tol` for the edge: edges that lie apart by more
-    are told apart by the parity test, which a TAU-radian band would
-    contradict.  Two edges cross properly when each one's ends lie on
-    opposite sides of the other's line, none of them on it.  Returns the
-    split points (edge, t, point) of every edge: its proper crossings, each
-    one point for both edges, and the vertices of other owners on it, which
-    split it at the vertex itself, so the pieces of different parts meet
-    exactly.  Also returns the collinear pairs (edge, other edge, same
-    direction), both ways round; the ends of their overlap split both edges.
-    """
-    E = Q - P
-    L2 = (E * E).sum(1)
-    L = np.sqrt(L2)
-    T = _tol(L, 0.0, float(np.abs(P).max()))
-    none = np.empty(0, dtype=np.intp)
-    edges, params, points = [none], [np.empty(0)], [np.empty((0, 2))]
-    pairs = [(none, none, np.empty(0, dtype=bool))]
-    for i, j in _candidate_pairs(P, Q, owner):
-        a, b, c, d = P[i], Q[i], P[j], Q[j]
-        d1, d2, d3, d4 = _cross(c, d, a), _cross(c, d, b), _cross(a, b, c), _cross(a, b, d)
-        # a or b on the line of edge j, c or d on the line of edge i
-        on = np.stack((np.abs(d1) <= T[j], np.abs(d2) <= T[j],
-                       np.abs(d3) <= T[i], np.abs(d4) <= T[i]))
-        near = on.any(0)
-        x = ~near & ((d1 > 0.0) != (d2 > 0.0)) & ((d3 > 0.0) != (d4 > 0.0))
-        ti = d1[x] / (d1[x] - d2[x])
-        X = a[x] + ti[:, None] * (b[x] - a[x])
-        edges += [i[x], j[x]]
-        params += [ti, d3[x] / (d3[x] - d4[x])]
-        points += [X, X]
-
-        i, j, a, b, c, d, (on_a, on_b, on_c, on_d) = (
-            i[near], j[near], a[near], b[near], c[near], d[near], on[:, near])
-        sa, sb = _param(a, c, d, L2[j]), _param(b, c, d, L2[j])
-        sc, sd = _param(c, a, b, L2[i]), _param(d, a, b, L2[i])
-        coll = (on_a & on_b) | (on_c & on_d)
-        for e, s, p, split in ((i, sc, c, on_c | coll), (i, sd, d, coll),
-                               (j, sa, a, on_a | coll), (j, sb, b, coll)):
-            edges.append(e[split])
-            params.append(s[split])
-            points.append(p[split])
-        same = ((b - a) * (d - c)).sum(1)[coll] > 0.0
-        pairs += [(i[coll], j[coll], same), (j[coll], i[coll], same)]
-    e, t, X = np.concatenate(edges), np.concatenate(params), np.concatenate(points)
-    inner = (t > 0.0) & (t < 1.0)
-    return e[inner], t[inner], X[inner], [np.concatenate(col) for col in zip(*pairs)]
-
-
-def _collinear_groups(e, t0, t1, mid, P, Q, coll_e, coll_f, coll_same, owner, k):
-    """The pieces of collinear edges in groups along one line: a piece of an
-    edge of a collinear pair whose midpoint projects inside a piece of the
-    other edge is linked to it.  A group is off the union's boundary when two
-    of its edges run opposite ways, else on it once, in the pieces of its
-    lowest part (KACTL's PolyUnion rule, taken over the group so that it
-    stays transitive).  Returns which pieces the rule drops, and keys
-    piece * k + part for the group's parts, whose parity its pieces skip."""
-    first = np.searchsorted(e, np.arange(len(P) + 1))
-    link, turn = [np.empty((2, 0), dtype=np.intp)], [np.empty(0, dtype=bool)]
-    for r, piece in _ranges(first[coll_e], first[coll_e + 1] - first[coll_e]):
-        f = coll_f[r]
-        u = _param(mid[piece], P[f], Q[f], ((Q[f] - P[f]) ** 2).sum(1))
-        for h, other in _ranges(first[f], first[f + 1] - first[f]):
-            meet = (t0[other] < u[h]) & (u[h] < t1[other]) & (t0[piece[h]] < t1[piece[h]])
-            link.append(np.stack((piece[h[meet]], other[meet])))
-            turn.append(~coll_same[r[h[meet]]])
-    a, b = np.concatenate(link, 1)
-    group = np.arange(len(e))
-    while True:  # each piece ends at the lowest piece linked to it
-        low = group.copy()
-        np.minimum.at(low, a, np.minimum(group[a], group[b]))
-        np.minimum.at(low, b, np.minimum(group[a], group[b]))
-        low = low[low]
-        if np.array_equal(low, group):
-            break
-        group = low
-    member = np.flatnonzero(np.bincount(np.concatenate((a, b)), minlength=len(e)))
-    lowest = np.full(len(e), k)
-    np.minimum.at(lowest, group[member], owner[member])
-    off = np.zeros(len(e), dtype=bool)
-    off[group[a[np.concatenate(turn)]]] = True
-    dropped = np.zeros(len(e), dtype=bool)
-    dropped[member] = off[group[member]] | (owner[member] > lowest[group[member]])
-    member = member[np.argsort(group[member], kind="stable")]
-    gid = group[member]
-    lead = np.searchsorted(gid, gid)
-    exempt = [np.empty(0, dtype=np.intp)]
-    for s, m in _ranges(lead, np.searchsorted(gid, gid, side="right") - lead):
-        exempt.append(member[s] * k + owner[member[m]])
-    return dropped, np.concatenate(exempt)
-
-
-def _inside_other(mid, piece_owner, skip, P, Q, owner, start):
-    """Keys piece * k + part of the midpoints strictly inside another part,
-    but not skipped: the parity of an upward vertical ray from the midpoint
-    against that part's edges with min x <= midpoint x < max x.  Only the
-    midpoints in the part's bounding box are tested."""
-    k = len(start)
-    # the midpoints in another part's box, as keys part * S + rank in x
-    by_x = np.argsort(mid[:, 0], kind="stable")
-    xs, ys = mid[by_x, 0], mid[by_x, 1]
-    S = len(xs)
-    skip_x, owner_x = skip[by_x], piece_owner[by_x]
-    lo, hi = np.minimum.reduceat(P, start), np.maximum.reduceat(P, start)
-    x0 = np.searchsorted(xs, lo[:, 0])
-    boxed = [np.empty(0, dtype=np.intp)]
-    for q, pos in _ranges(x0, np.searchsorted(xs, hi[:, 0], side="right") - x0):
-        keep = ((lo[q, 1] <= ys[pos]) & (ys[pos] <= hi[q, 1]) & (owner_x[pos] != q)
-                & ~skip_x[pos])
-        boxed.append(q[keep] * S + pos[keep])
-    boxed = np.concatenate(boxed)
-    # each part's edges against the midpoints in its box that their x-range
-    # holds: count those the ray passes below
-    r0 = np.searchsorted(boxed, owner * S + np.searchsorted(xs, np.minimum(P[:, 0], Q[:, 0])))
-    r1 = np.searchsorted(boxed, owner * S + np.searchsorted(xs, np.maximum(P[:, 0], Q[:, 0])))
-    bx, by = xs[boxed % S], ys[boxed % S]
-    dx, dy = Q[:, 0] - P[:, 0], Q[:, 1] - P[:, 1]
-    crossed = np.zeros(len(boxed), dtype=np.intp)
-    for edge, pos in _ranges(r0, r1 - r0):
-        w = dx[edge]
-        below = (w * (by[pos] - P[edge, 1]) - dy[edge] * (bx[pos] - P[edge, 0])) * np.sign(w) < 0.0
-        np.add.at(crossed, pos[below], 1)
-    inside = boxed[crossed % 2 == 1]
-    return by_x[inside % S] * k + inside // S
+# Exact union area by a slab sweep over the edges of all parts
 
 
 def union_area(region: RegionUnion) -> float:
-    """Exact area of a union of simple polygon parts, from its boundary alone.
+    """Exact area of a union of simple polygon parts, convex or not.
 
-    By Green's theorem the area is the sum of (x0*y1 - x1*y0)/2 over the
-    edges of the union's boundary, each run counterclockwise.  Every edge of
-    every part is split where it crosses an edge of another part and where a
-    vertex of another part lies on it (`_overlay`; the candidate pairs come
-    from one sort-and-sweep).  A piece between splits is on the boundary
-    unless its midpoint lies strictly inside another part (`_inside_other`)
-    or the collinear rule drops it (`_collinear_groups`); a part whose
-    boundary holds the piece leaves the decision to that rule.  Parts need
-    not be convex, and no part is split.
+    The events are the x of every part vertex and of every crossing between
+    edges of different parts, from one sweep (`_crossings`).  Between two
+    events no edges cross, so the edges that span a slab keep their order in
+    y and the length the union covers is linear in x: its value on the
+    slab's midline times the slab's width is the slab's area.  On the
+    midline an edge that runs right enters its part (a counterclockwise
+    part lies left of its edges) and one that runs left leaves it, so a
+    running sum of these signs in y order counts the parts over each
+    stretch; the stretches with a positive count are covered.  Slabs are
+    taken in blocks of at most max(edges, `_PAIR_BLOCK`) edge spans, so
+    memory grows with the edges, not with slabs x parts.
     """
     parts = region.parts
     if len(parts) == 1:
         return area(parts[0])
-    k = len(parts)
     n = np.array([len(part.vertices) for part in parts])
     flat = itertools.chain.from_iterable
     P = np.fromiter(flat(flat(part.vertices for part in parts)), dtype=float).reshape(-1, 2)
@@ -575,30 +432,48 @@ def union_area(region: RegionUnion) -> float:
     nxt = np.arange(1, len(P) + 1)
     nxt[start + n - 1] = start
     Q = P[nxt]
-    owner = np.repeat(np.arange(k), n)
-    split_e, split_t, split_X, coll = _overlay(P, Q, owner)
-
-    # the pieces, ordered along each edge: piece s runs from X0[s] (at t0[s])
-    # to X1[s] (at t1[s]), and adds w[s]
-    e = np.concatenate((np.arange(len(P)), split_e))
-    t0 = np.concatenate((np.zeros(len(P)), split_t))
-    order = np.lexsort((t0, e))
-    e, t0, X0 = e[order], t0[order], np.concatenate((P, split_X))[order]
-    last = np.append(e[1:] != e[:-1], True)
-    t1, X1 = np.append(t0[1:], 1.0), np.concatenate((X0[1:], X0[:1]))
-    t1[last], X1[last] = 1.0, Q[e[last]]
-    mid = 0.5 * (X0 + X1)
-    # cross products about a part vertex lose fewer bits than about the origin
-    X0 -= P[0]
-    X1 -= P[0]
-    w = X0[:, 0] * X1[:, 1] - X1[:, 0] * X0[:, 1]
-    del X0, X1  # the tests below peak higher with these alive
-    piece_owner = owner[e]
-
-    dropped, exempt = _collinear_groups(e, t0, t1, mid, P, Q, *coll, piece_owner, k)
-    key = _inside_other(mid, piece_owner, dropped, P, Q, owner, start)
-    dropped[key[~np.isin(key, exempt)] // k] = True
-    total = 0.5 * float(np.sum(w[~dropped]))
+    xs = np.unique(np.concatenate((P[:, 0], _crossings(P, Q, np.repeat(np.arange(len(n)), n)))))
+    mids = 0.5 * (xs[:-1] + xs[1:])
+    # a slab too narrow for a midline strictly inside it is measured at its
+    # left end: where parts share vertices up to an ulp such slabs are many,
+    # and together they hold about 1e-13 of the area
+    mids = np.where((xs[:-1] < mids) & (mids < xs[1:]), mids, xs[:-1])
+    widths = np.diff(xs)
+    dx, dy = Q[:, 0] - P[:, 0], Q[:, 1] - P[:, 1]
+    sign = np.where(dx > 0.0, 1, -1)
+    # edge e spans slabs first[e] .. last[e] - 1, those whose midline has
+    # x0 <= mid < x1 for the edge's ends x0 < x1: at a left end that takes
+    # the edges that start there and not those that end there, so every part
+    # is still entered as often as it is left
+    first = np.searchsorted(mids, np.minimum(P[:, 0], Q[:, 0]))
+    last = np.searchsorted(mids, np.maximum(P[:, 0], Q[:, 0]))
+    spans = np.cumsum(np.bincount(first, minlength=len(mids) + 1)
+                      - np.bincount(last, minlength=len(mids) + 1))
+    done = np.concatenate(([0], np.cumsum(spans[:-1])))
+    budget = max(len(P), _PAIR_BLOCK)
+    total = 0.0
+    s0 = 0
+    while s0 < len(mids):
+        # one slab at least, and at most 2**16, so that ordering the spans by
+        # slab is a radix sort of 16-bit keys
+        s1 = int(np.searchsorted(done, done[s0] + budget, side="right")) - 1
+        s1 = min(max(s1, s0 + 1), s0 + (1 << 16))
+        e = np.flatnonzero((first < s1) & (last > s0))
+        a = np.maximum(first[e], s0)
+        k = np.minimum(last[e], s1) - a
+        e = np.repeat(e, k)
+        s = np.arange(len(e)) + np.repeat(a - np.cumsum(k) + k, k)
+        # (mid - x0) / dx lies in [0, 1) even where dx is subnormal
+        y = P[e, 1] + (mids[s] - P[e, 0]) / dx[e] * dy[e]
+        s -= s0
+        order = np.argsort(y)
+        order = order[np.argsort(s.astype(np.uint16)[order], kind="stable")]
+        y, s, count = y[order], s[order], np.cumsum(sign[e[order]])
+        # a slab's covered length is summed before its width weighs it, so
+        # the total rounds once per slab, not once per span
+        covered = np.bincount(s[:-1], np.where(count[:-1] > 0, y[1:] - y[:-1], 0.0), s1 - s0)
+        total += float(np.sum(covered * widths[s0:s1]))
+        s0 = s1
     if not math.isfinite(total):
         raise NumericalDegeneracy("union area integration produced non-finite value")
     return total

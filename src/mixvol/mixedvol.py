@@ -92,16 +92,18 @@ class SeriesFit:
 def sum_region(M: Polygon, N: StructuringSet, eps: float) -> RegionUnion:
     """The dilation M + eps*N as an explicit union of polygon parts.
 
-    A point set gives translates of M.  Every other component gives convex
-    chains C (a segment its two ends, a disc its `regular_disc` vertices
-    moved to its centre, a polygon its `geom2d.convex_parts`), scaled by eps.
-    When `ConvexPolygon` accepts M, each C gives the convex part M + C.
-    Otherwise it gives M + C[0] and the convex part e + C for each edge e of
-    M, because M + C = (M + c) u (bd M + C) for convex C and c in C: take
-    p = m + x.  If p - c is not in M, the segment from m to p - c meets bd M
-    at some y = m + t(x - c), and p = y + (t c + (1 - t) x) lies in bd M + C.
-    An edge part of area at most TAU (an edge parallel to a segment) is left
-    out; it adds no area.  eps = 0 gives M.
+    A point set gives translates of M.  Every other component is taken as
+    convex chains C, scaled by eps: a segment its two ends, a disc its
+    `regular_disc` vertices moved to its centre, a polygon its
+    `geom2d.convex_parts`.  When `ConvexPolygon` accepts M, each C gives the
+    one convex part M + C (`geom2d.minkowski_segment`, `minkowski_convex`;
+    a disc's chain is summed as it is, not validated as a polygon first).
+    Otherwise each C gives M + C[0] and the convex part e + C for each edge
+    e of M, because M + C = (M + c) u (bd M + C) for convex C and c in C:
+    take p = m + x.  If p - c is not in M, the segment from m to p - c meets
+    bd M at some y = m + t(x - c), and p = y + (t c + (1 - t) x) lies in
+    bd M + C.  An edge part of area at most TAU (an edge parallel to a
+    segment) is left out; it adds no area.  eps = 0 gives M.
     """
     if eps < 0:
         raise ValueError("epsilon must be nonnegative")
@@ -120,8 +122,11 @@ def sum_region(M: Polygon, N: StructuringSet, eps: float) -> RegionUnion:
         if isinstance(comp, Segment):
             a = (eps * comp.a[0], eps * comp.a[1])
             b = (eps * comp.b[0], eps * comp.b[1])
+            if K is not None:
+                parts.extend(geom2d.minkowski_segment(K, a, b).parts)
+                continue
             if math.hypot(b[0] - a[0], b[1] - a[1]) <= geom2d.TAU:
-                parts.append(geom2d.translate(K or M, a))
+                parts.append(geom2d.translate(M, a))
                 continue
             chains = [(a, b)]
         elif isinstance(comp, Disc):
@@ -129,7 +134,11 @@ def sum_region(M: Polygon, N: StructuringSet, eps: float) -> RegionUnion:
             centre = (eps * comp.center[0], eps * comp.center[1])
             chains = [geom2d._vertex_tuple(np.asarray(disc.vertices) + centre)]
         else:  # polygon component
-            chains = [q.vertices for q in geom2d.convex_parts(geom2d.scale_polygon(comp, eps))]
+            qs = geom2d.convex_parts(geom2d.scale_polygon(comp, eps))
+            if K is not None:
+                parts.extend(geom2d.minkowski_convex(K, q) for q in qs)
+                continue
+            chains = [q.vertices for q in qs]
         for C in chains:
             if K is not None:
                 parts.append(ConvexPolygon(geom2d._minkowski_chain(K.vertices, C)))

@@ -136,6 +136,14 @@ def test_sum_region_matches_convex_decomposition(case, data):
         pytest.approx(geom2d.ray_exit(*ray, geom2d.RegionUnion(tuple(want))), rel=1e-12)
 
 
+@pytest.mark.parametrize("M", [geom2d.regular_disc(64, 1.0),
+                               ConvexPolygon(((0.0, 0.0), (1.0, 0.0), (0.5, 0.25)))])
+def test_sum_region_of_convex_m_is_the_convex_decomposition(M):
+    """For convex M, `sum_region` keeps the parts it always had, vertex for vertex."""
+    assert [p.vertices for p in mixedvol.sum_region(M, _MIXED_N, 0.1).parts] == \
+        [p.vertices for p in _convex_decomposition(M, _MIXED_N, 0.1)]
+
+
 # ---------------------------------------------------------------------------
 # finite differences
 
