@@ -43,6 +43,10 @@ _DEFAULTS = {
     "t": 0.5,
 }
 
+#: How `_resolve` names the JSON type a config value must have.
+_JSON_TYPES = {str: "a string", int: "an integer", float: "a number",
+               bool: "true or false"}
+
 
 @dataclass(frozen=True)
 class RunConfig:
@@ -408,7 +412,12 @@ def _resolve(args: argparse.Namespace) -> RunConfig:
         if flag is not None:
             values[name] = flag
         elif name in overrides:
-            values[name] = overrides[name]
+            # a config value has its flag's JSON type; m, n and graph are strings
+            value, kind = overrides[name], type(_DEFAULTS.get(name, ""))
+            if not (type(value) is kind or (kind is float and type(value) is int)):
+                raise ValueError(f"config {name!r} must be {_JSON_TYPES[kind]}, "
+                                 f"not {json.dumps(value)}")
+            values[name] = value
         else:
             values[name] = _DEFAULTS.get(name)
     return RunConfig(command=args.command, **values)

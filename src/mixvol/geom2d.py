@@ -217,16 +217,6 @@ class RegionUnion:
         object.__setattr__(self, "parts", parts)
 
 
-@dataclass(frozen=True, eq=False)
-class GridRegion:
-    """Axis-aligned occupancy grid over a bounding box (internal, not serialized)."""
-
-    dimension: int
-    origin: tuple[float, ...]
-    cell: float
-    occupancy: np.ndarray  # boolean, shape = cell counts per axis
-
-
 def area(P: Polygon) -> float:
     """Enclosed area by the shoelace formula (positive for CCW input)."""
     return _signed_area(P.vertices)
@@ -269,7 +259,8 @@ def unit_area_centered(P: Polygon) -> Polygon:
 def convex_hull(points: Iterable) -> ConvexPolygon:
     """Convex hull by monotone chain; collinear boundary points are merged.
 
-    Raises DegenerateInput when the hull would be a point or segment.
+    Raises DegenerateInput when the hull would be a point or segment, or has
+    an area of at most TAU.
     """
     pts = np.array(sorted({_as_vec2(p) for p in points}))
     if len(pts) < 3:
@@ -280,46 +271,51 @@ def convex_hull(points: Iterable) -> ConvexPolygon:
     diag = np.hypot(*(pts.max(0) - pts.min(0)))
     bound = 2.0 * _tol(diag, diag, np.abs(pts).max())
 
+    # a left turn within tolerance is straight only if it goes on, not back:
+    # where x ties up to an ulp, the sorted points can zigzag in y
     def chain(seq):
         out: list[np.ndarray] = []
         for p in seq:
             while len(out) >= 2 and ((c := _cross(out[-2], out[-1], p)) <= 0.0 or (
-                    c <= bound and c <= _turn_tol(out[-2], out[-1], p))):
+                    c <= bound and c <= _turn_tol(out[-2], out[-1], p)
+                    and np.dot(out[-1] - out[-2], p - out[-1]) > 0.0)):
                 out.pop()
             out.append(p)
         return out
 
-    verts = chain(pts)[:-1] + chain(pts[::-1])[:-1]
-    if len(verts) < 3:
-        raise DegenerateInput("points are collinear; hull is a point or segment")
-    return ConvexPolygon(np.array(verts))
+    try:
+        return ConvexPolygon(np.array(chain(pts)[:-1] + chain(pts[::-1])[:-1]))
+    except ValueError as exc:  # fewer than 3 corners, or an area of at most TAU
+        raise DegenerateInput(f"points are collinear or nearly so: {exc}") from exc
 
 
 # ---------------------------------------------------------------------------
 # Minkowski sums
 
 
-def _rotate_to_bottom(verts: Sequence[Vec2]) -> list[Vec2]:
-    k = min(range(len(verts)), key=lambda i: (verts[i][1], verts[i][0]))
-    return list(verts[k:]) + list(verts[:k])
-
-
 def _minkowski_chain(vp: Sequence[Vec2], vq: Sequence[Vec2]) -> list[Vec2]:
-    """Vertices of the sum of two convex CCW chains (chains of length 2 allowed).
+    """Vertices of the sum of two convex CCW chains, each a tuple or list of
+    (x, y) pairs that starts at its lex-min vertex (least x, then least y):
+    a `ConvexPolygon`'s vertices as stored, or a segment as its two ends in
+    lex order.  The sum starts at the sum of the two starts, its lex-min.
 
-    Both walks start at their bottom vertex, so their edge directions turn
-    monotonically through [0, 2pi) and the two current edges are less than pi
-    apart: the sign of their cross product orders them, with no angles.
+    From its lex-min vertex a chain lies in x >= x0, so its first edge points
+    right, or straight up for a vertical segment: into the right half
+    (-pi/2, pi/2] of directions.  The directions then turn left and the last
+    edge comes back into the start, so all of them lie in (-pi/2, 3pi/2],
+    the right half first.  Two first edges are less than pi apart; after
+    that the edge last taken from one chain is no later than the other's
+    current edge, and a chain turns by less than pi from edge to edge (by pi
+    between a segment's two edges), so the two current edges are at most pi
+    apart and the sign of their cross product orders them, with no angles.
     Edges parallel within TAU radians are merged when they point the same
-    way; an antiparallel pair only arises when vp's edge runs along the
-    first half of a length-2 chain vq, so vp's edge goes first.
+    way.  An antiparallel pair in different halves is ordered by its halves,
+    since its cross product is round-off; in one half it can only be a
+    nearly vertical pair, one edge at each end of the half, and there the
+    product's two terms have one sign.
     """
-    vp = _rotate_to_bottom(vp)
-    vq = _rotate_to_bottom(vq)
-    ep = [(vp[(i + 1) % len(vp)][0] - vp[i][0], vp[(i + 1) % len(vp)][1] - vp[i][1])
-          for i in range(len(vp))]
-    eq = [(vq[(i + 1) % len(vq)][0] - vq[i][0], vq[(i + 1) % len(vq)][1] - vq[i][1])
-          for i in range(len(vq))]
+    ep = [(x1 - x0, y1 - y0) for (x0, y0), (x1, y1) in zip(vp, vp[1:] + vp[:1])]
+    eq = [(x1 - x0, y1 - y0) for (x0, y0), (x1, y1) in zip(vq, vq[1:] + vq[:1])]
     cur = (vp[0][0] + vq[0][0], vp[0][1] + vq[0][1])
     out = [cur]
     i = j = 0
@@ -334,10 +330,13 @@ def _minkowski_chain(vp: Sequence[Vec2], vq: Sequence[Vec2]) -> list[Vec2]:
             parallel = c * c <= TAU * TAU * (px * px + py * py) * (qx * qx + qy * qy)
             if parallel and px * qx + py * qy > 0.0:
                 step = (px + qx, py + qy); i += 1; j += 1
-            elif parallel or c > 0.0:
-                step = ep[i]; i += 1
             else:
-                step = eq[j]; j += 1
+                if parallel:  # antiparallel: the right half goes first
+                    c = (ep[i] > (0.0, 0.0)) - (eq[j] > (0.0, 0.0)) or c
+                if c > 0.0:
+                    step = ep[i]; i += 1
+                else:
+                    step = eq[j]; j += 1
         cur = (cur[0] + step[0], cur[1] + step[1])
         out.append(cur)
     return out[:-1]  # closing vertex duplicates the start
@@ -347,7 +346,7 @@ def minkowski_convex(P: ConvexPolygon, Q: ConvexPolygon) -> ConvexPolygon:
     """Minkowski sum of convex polygons by merging edge fans; O(n+m)."""
     if not isinstance(P, ConvexPolygon) or not isinstance(Q, ConvexPolygon):
         raise TypeError("minkowski_convex expects convex polygons")
-    return ConvexPolygon(tuple(_minkowski_chain(P.vertices, Q.vertices)))
+    return ConvexPolygon(_minkowski_chain(P.vertices, Q.vertices))
 
 
 def triangulate(P: Polygon) -> list[tuple[Vec2, Vec2, Vec2]]:
@@ -399,7 +398,8 @@ def minkowski_segment(P: Polygon, a, b) -> RegionUnion:
     pieces = convex_parts(P)
     if math.hypot(b[0] - a[0], b[1] - a[1]) <= TAU:
         return RegionUnion(tuple(translate(piece, a) for piece in pieces))
-    return RegionUnion(tuple(ConvexPolygon(tuple(_minkowski_chain(piece.vertices, (a, b))))
+    seg = (a, b) if a <= b else (b, a)
+    return RegionUnion(tuple(ConvexPolygon(_minkowski_chain(piece.vertices, seg))
                              for piece in pieces))
 
 
@@ -484,7 +484,7 @@ def union_area(region: RegionUnion) -> float:
 
 
 def _cell_centers(bounds: Sequence[tuple[float, float]], h: float):
-    """Origin, cell counts and (N, d) cell centers of a uniform grid over
+    """Cell counts per axis and (N, d) cell centers of a uniform grid over
     `bounds` with cell size h."""
     if h <= 0:
         raise ValueError("cell size must be positive")
@@ -492,40 +492,33 @@ def _cell_centers(bounds: Sequence[tuple[float, float]], h: float):
     if d not in (2, 3):
         raise ValueError("bounds must describe a 2D or 3D box")
     counts = []
-    origin = []
+    axes = []
     for lo, hi in bounds:
         lo, hi = float(lo), float(hi)
         if not hi > lo:
             raise ValueError("empty bounds")
         counts.append(max(1, int(math.ceil((hi - lo) / h - 1e-9))))
-        origin.append(lo)
-    axes = [origin[i] + (np.arange(counts[i]) + 0.5) * h for i in range(d)]
+        axes.append(lo + (np.arange(counts[-1]) + 0.5) * h)
     mesh = np.meshgrid(*axes, indexing="ij")
-    return tuple(origin), counts, np.stack([m.ravel() for m in mesh], axis=1)
-
-
-def rasterize(indicator: Callable, bounds: Sequence[tuple[float, float]],
-              h: float) -> GridRegion:
-    """Sample an indicator on cell centers of a uniform grid over `bounds`.
-    The indicator maps an (N, d) array of points to N truth values."""
-    origin, counts, pts = _cell_centers(bounds, h)
-    occ = np.asarray(indicator(pts))
-    if occ.shape != (len(pts),):
-        raise ValueError(f"indicator returned shape {occ.shape}, expected ({len(pts)},)")
-    return GridRegion(len(counts), origin, h, occ.astype(bool).reshape(counts))
+    return counts, np.stack([m.ravel() for m in mesh], axis=1)
 
 
 def grid_volume(indicator: Callable, bounds: Sequence[tuple[float, float]],
                 h: float) -> tuple[float, float]:
     """Monte-Carlo-free volume estimate: occupied cells times cell volume.
 
-    Returns (estimate, error_bound) where the bound is the total volume of
-    cells adjacent to an occupancy transition.  Raises ResolutionTooCoarse
-    when boundary cells exceed half of the occupied cells.
+    The indicator maps the (N, d) array of all cell centers of a uniform
+    grid over `bounds` to N truth values.  Returns (estimate, error_bound)
+    where the bound is the total volume of cells adjacent to an occupancy
+    transition.  Raises ResolutionTooCoarse when boundary cells exceed half
+    of the occupied cells.
     """
-    grid = rasterize(indicator, bounds, h)
-    occ = grid.occupancy
-    d = grid.dimension
+    counts, pts = _cell_centers(bounds, h)
+    occ = np.asarray(indicator(pts))
+    if occ.shape != (len(pts),):
+        raise ValueError(f"indicator returned shape {occ.shape}, expected ({len(pts)},)")
+    occ = occ.astype(bool).reshape(counts)
+    d = len(counts)
     cellvol = h ** d
     n_occ = int(occ.sum())
     boundary = np.zeros_like(occ)

@@ -10,6 +10,7 @@ figure of merit is the scale-invariant ratio energy / sqrt(area).
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -53,7 +54,9 @@ class IsoReport:
 
 
 def zonotope(F: SegmentFamily) -> ConvexPolygon:
-    """Minkowski sum of the family's segments (a centrally symmetric polygon).
+    """Minkowski sum of the family's segments (a centrally symmetric polygon):
+    `geom2d._minkowski_chain` folded over the segments, each taken as its
+    two ends in lex order.
 
     Raises RankDeficient when all segments are pairwise parallel.
     """
@@ -62,26 +65,8 @@ def zonotope(F: SegmentFamily) -> ConvexPolygon:
     if all(abs(vecs[0][0] * v[1] - vecs[0][1] * v[0])
            <= geom2d.TAU * l0 * math.hypot(*v) for v in vecs):
         raise RankDeficient("all generating segments are parallel")
-    # orient every generator into the upper half-plane, then walk by angle
-    ups = []
-    for vx, vy in vecs:
-        if vy < 0 or (vy == 0 and vx < 0):
-            vx, vy = -vx, -vy
-        ups.append((vx, vy))
-    ups.sort(key=lambda v: math.atan2(v[1], v[0]))
-    cx = sum((a[0] + b[0]) / 2 for a, b in F.segments)
-    cy = sum((a[1] + b[1]) / 2 for a, b in F.segments)
-    sx = sum(v[0] for v in ups)
-    sy = sum(v[1] for v in ups)
-    cur = (cx - sx / 2, cy - sy / 2)
-    verts = [cur]
-    for vx, vy in ups:
-        cur = (cur[0] + vx, cur[1] + vy)
-        verts.append(cur)
-    for vx, vy in ups[:-1]:
-        cur = (cur[0] - vx, cur[1] - vy)
-        verts.append(cur)
-    return ConvexPolygon(tuple(verts))
+    segs = [(a, b) if a <= b else (b, a) for a, b in F.segments]
+    return ConvexPolygon(functools.reduce(geom2d._minkowski_chain, segs))
 
 
 def _dedupe_close(pts: list[Vec2], tol: float) -> list[Vec2]:

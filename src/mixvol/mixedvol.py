@@ -92,18 +92,20 @@ class SeriesFit:
 def sum_region(M: Polygon, N: StructuringSet, eps: float) -> RegionUnion:
     """The dilation M + eps*N as an explicit union of polygon parts.
 
-    A point set gives translates of M.  Every other component is taken as
-    convex chains C, scaled by eps: a segment its two ends, a disc its
-    `regular_disc` vertices moved to its centre, a polygon its
-    `geom2d.convex_parts`.  When `ConvexPolygon` accepts M, each C gives the
-    one convex part M + C (`geom2d.minkowski_segment`, `minkowski_convex`;
-    a disc's chain is summed as it is, not validated as a polygon first).
-    Otherwise each C gives M + C[0] and the convex part e + C for each edge
-    e of M, because M + C = (M + c) u (bd M + C) for convex C and c in C:
-    take p = m + x.  If p - c is not in M, the segment from m to p - c meets
-    bd M at some y = m + t(x - c), and p = y + (t c + (1 - t) x) lies in
-    bd M + C.  An edge part of area at most TAU (an edge parallel to a
-    segment) is left out; it adds no area.  eps = 0 gives M.
+    Every component of N is taken as convex chains C, scaled by eps, each
+    starting at its lex-min vertex as `geom2d._minkowski_chain` needs: a
+    point, or a segment of length at most TAU, one vertex; a segment its two
+    ends in lex order; a disc its `regular_disc` vertices moved to its
+    centre; a polygon the vertices of each of its `geom2d.convex_parts`.
+    A one-vertex chain gives a translate of M.  When `ConvexPolygon`
+    accepts M, every other C gives the one convex part M + C (a disc's chain
+    is summed as it is, not validated as a polygon first).  Otherwise C
+    gives M + C[0] and the convex part e + C for each edge e of M, because
+    M + C = (M + c) u (bd M + C) for convex C and c in C: take p = m + x.
+    If p - c is not in M, the segment from m to p - c meets bd M at some
+    y = m + t(x - c), and p = y + (t c + (1 - t) x) lies in bd M + C.  An
+    edge part of area at most TAU (an edge parallel to a segment) is left
+    out; it adds no area.  eps = 0 gives M.
     """
     if eps < 0:
         raise ValueError("epsilon must be nonnegative")
@@ -114,40 +116,35 @@ def sum_region(M: Polygon, N: StructuringSet, eps: float) -> RegionUnion:
     except ValueError:
         K = None
     V = M.vertices
+    edges = [] if K else [(v, w) if v <= w else (w, v) for v, w in zip(V, V[1:] + V[:1])]
     parts: list[Polygon] = []
     for comp in N.components:
         if isinstance(comp, Points):
-            parts.extend(geom2d.translate(K or M, (eps * x, eps * y)) for x, y in comp.pts)
-            continue
-        if isinstance(comp, Segment):
+            chains = [((eps * x, eps * y),) for x, y in comp.pts]
+        elif isinstance(comp, Segment):
             a = (eps * comp.a[0], eps * comp.a[1])
             b = (eps * comp.b[0], eps * comp.b[1])
-            if K is not None:
-                parts.extend(geom2d.minkowski_segment(K, a, b).parts)
-                continue
             if math.hypot(b[0] - a[0], b[1] - a[1]) <= geom2d.TAU:
-                parts.append(geom2d.translate(M, a))
-                continue
-            chains = [(a, b)]
+                chains = [(a,)]
+            else:
+                chains = [(a, b) if a <= b else (b, a)]
         elif isinstance(comp, Disc):
             disc = geom2d.regular_disc(structuring.DISC_RESOLUTION, eps * comp.radius)
             centre = (eps * comp.center[0], eps * comp.center[1])
             chains = [geom2d._vertex_tuple(np.asarray(disc.vertices) + centre)]
         else:  # polygon component
-            qs = geom2d.convex_parts(geom2d.scale_polygon(comp, eps))
-            if K is not None:
-                parts.extend(geom2d.minkowski_convex(K, q) for q in qs)
-                continue
-            chains = [q.vertices for q in qs]
+            chains = [q.vertices for q in geom2d.convex_parts(geom2d.scale_polygon(comp, eps))]
         for C in chains:
-            if K is not None:
+            if len(C) == 1:
+                parts.append(geom2d.translate(K or M, C[0]))
+            elif K is not None:
                 parts.append(ConvexPolygon(geom2d._minkowski_chain(K.vertices, C)))
-                continue
-            parts.append(geom2d.translate(M, C[0]))
-            for edge in zip(V, V[1:] + V[:1]):
-                S = geom2d._minkowski_chain(edge, C)
-                if geom2d._signed_area(S) > geom2d.TAU:
-                    parts.append(ConvexPolygon(S))
+            else:
+                parts.append(geom2d.translate(M, C[0]))
+                for edge in edges:
+                    S = geom2d._minkowski_chain(edge, C)
+                    if geom2d._signed_area(S) > geom2d.TAU:
+                        parts.append(ConvexPolygon(S))
     return RegionUnion(tuple(parts))
 
 
@@ -350,7 +347,7 @@ def d_grid_distance_field(distance_fn: Callable,
             f"schedule needs at least {fit_degree + 3} epsilons for a "
             f"degree-{fit_degree} fit")
     d = len(bounds)
-    pts = geom2d._cell_centers(bounds, h)[2]
+    pts = geom2d._cell_centers(bounds, h)[1]
     dist = np.asarray(distance_fn(pts), dtype=float)
     cellvol = h ** d
     base = float((dist <= 0.0).sum()) * cellvol

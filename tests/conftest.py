@@ -79,7 +79,7 @@ def near_collinear_convex(draw):
                         min_size=3, max_size=8))
     try:
         hull = geom2d.convex_hull(pts).vertices
-    except (DegenerateInput, ValueError):
+    except DegenerateInput:
         assume(False)
     verts = []
     for i, (x0, y0) in enumerate(hull):

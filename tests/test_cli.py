@@ -384,3 +384,27 @@ def test_config_file_defaults_and_flag_override(tmp_path, files):
     assert rc == 0
     _, rows = csv_rows(out2 / "quotients.csv")
     assert len(rows) == 4  # explicit flag beat the config file
+
+
+@pytest.mark.parametrize("command, config", [
+    ("estimate", {"eps_levels": "7"}),
+    ("estimate", {"eps_levels": True}),
+    ("estimate", {"resolution": 64.5}),
+    ("estimate", {"eps_start": "0.1"}),
+    ("estimate", {"tolerance": None}),
+    ("lattice", {"n": 5}),
+    ("lattice", {"exact": 1}),
+    ("lattice", {"seed": False}),
+    ("lattice", {"mode": ["edge"]}),
+], ids=lambda v: v if isinstance(v, str) else json.dumps(v))
+def test_config_value_of_wrong_json_type(tmp_path, files, capsys, command, config):
+    # a config value needs its flag's JSON type, else the run exits 2
+    cfg = files("config.json", config)
+    if command == "estimate":
+        args = ["--m", files("m.json", SQUARE), "--n", files("n.json", PLUS)]
+    else:
+        args = ["--graph", files("g.json", GRID)] + ([] if "n" in config else ["--n", "3"])
+    rc = cli.main([command, *args, "--config", cfg, "--out-dir", str(tmp_path)])
+    assert rc == 2
+    assert f"error: config {next(iter(config))!r} must be" in capsys.readouterr().err
+    assert not list(tmp_path.glob("*.csv"))

@@ -1,8 +1,9 @@
+import itertools
 import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from mixvol import geom2d, isoperimetric, structuring
@@ -72,6 +73,53 @@ def test_zonotope_area_identity():
             for i in range(len(vecs)) for j in range(i + 1, len(vecs)))
         assert geom2d.area(isoperimetric.zonotope(F)) == \
             pytest.approx(expect, abs=1e-9)
+
+
+@st.composite
+def segment_families(draw):
+    """Two to five generators of length 0.05 to 2, each drawn free, exactly
+    vertical, or parallel or antiparallel to an earlier one."""
+    coord = st.floats(-1.0, 1.0)
+    segs = []
+    for _ in range(draw(st.integers(2, 5))):
+        a = (draw(coord), draw(coord))
+        kind = draw(st.sampled_from(("free", "vertical", "parallel", "antiparallel")))
+        if kind == "vertical":
+            v = (0.0, draw(st.floats(0.05, 2.0)) * draw(st.sampled_from((-1.0, 1.0))))
+        elif kind != "free" and segs:
+            (x0, y0), (x1, y1) = draw(st.sampled_from(segs))
+            s = draw(st.floats(0.2, 2.0)) * (1.0 if kind == "parallel" else -1.0)
+            v = (s * (x1 - x0), s * (y1 - y0))
+        else:
+            v = (draw(coord), draw(coord))
+        assume(math.hypot(*v) >= 0.05)
+        segs.append((a, (a[0] + v[0], a[1] + v[1])))
+    return SegmentFamily(tuple(segs))
+
+
+@settings(derandomize=True, max_examples=150, deadline=None)
+@given(segment_families())
+def test_zonotope_is_hull_of_endpoint_sums(F):
+    try:
+        Z = isoperimetric.zonotope(F)
+    except RankDeficient:
+        assume(False)
+    sums = [(sum(p[0] for p in ends), sum(p[1] for p in ends))
+            for ends in itertools.product(*F.segments)]
+    H = geom2d.convex_hull(sums)
+    assert geom2d.area(Z) == pytest.approx(geom2d.area(H), abs=1e-12)
+    assert len(Z.vertices) == len(H.vertices)
+    # the lex-min start may differ where a vertical edge's ends tie up to an ulp
+    gap = np.abs(np.array(Z.vertices)[:, None] - np.array(H.vertices)[None]).max(2)
+    assert gap.min(0).max() <= 1e-12 and gap.min(1).max() <= 1e-12
+
+
+def test_zonotope_nearly_vertical_generators_of_opposite_tilt():
+    # in lex order (0, 1) and (1e-13, -1) both lie in the right half and are
+    # antiparallel within TAU; the sign of their cross product puts the
+    # second first, as its direction is nearer -pi/2
+    F = SegmentFamily((((0, 0), (0, 1)), ((0, 0), (1e-13, -1)), ((0, 0), (1, 0))))
+    assert geom2d.area(isoperimetric.zonotope(F)) == pytest.approx(2.0, abs=1e-12)
 
 
 # ---------------------------------------------------------------------------

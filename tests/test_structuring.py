@@ -134,6 +134,14 @@ def test_hull_single_segment_degenerate():
         structuring.hull(N)
 
 
+@pytest.mark.parametrize("pts", [((0, 0), (1e-6, 0), (5e-7, 1e-6)),
+                                 ((0, 0), (1, 0), (0.5, 1e-12))], ids=["small", "flat"])
+def test_hull_sliver_degenerate(pts):
+    # three points in general position whose hull has an area of at most TAU
+    with pytest.raises(DegenerateHull):
+        structuring.hull(StructuringSet((Points(pts),)))
+
+
 def test_hull_square_vertices():
     N = StructuringSet((Points(((0, 0), (1, 0), (1, 1), (0, 1))),))
     H = structuring.hull(N)
