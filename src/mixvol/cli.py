@@ -17,7 +17,7 @@ import math
 import os
 import sys
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from pathlib import Path
 from typing import Sequence
 
@@ -28,21 +28,6 @@ EXIT_OK = 0
 EXIT_BAD_INPUT = 2
 EXIT_DISAGREEMENT = 3
 
-_DEFAULTS = {
-    "mode": "edge",
-    "exact": True,
-    "seed": 0,
-    "eps_start": 0.1,
-    "eps_levels": 7,
-    "degree": 3,
-    "n_dirs": 360,
-    "resolution": 4096,
-    "tolerance": 1e-3,
-    "out_dir": ".",
-    "edge": 0,
-    "t": 0.5,
-}
-
 #: How `_resolve` names the JSON type a config value must have.
 _JSON_TYPES = {str: "a string", int: "an integer", float: "a number",
                bool: "true or false"}
@@ -50,24 +35,25 @@ _JSON_TYPES = {str: "a string", int: "an integer", float: "a number",
 
 @dataclass(frozen=True)
 class RunConfig:
-    """Resolved per-invocation settings (flags > config file > defaults)."""
+    """Resolved per-invocation settings (flags > config file > defaults);
+    each field after `command` holds its setting's built-in default."""
 
     command: str
-    m: str | None
-    n: str | None
-    graph: str | None
-    mode: str
-    exact: bool
-    seed: int
-    eps_start: float
-    eps_levels: int
-    degree: int
-    n_dirs: int
-    resolution: int
-    tolerance: float
-    out_dir: str
-    edge: int
-    t: float
+    m: str | None = None
+    n: str | None = None
+    graph: str | None = None
+    mode: str = "edge"
+    exact: bool = True
+    seed: int = 0
+    eps_start: float = 0.1
+    eps_levels: int = 7
+    degree: int = 3
+    n_dirs: int = 360
+    resolution: int = 4096
+    tolerance: float = 1e-3
+    out_dir: str = "."
+    edge: int = 0
+    t: float = 0.5
 
 
 # ---------------------------------------------------------------------------
@@ -130,14 +116,27 @@ def _load_region(path: str, resolution: int):
     raise ValueError(f"{path}: expected 'vertices' or 'disc'")
 
 
+def _dilation_inputs(cfg: RunConfig):
+    """M and N of a dilation command (estimate, series, probe)."""
+    if not cfg.m or not cfg.n:
+        raise ValueError(f"{cfg.command} needs --m and --n")
+    return _load_region(cfg.m, cfg.resolution), structuring.from_dict(_load_json(cfg.n))
+
+
 def _workers() -> int:
-    raw = os.environ.get("MIXVOL_THREADS", "")
-    if raw.strip():
-        k = int(raw)
-        if k < 1:
-            raise ValueError("MIXVOL_THREADS must be a positive integer")
-        return k
     return min(4, os.cpu_count() or 1)
+
+
+def _volumes(M, N, epsilons) -> list[float]:
+    """|M + eN| for each e, in order, computed on the worker pool."""
+    with ThreadPoolExecutor(max_workers=_workers()) as pool:
+        return list(pool.map(lambda e: mixedvol.sum_volume(M, N, e), epsilons))
+
+
+def _out_dir(cfg: RunConfig) -> Path:
+    out = Path(cfg.out_dir)
+    out.mkdir(parents=True, exist_ok=True)
+    return out
 
 
 def _schedule(cfg: RunConfig) -> tuple[float, ...]:
@@ -166,17 +165,11 @@ def _parse_n_values(raw: str) -> list[int]:
 
 
 def cmd_estimate(cfg: RunConfig) -> int:
-    if not cfg.m or not cfg.n:
-        raise ValueError("estimate needs --m and --n")
-    M = _load_region(cfg.m, cfg.resolution)
-    N = structuring.from_dict(_load_json(cfg.n))
+    M, N = _dilation_inputs(cfg)
     schedule = _schedule(cfg)
-    with ThreadPoolExecutor(max_workers=_workers()) as pool:
-        volumes = list(pool.map(lambda e: mixedvol.sum_volume(M, N, e), schedule))
-    fd = mixedvol.d_finite_difference(M, N, schedule, volumes=volumes)
+    fd = mixedvol.d_finite_difference(M, N, schedule, volumes=_volumes(M, N, schedule))
     bi = mixedvol.d_boundary_integral(M, N)
-    out = Path(cfg.out_dir)
-    out.mkdir(parents=True, exist_ok=True)
+    out = _out_dir(cfg)
     write_json(out / "estimate_finite_difference.json", fd.to_dict())
     write_json(out / "estimate_boundary_integral.json", bi.to_dict())
     write_csv(out / "quotients.csv", ("eps", "quotient"),
@@ -192,20 +185,15 @@ def cmd_estimate(cfg: RunConfig) -> int:
 
 
 def cmd_series(cfg: RunConfig) -> int:
-    if not cfg.m or not cfg.n:
-        raise ValueError("series needs --m and --n")
+    M, N = _dilation_inputs(cfg)
     if cfg.degree < 2:
         raise ValueError("--degree must be at least 2")
-    M = _load_region(cfg.m, cfg.resolution)
-    N = structuring.from_dict(_load_json(cfg.n))
     levels = max(cfg.eps_levels, cfg.degree + 3)
     lo = cfg.eps_start / 30.0
     grid = [lo + (cfg.eps_start - lo) * k / (levels - 1) for k in range(levels)]
-    with ThreadPoolExecutor(max_workers=_workers()) as pool:
-        volumes = list(pool.map(lambda e: mixedvol.sum_volume(M, N, e), grid))
+    volumes = _volumes(M, N, grid)
     fit = mixedvol.series_fit(M, N, grid, cfg.degree, volumes=volumes)
-    out = Path(cfg.out_dir)
-    out.mkdir(parents=True, exist_ok=True)
+    out = _out_dir(cfg)
     write_json(out / "series.json", {
         "coefficients": list(fit.coefficients),
         "residual_max": fit.residual_max,
@@ -248,8 +236,7 @@ def cmd_lattice(cfg: RunConfig) -> int:
 
     with ThreadPoolExecutor(max_workers=_workers()) as pool:
         results = list(pool.map(solve, ns))
-    out = Path(cfg.out_dir)
-    out.mkdir(parents=True, exist_ok=True)
+    out = _out_dir(cfg)
     shape = geom2d.unit_area_centered(predicted)
     for res in results:
         write_json(out / f"opt_{cfg.mode}_n{res.n}.json", res.to_dict())
@@ -283,8 +270,7 @@ def cmd_shapes(cfg: RunConfig) -> int:
     fam = isoperimetric.SegmentFamily(segs)
     Z = isoperimetric.zonotope(fam)
     W = isoperimetric.wulff_shape(N, cfg.n_dirs)
-    out = Path(cfg.out_dir)
-    out.mkdir(parents=True, exist_ok=True)
+    out = _out_dir(cfg)
     write_json(out / "zonotope.json", geom2d.polygon_to_dict(Z))
     write_json(out / "wulff.json", geom2d.polygon_to_dict(W))
     svg = svgout.document(
@@ -298,16 +284,12 @@ def cmd_shapes(cfg: RunConfig) -> int:
 
 
 def cmd_probe(cfg: RunConfig) -> int:
-    if not cfg.m or not cfg.n:
-        raise ValueError("probe needs --m and --n")
-    M = _load_region(cfg.m, cfg.resolution)
-    N = structuring.from_dict(_load_json(cfg.n))
+    M, N = _dilation_inputs(cfg)
     schedule = _schedule(cfg)
     excess = [mixedvol.local_expansion_probe(M, (cfg.edge, cfg.t), N, e)
               for e in schedule]
     quotients = [T / e for T, e in zip(excess, schedule)]
-    out = Path(cfg.out_dir)
-    out.mkdir(parents=True, exist_ok=True)
+    out = _out_dir(cfg)
     write_json(out / "probe.json", {
         "edge": cfg.edge,
         "t": cfg.t,
@@ -341,32 +323,32 @@ def _build_parser() -> argparse.ArgumentParser:
                     "isoperimetric optima.")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p: argparse.ArgumentParser) -> None:
+    def command(name: str, help: str) -> argparse.ArgumentParser:
+        p = sub.add_parser(name, help=help)
         p.add_argument("--config", help="JSON file with defaults for any flag")
         p.add_argument("--out-dir", dest="out_dir", help="artifact directory")
+        return p
 
-    p = sub.add_parser("estimate", help="dilation derivative by both routes")
-    common(p)
-    p.add_argument("--m", help="shape JSON (polygon or disc)")
-    p.add_argument("--n", help="structuring set JSON")
-    p.add_argument("--eps-start", dest="eps_start", type=float)
-    p.add_argument("--eps-levels", dest="eps_levels", type=int)
-    p.add_argument("--resolution", type=int, help="disc polygonalization")
+    def dilation_command(name: str, help: str) -> argparse.ArgumentParser:
+        """A command with the flags estimate, series and probe share."""
+        p = command(name, help)
+        p.add_argument("--m", help="shape JSON (polygon or disc)")
+        p.add_argument("--n", help="structuring set JSON")
+        p.add_argument("--eps-start", dest="eps_start", type=float)
+        p.add_argument("--eps-levels", dest="eps_levels", type=int,
+                       help="number of eps values (for series a grid over "
+                            "eps_start/30 .. eps_start)")
+        p.add_argument("--resolution", type=int, help="disc polygonalization")
+        return p
+
+    p = dilation_command("estimate", "dilation derivative by both routes")
     p.add_argument("--tolerance", type=float,
                    help="allowed gap between the two estimators")
 
-    p = sub.add_parser("series", help="polynomial fit of eps -> volume")
-    common(p)
-    p.add_argument("--m", help="shape JSON")
-    p.add_argument("--n", help="structuring set JSON")
-    p.add_argument("--eps-start", dest="eps_start", type=float)
-    p.add_argument("--eps-levels", dest="eps_levels", type=int,
-                   help="grid size (the grid spans eps_start/30 .. eps_start)")
+    p = dilation_command("series", "polynomial fit of eps -> volume")
     p.add_argument("--degree", type=int)
-    p.add_argument("--resolution", type=int)
 
-    p = sub.add_parser("lattice", help="discrete isoperimetric optimization")
-    common(p)
+    p = command("lattice", "discrete isoperimetric optimization")
     p.add_argument("--graph", help="PLG JSON")
     p.add_argument("--n", "--n-range", dest="n",
                    help="size or range: 7, 1..9, or 1,4,9")
@@ -378,48 +360,36 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=int)
     p.add_argument("--n-dirs", dest="n_dirs", type=int)
 
-    p = sub.add_parser("shapes", help="predicted zonotope and Wulff shapes")
-    common(p)
+    p = command("shapes", "predicted zonotope and Wulff shapes")
     p.add_argument("--n", help="structuring set JSON with segment components")
     p.add_argument("--n-dirs", dest="n_dirs", type=int)
 
-    p = sub.add_parser("probe", help="normal-ray expansion at a boundary point")
-    common(p)
-    p.add_argument("--m", help="shape JSON")
-    p.add_argument("--n", help="structuring set JSON")
+    p = dilation_command("probe", "normal-ray expansion at a boundary point")
     p.add_argument("--edge", type=int, help="edge index on M")
     p.add_argument("--t", type=float, help="parameter along the edge (0,1)")
-    p.add_argument("--eps-start", dest="eps_start", type=float)
-    p.add_argument("--eps-levels", dest="eps_levels", type=int)
-    p.add_argument("--resolution", type=int)
 
     return parser
 
 
 def _resolve(args: argparse.Namespace) -> RunConfig:
-    """Merge flags over config-file values over built-in defaults."""
+    """Merge flags over config-file values over the defaults in RunConfig."""
     overrides = {}
     if getattr(args, "config", None):
         overrides = _load_json(args.config)
         if not isinstance(overrides, dict):
             raise ValueError("config file must hold a JSON object")
-    fields = ("m", "n", "graph", "mode", "exact", "seed", "eps_start",
-              "eps_levels", "degree", "n_dirs", "resolution", "tolerance",
-              "out_dir", "edge", "t")
     values = {}
-    for name in fields:
-        flag = getattr(args, name, None)
+    for f in fields(RunConfig)[1:]:  # the settings after `command`
+        name, flag = f.name, getattr(args, f.name, None)
         if flag is not None:
             values[name] = flag
         elif name in overrides:
-            # a config value has its flag's JSON type; m, n and graph are strings
-            value, kind = overrides[name], type(_DEFAULTS.get(name, ""))
+            # a config value has its default's JSON type, a string where that is None
+            value, kind = overrides[name], str if f.default is None else type(f.default)
             if not (type(value) is kind or (kind is float and type(value) is int)):
                 raise ValueError(f"config {name!r} must be {_JSON_TYPES[kind]}, "
                                  f"not {json.dumps(value)}")
             values[name] = value
-        else:
-            values[name] = _DEFAULTS.get(name)
     return RunConfig(command=args.command, **values)
 
 

@@ -28,6 +28,8 @@ Vec2 = tuple[float, float]
 
 
 def _as_vec2(p) -> Vec2:
+    if len(p) != 2:
+        raise ValueError(f"a point needs exactly two coordinates: {p!r}")
     x, y = float(p[0]), float(p[1])
     if not (math.isfinite(x) and math.isfinite(y)):
         raise ValueError(f"non-finite coordinate: {p!r}")

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import geom2d, mixedvol, structuring
-from .errors import RankDeficient
+from .errors import DegenerateInput, RankDeficient
 from .geom2d import ConvexPolygon, Polygon, Vec2, _as_vec2
 from .structuring import Segment, StructuringSet
 
@@ -147,7 +147,7 @@ def random_convex_polygon(rng: np.random.Generator, n_lo: int = 5,
         pts = np.stack([r * np.cos(th), r * np.sin(th)], axis=1)
         try:
             return geom2d.convex_hull(pts)
-        except Exception:
+        except DegenerateInput:
             continue  # collinear draw; extremely rare
 
 

@@ -97,9 +97,11 @@ def sum_region(M: Polygon, N: StructuringSet, eps: float) -> RegionUnion:
     point, or a segment of length at most TAU, one vertex; a segment its two
     ends in lex order; a disc its `regular_disc` vertices moved to its
     centre; a polygon the vertices of each of its `geom2d.convex_parts`.
+    Discs and polygons are scaled as plain vertices, never validated as
+    polygons at scale eps, so a component too small for `ConvexPolygon`'s
+    absolute area floor (a disc with eps * r below about 6e-7) still adds.
     A one-vertex chain gives a translate of M.  When `ConvexPolygon`
-    accepts M, every other C gives the one convex part M + C (a disc's chain
-    is summed as it is, not validated as a polygon first).  Otherwise C
+    accepts M, every other C gives the one convex part M + C.  Otherwise C
     gives M + C[0] and the convex part e + C for each edge e of M, because
     M + C = (M + c) u (bd M + C) for convex C and c in C: take p = m + x.
     If p - c is not in M, the segment from m to p - c meets bd M at some
@@ -129,11 +131,12 @@ def sum_region(M: Polygon, N: StructuringSet, eps: float) -> RegionUnion:
             else:
                 chains = [(a, b) if a <= b else (b, a)]
         elif isinstance(comp, Disc):
-            disc = geom2d.regular_disc(structuring.DISC_RESOLUTION, eps * comp.radius)
             centre = (eps * comp.center[0], eps * comp.center[1])
-            chains = [geom2d._vertex_tuple(np.asarray(disc.vertices) + centre)]
+            disc = eps * comp.radius * structuring._unit_disc() + centre
+            chains = [geom2d._vertex_tuple(disc)]
         else:  # polygon component
-            chains = [q.vertices for q in geom2d.convex_parts(geom2d.scale_polygon(comp, eps))]
+            chains = [tuple((eps * x, eps * y) for x, y in q.vertices)
+                      for q in geom2d.convex_parts(comp)]
         for C in chains:
             if len(C) == 1:
                 parts.append(geom2d.translate(K or M, C[0]))

@@ -9,6 +9,7 @@ documented resolution) only where a polygon output is required.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import Union
@@ -21,6 +22,16 @@ from .geom2d import ConvexPolygon, Polygon, Vec2, _as_vec2
 
 #: Polygonalization resolution for disc components when a polygon is required.
 DISC_RESOLUTION = 4096
+
+
+@functools.lru_cache(maxsize=1)
+def _unit_disc() -> np.ndarray:
+    """Read-only vertex array of `regular_disc(DISC_RESOLUTION, 1.0)`.  The
+    disc of radius r has exactly r times these vertices, so a small disc is
+    scaled from it without a polygon of its own to validate."""
+    V = np.array(geom2d.regular_disc(DISC_RESOLUTION, 1.0).vertices)
+    V.flags.writeable = False
+    return V
 
 
 @dataclass(frozen=True)
@@ -125,8 +136,7 @@ def hull(N: StructuringSet) -> ConvexPolygon:
     pts: list[Vec2] = []
     for c in N.components:
         if isinstance(c, Disc):
-            disc = geom2d.regular_disc(DISC_RESOLUTION, c.radius)
-            pts.extend((x + c.center[0], y + c.center[1]) for x, y in disc.vertices)
+            pts.extend(geom2d._vertex_tuple(c.radius * _unit_disc() + c.center))
         else:
             pts.extend(_component_points(c))
     try:

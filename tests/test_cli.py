@@ -143,6 +143,14 @@ def test_estimate_rejects_self_crossing_80_gon(tmp_path, files, capsys):
     assert "self-intersecting" in capsys.readouterr().err
 
 
+def test_n_with_third_coordinate(tmp_path, files, capsys):
+    n = {"components": [{"type": "segment", "a": [0, 0, 5], "b": [1, 0]}]}
+    rc = cli.main(["estimate", "--m", files("m.json", SQUARE),
+                   "--n", files("n.json", n), "--out-dir", str(tmp_path)])
+    assert rc == 2
+    assert "exactly two coordinates" in capsys.readouterr().err
+
+
 def test_missing_file(tmp_path):
     rc = cli.main(["estimate", "--m", str(tmp_path / "nope.json"),
                    "--n", str(tmp_path / "alsono.json"),
@@ -345,8 +353,8 @@ def test_probe_at_vertex(tmp_path, files):
 def test_byte_identical_across_threads(tmp_path, files, monkeypatch):
     m, n = files("m.json", DISC), files("n.json", PLUS)
     outs = []
-    for threads, sub in (("4", "a"), ("1", "b")):
-        monkeypatch.setenv("MIXVOL_THREADS", threads)
+    for threads, sub in ((4, "a"), (1, "b")):
+        monkeypatch.setattr(cli, "_workers", lambda: threads)
         out = tmp_path / sub
         rc = cli.main(["estimate", "--m", m, "--n", n,
                        "--resolution", "256", "--out-dir", str(out)])
@@ -408,3 +416,37 @@ def test_config_value_of_wrong_json_type(tmp_path, files, capsys, command, confi
     assert rc == 2
     assert f"error: config {next(iter(config))!r} must be" in capsys.readouterr().err
     assert not list(tmp_path.glob("*.csv"))
+
+
+@pytest.mark.parametrize("config", [
+    {"seed": 3},
+    {"edge": 1},
+    {"exact": False},
+    {"eps_start": 1},
+    {"out_dir": "from-config"},
+], ids=json.dumps)
+def test_config_value_of_right_json_type_is_used(tmp_path, files, monkeypatch, config):
+    # each value has its default's JSON type (an int may stand for a float)
+    monkeypatch.chdir(tmp_path)
+    name, out = next(iter(config)), tmp_path / "out"
+    cfg = files("config.json", config)
+    square, plus = files("m.json", SQUARE), files("n.json", PLUS)
+    lattice = ["lattice", "--graph", files("g.json", GRID), "--n", "8", "--mode", "vertex"]
+    argv = {"seed": lattice + ["--heuristic"], "exact": lattice,
+            "edge": ["probe", "--m", square, "--n", plus, "--t", "0.5"]
+            }.get(name, ["estimate", "--m", square, "--n", plus])
+    if name != "out_dir":
+        argv += ["--out-dir", str(out)]
+    assert cli.main([*argv, "--config", cfg]) == 0
+    if name == "seed":  # the same bytes as the flag; seed 0 gives another witness
+        assert cli.main([*argv, "--seed", "3", "--out-dir", str(tmp_path / "flag")]) == 0
+        assert (out / "opt_vertex_n8.json").read_bytes() == \
+            (tmp_path / "flag" / "opt_vertex_n8.json").read_bytes()
+    elif name == "exact":
+        assert read_json(out / "opt_vertex_n8.json")["exact"] is False
+    elif name == "edge":
+        assert read_json(out / "probe.json")["edge"] == 1
+    elif name == "eps_start":
+        assert read_json(out / "estimate_finite_difference.json")["epsilons"][0] == 1.0
+    else:
+        assert (tmp_path / "from-config" / "quotients.csv").exists()

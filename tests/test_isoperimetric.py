@@ -332,3 +332,23 @@ def test_shape_suite_deterministic():
     assert [s.vertices for s in a] == [s.vertices for s in b]
     for s in a:
         assert geom2d.area(s) == pytest.approx(1.0, rel=1e-12)
+
+
+@pytest.mark.parametrize("exc, retried", [(DegenerateInput, True), (TypeError, False)])
+def test_random_convex_polygon_retries_only_degenerate_draws(monkeypatch, exc, retried):
+    real, calls = geom2d.convex_hull, []
+
+    def hull_failing_once(pts):
+        calls.append(len(pts))
+        if len(calls) == 1:
+            raise exc("injected")
+        return real(pts)
+
+    monkeypatch.setattr(geom2d, "convex_hull", hull_failing_once)
+    rng = np.random.default_rng(7)
+    if retried:
+        assert isinstance(isoperimetric.random_convex_polygon(rng), ConvexPolygon)
+        assert len(calls) == 2
+    else:
+        with pytest.raises(TypeError, match="injected"):
+            isoperimetric.random_convex_polygon(rng)

@@ -2,13 +2,14 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-from conftest import closed_form_plus_dilation, near_collinear_convex
+from conftest import NEAR_STRAIGHT_RUN, closed_form_plus_dilation, near_collinear_convex
 from test_geom2d import _convex_union_area_reference
 from mixvol import geom2d, mixedvol, structuring
-from mixvol.errors import (IllConditioned, NonDecreasingSchedule, SingularPoint)
+from mixvol.errors import (DegenerateHull, IllConditioned, NonDecreasingSchedule,
+                           SingularPoint)
 from mixvol.geom2d import ConvexPolygon, Polygon
 from mixvol.mixedvol import DEstimate
 from mixvol.structuring import Disc, Points, Segment, StructuringSet
@@ -146,6 +147,19 @@ def test_sum_region_of_convex_m_is_the_convex_decomposition(M):
 
 # ---------------------------------------------------------------------------
 # finite differences
+
+
+@pytest.mark.parametrize("M", [ConvexPolygon(((0.0, 0.0), (1.0, 0.0), (1.0, 1.0), (0.0, 1.0))),
+                               _L_SHAPE], ids=["square", "L"])
+@pytest.mark.parametrize("comp", [Disc((0, 0), 3e-4), Disc((0, 0), 1e-4),
+                                  ConvexPolygon(((0.0, 0.0), (2e-4, 0.0), (0.0, 2e-4)))],
+                         ids=["disc3e-4", "disc1e-4", "triangle"])
+def test_fd_of_small_component_matches_bi(M, comp):
+    # at eps = 0.1/64 these components are far below ConvexPolygon's area floor
+    N = StructuringSet((comp,))
+    fd = mixedvol.d_finite_difference(M, N)
+    bi = mixedvol.d_boundary_integral(M, N)
+    assert fd.value == pytest.approx(bi.value, rel=1e-6)
 
 
 def test_fd_square_plus(unit_square, plus_set):
@@ -399,6 +413,34 @@ def test_series_accepts_precomputed_volumes(unit_square, plus_set):
 
 # ---------------------------------------------------------------------------
 # structural identities
+
+
+#: A nonconvex N for the explicit examples: two crossing segments, a point
+#: and a triangle.
+_SPARSE_N = StructuringSet((
+    Segment((-0.2, 0.0), (0.2, 0.0)),
+    Segment((0.1, -0.2), (0.1, 0.25)),
+    Points(((0.2, 0.2),)),
+    ConvexPolygon(((0.0, 0.0), (0.3, 0.0), (0.1, 0.2))),
+))
+
+
+@settings(derandomize=True, max_examples=30, deadline=None)
+@given(star_dilations())
+@example((Polygon(NEAR_STRAIGHT_RUN), _SPARSE_N, None))
+@example((_L_SHAPE, _SPARSE_N, None))
+def test_convexification_identity_nonconvex_m(case):
+    """The paper's main theorem on nonconvex M: D_N(M) = D_conv(N)(M)."""
+    M, N, _ = case
+    try:
+        NH = StructuringSet((structuring.hull(N),))
+    except DegenerateHull:
+        assume(False)
+    bi, bih = mixedvol.d_boundary_integral(M, N), mixedvol.d_boundary_integral(M, NH)
+    assert abs(bi.value - bih.value) <= 1e-12
+    fd, fdh = mixedvol.d_finite_difference(M, N), mixedvol.d_finite_difference(M, NH)
+    assert abs(fd.value - bi.value) <= max(1e-3, 3 * fd.error_estimate)
+    assert abs(fd.value - fdh.value) <= max(1e-3, 3 * max(fd.error_estimate, fdh.error_estimate))
 
 
 def test_convexification_identity(plus_set):

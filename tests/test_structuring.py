@@ -237,3 +237,20 @@ def test_json_round_trip():
 def test_from_dict_rejects_unknown_type():
     with pytest.raises((ValueError, KeyError)):
         structuring.from_dict({"components": [{"type": "blob", "x": 1}]})
+
+
+@pytest.mark.parametrize("item", [
+    {"type": "segment", "a": [0, 0, 5], "b": [1, 0]},
+    {"type": "points", "pts": [[1, 2, 3]]},
+    {"type": "disc", "c": [0, 0, 9], "r": 1},
+], ids=["segment", "points", "disc"])
+def test_from_dict_rejects_third_coordinate(item):
+    with pytest.raises(ValueError, match="exactly two coordinates"):
+        structuring.from_dict({"components": [item]})
+
+
+def test_hull_of_disc_is_its_regular_polygon():
+    # the disc's points are r times the cached unit polygon's, moved to c
+    H = structuring.hull(StructuringSet((Disc((0.25, -2.0), 0.3),)))
+    disc = geom2d.translate(geom2d.regular_disc(structuring.DISC_RESOLUTION, 0.3), (0.25, -2.0))
+    assert H.vertices == disc.vertices
