@@ -3,7 +3,10 @@
 All coordinates are double-precision floats; orientation and intersection
 predicates use the absolute tolerance TAU (scaled by operand magnitude where
 the quantity is not scale-free).  Every public type is immutable and every
-operation is pure, so values can be shared freely across threads.
+operation is pure, so values can be shared freely across threads.  A
+polygon keeps the vertex array it was validated on, read-only, as `array`
+next to its `vertices` tuple; the kernels read that array and never
+rebuild one from the tuple.
 
 Conventions: polygons are simple, wound counterclockwise, with positive area.
 Region unions are flat tuples of polygon parts, possibly overlapping.
@@ -11,7 +14,6 @@ Region unions are flat tuples of polygon parts, possibly overlapping.
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass
 from typing import Callable, Iterable, Sequence
@@ -89,6 +91,14 @@ def _vertex_tuple(V: np.ndarray) -> tuple[Vec2, ...]:
     return tuple(map(tuple, V.tolist()))
 
 
+def _keep(P: Polygon, V: np.ndarray) -> None:
+    """Store the checked vertices V on P: as its `vertices` tuple and, read-only,
+    as its `array`.  V must be an array of P's own, not the caller's."""
+    V.flags.writeable = False
+    object.__setattr__(P, "vertices", _vertex_tuple(V))
+    object.__setattr__(P, "array", V)
+
+
 def _signed_area(verts) -> float:
     V = np.asarray(verts, dtype=float)
     W = _shift(V, 1)
@@ -144,7 +154,12 @@ def _is_simple(verts) -> bool:
 
 @dataclass(frozen=True)
 class Polygon:
-    """Simple polygon with counterclockwise boundary and positive area."""
+    """Simple polygon with counterclockwise boundary and positive area.
+
+    `array` holds the vertices as a read-only (n, 2) float array, equal to
+    `np.array(vertices)`.  It is no field: equality, hashing and pickles see
+    `vertices` only, and unpickling rebuilds the array from them.
+    """
 
     vertices: tuple[Vec2, ...]
 
@@ -157,7 +172,13 @@ class Polygon:
             raise ValueError("vertices must wind counterclockwise with positive area")
         if not _is_simple(V):
             raise ValueError("boundary is self-intersecting")
-        object.__setattr__(self, "vertices", _vertex_tuple(V))
+        _keep(self, V.copy())
+
+    def __getstate__(self):
+        return {"vertices": self.vertices}
+
+    def __setstate__(self, state):
+        _keep(self, np.array(state["vertices"], dtype=float))
 
 
 def _merge_collinear(V: np.ndarray):
@@ -200,7 +221,7 @@ class ConvexPolygon(Polygon):
         R = _lex_first(V)
         if np.count_nonzero(c < -tol) or not _winds_once(R):
             raise ValueError("vertices are not in convex position")
-        object.__setattr__(self, "vertices", _vertex_tuple(R))
+        _keep(self, R)
 
 
 @dataclass(frozen=True)
@@ -221,18 +242,18 @@ class RegionUnion:
 
 def area(P: Polygon) -> float:
     """Enclosed area by the shoelace formula (positive for CCW input)."""
-    return _signed_area(P.vertices)
+    return _signed_area(P.array)
 
 
 def perimeter(P: Polygon) -> float:
-    V = np.asarray(P.vertices)
+    V = P.array
     E = _shift(V, 1) - V
     return sum(np.hypot(E[:, 0], E[:, 1]).tolist())
 
 
 def centroid(P: Polygon) -> Vec2:
     """Area centroid."""
-    V = np.asarray(P.vertices)
+    V = P.array
     W = _shift(V, 1)
     w = V[:, 0] * W[:, 1] - W[:, 0] * V[:, 1]
     acc = 0.5 * sum(w.tolist())
@@ -242,13 +263,13 @@ def centroid(P: Polygon) -> Vec2:
 
 
 def translate(P: Polygon, t) -> Polygon:
-    return type(P)(np.asarray(P.vertices) + _as_vec2(t))
+    return type(P)(P.array + _as_vec2(t))
 
 
 def scale_polygon(P: Polygon, s: float) -> Polygon:
     if s <= 0:
         raise ValueError("scale factor must be positive")
-    return type(P)(np.asarray(P.vertices) * s)
+    return type(P)(P.array * s)
 
 
 def unit_area_centered(P: Polygon) -> Polygon:
@@ -264,29 +285,34 @@ def convex_hull(points: Iterable) -> ConvexPolygon:
     Raises DegenerateInput when the hull would be a point or segment, or has
     an area of at most TAU.
     """
-    pts = np.array(sorted({_as_vec2(p) for p in points}))
+    pts = sorted({_as_vec2(p) for p in points})
     if len(pts) < 3:
         raise DegenerateInput("need at least 3 distinct points")
 
     # no turn's tolerance exceeds twice that of two legs as long as the box
     # diagonal, so only turns between 0 and this bound need their own
-    diag = np.hypot(*(pts.max(0) - pts.min(0)))
-    bound = 2.0 * _tol(diag, diag, np.abs(pts).max())
+    box = np.array(pts)
+    diag = np.hypot(*(box.max(0) - box.min(0)))
+    bound = 2.0 * _tol(diag, diag, np.abs(box).max())
 
     # a left turn within tolerance is straight only if it goes on, not back:
-    # where x ties up to an ulp, the sorted points can zigzag in y
+    # where x ties up to an ulp, the sorted points can zigzag in y.  The
+    # turns are `_cross` on Python floats, which round the same way.
     def chain(seq):
-        out: list[np.ndarray] = []
+        out: list[Vec2] = []
         for p in seq:
-            while len(out) >= 2 and ((c := _cross(out[-2], out[-1], p)) <= 0.0 or (
-                    c <= bound and c <= _turn_tol(out[-2], out[-1], p)
-                    and np.dot(out[-1] - out[-2], p - out[-1]) > 0.0)):
+            while len(out) >= 2:
+                (ox, oy), (ax, ay), (px, py) = out[-2], out[-1], p
+                c = (ax - ox) * (py - oy) - (ay - oy) * (px - ox)
+                if c > 0.0 and (c > bound or c > _turn_tol(out[-2], out[-1], p)
+                                or (ax - ox) * (px - ax) + (ay - oy) * (py - ay) <= 0.0):
+                    break  # a left turn, or a straight one that goes back
                 out.pop()
             out.append(p)
         return out
 
     try:
-        return ConvexPolygon(np.array(chain(pts)[:-1] + chain(pts[::-1])[:-1]))
+        return ConvexPolygon(chain(pts)[:-1] + chain(pts[::-1])[:-1])
     except ValueError as exc:  # fewer than 3 corners, or an area of at most TAU
         raise DegenerateInput(f"points are collinear or nearly so: {exc}") from exc
 
@@ -295,65 +321,161 @@ def convex_hull(points: Iterable) -> ConvexPolygon:
 # Minkowski sums
 
 
-def _minkowski_chain(vp: Sequence[Vec2], vq: Sequence[Vec2]) -> list[Vec2]:
-    """Vertices of the sum of two convex CCW chains, each a tuple or list of
-    (x, y) pairs that starts at its lex-min vertex (least x, then least y):
-    a `ConvexPolygon`'s vertices as stored, or a segment as its two ends in
-    lex order.  The sum starts at the sum of the two starts, its lex-min.
+def _right_half(x, y):
+    """Whether directions (x, y) lie in the right half (-pi/2, pi/2]: x > 0,
+    or x = 0 and y > 0, as a tuple comparison `(x, y) > (0.0, 0.0)` reads."""
+    return (x > 0.0) | ((x == 0.0) & (y > 0.0))
+
+
+def _pseudo_angle(E: np.ndarray) -> np.ndarray:
+    """A key of the edges E, (n, 2), that rises with their direction angle on
+    (-pi/2, 3pi/2]: y / (|x| + |y|) in the right half, 2 minus that in the
+    left half."""
+    x, y = E[:, 0], E[:, 1]
+    with np.errstate(invalid="ignore"):  # a zero edge gets NaN, no angle
+        t = y / (np.abs(x) + np.abs(y))
+    return np.where(_right_half(x, y), t, 2.0 - t)
+
+
+def _edge_order(P: np.ndarray, Q: np.ndarray) -> np.ndarray:
+    """The merge's comparator on edges P and Q, (..., 2) arrays that
+    broadcast: 1 where P's edge goes first, -1 where Q's does, 0 where the
+    two are parallel within TAU radians and point the same way, so that they
+    merge into one step.  Other pairs go by the sign of their cross product,
+    or by their halves where they are antiparallel within TAU and the halves
+    differ (right half first)."""
+    px, py, qx, qy = P[..., 0], P[..., 1], Q[..., 0], Q[..., 1]
+    c = px * qy - py * qx
+    parallel = c * c <= TAU * TAU * (px * px + py * py) * (qx * qx + qy * qy)
+    hp, hq = _right_half(px, py), _right_half(qx, qy)
+    first = np.where(parallel & (hp != hq), hp, c > 0.0)
+    return np.where(parallel & (px * qx + py * qy > 0.0), 0, np.where(first, 1, -1))
+
+
+def _after(flags: np.ndarray) -> np.ndarray:
+    """flags moved one place on: entry k is flags[k - 1], and entry 0 False."""
+    return np.concatenate(([False], flags[:-1]))
+
+
+def _minkowski_chain(A: np.ndarray, B: np.ndarray) -> np.ndarray:
+    """Vertices of the sum of two convex CCW chains A and B, (n, 2) and
+    (m, 2) float arrays that each start at the lex-min vertex (least x,
+    then least y): a `ConvexPolygon`'s `array`, or a segment as its two ends
+    in lex order.  The sum starts at the sum of the two starts, its lex-min.
 
     From its lex-min vertex a chain lies in x >= x0, so its first edge points
     right, or straight up for a vertical segment: into the right half
     (-pi/2, pi/2] of directions.  The directions then turn left and the last
     edge comes back into the start, so all of them lie in (-pi/2, 3pi/2],
-    the right half first.  Two first edges are less than pi apart; after
-    that the edge last taken from one chain is no later than the other's
-    current edge, and a chain turns by less than pi from edge to edge (by pi
-    between a segment's two edges), so the two current edges are at most pi
-    apart and the sign of their cross product orders them, with no angles.
-    Edges parallel within TAU radians are merged when they point the same
-    way.  An antiparallel pair in different halves is ordered by its halves,
-    since its cross product is round-off; in one half it can only be a
-    nearly vertical pair, one edge at each end of the half, and there the
-    product's two terms have one sign.
+    the right half first.  A merge of the two edge lists takes, at each
+    step, the current edge of A or of B that `_edge_order` puts first, or
+    both as one step where it merges them.  Two first edges are less than pi
+    apart; after that the edge last taken from one chain is no later than
+    the other's current edge, and a chain turns by less than pi from edge to
+    edge (by pi between a segment's two edges), so the two current edges
+    are at most pi apart and the sign of their cross product orders them,
+    with no angles.  An antiparallel pair in different halves is ordered by
+    its halves, since its cross product is round-off; in one half it can
+    only be a nearly vertical pair, one edge at each end of the half, and
+    there the product's two terms have one sign.
+
+    The merge is found on arrays: all edges are sorted by `_pseudo_angle`,
+    and each move of that order is checked with `_edge_order` on the pair
+    of current edges it is taken at.  Where that pair merges and its edges
+    are the move and the next one, the two are one step (in a run of such
+    moves, pairing from the first).  At the first move the comparator does
+    not confirm (keys that round into a tie, or a zero edge), the
+    comparator's step is taken and the rest is sorted again, so the steps
+    are the merge's own.  The vertices are their running sum from the
+    start, which `np.cumsum` adds left to right.
     """
-    ep = [(x1 - x0, y1 - y0) for (x0, y0), (x1, y1) in zip(vp, vp[1:] + vp[:1])]
-    eq = [(x1 - x0, y1 - y0) for (x0, y0), (x1, y1) in zip(vq, vq[1:] + vq[:1])]
-    cur = (vp[0][0] + vq[0][0], vp[0][1] + vq[0][1])
-    out = [cur]
+    P, Q = _shift(A, 1) - A, _shift(B, 1) - B
+    n, m = len(P), len(Q)
+    kp, kq = _pseudo_angle(P), _pseudo_angle(Q)
+    steps = [A[:1] + B[:1]]
     i = j = 0
-    while i < len(ep) or j < len(eq):
-        if j >= len(eq):
-            step = ep[i]; i += 1
-        elif i >= len(ep):
-            step = eq[j]; j += 1
-        else:
-            (px, py), (qx, qy) = ep[i], eq[j]
-            c = px * qy - py * qx
-            parallel = c * c <= TAU * TAU * (px * px + py * py) * (qx * qx + qy * qy)
-            if parallel and px * qx + py * qy > 0.0:
-                step = (px + qx, py + qy); i += 1; j += 1
-            else:
-                if parallel:  # antiparallel: the right half goes first
-                    c = (ep[i] > (0.0, 0.0)) - (eq[j] > (0.0, 0.0)) or c
-                if c > 0.0:
-                    step = ep[i]; i += 1
-                else:
-                    step = eq[j]; j += 1
-        cur = (cur[0] + step[0], cur[1] + step[1])
-        out.append(cur)
-    return out[:-1]  # closing vertex duplicates the start
+    while i < n or j < m:
+        order = np.argsort(np.concatenate((kp[i:], kq[j:])), kind="stable")
+        move = np.arange(len(order))
+        from_p = order < n - i
+        ip = i + np.cumsum(from_p) - from_p  # edges of A taken before each move
+        jq = j + move - (ip - i)             # and of B
+        p, q = P[np.minimum(ip, n - 1)], Q[np.minimum(jq, m - 1)]
+        want = np.where(from_p, 1, -1)
+        # once one chain is spent, the other's edges follow in order
+        code = np.where((ip < n) & (jq < m), _edge_order(p, q), want)
+        pair = code == 0
+        pair[:-1] &= from_p[1:] != from_p[:-1]
+        pair[-1] = False
+        run = np.maximum.accumulate(np.where(pair & ~_after(pair), move, 0))
+        taken = pair & ((move - run) % 2 == 0)
+        kept = ~_after(taken)
+        bad = np.flatnonzero(kept & ~taken & (code != want))
+        f = bad[0] if len(bad) else len(order)
+        step = np.where(taken[:, None], p + q, np.where(from_p[:, None], p, q))
+        steps.append(step[:f][kept[:f]])
+        if f == len(order):
+            break
+        c = code[f]
+        steps.append((p[f] + q[f] if c == 0 else p[f] if c > 0 else q[f])[None])
+        i, j = ip[f] + (c >= 0), jq[f] + (c <= 0)
+    return np.cumsum(np.concatenate(steps), axis=0)[:-1]  # the last is the start
+
+
+def _edge_sums(V: np.ndarray, C: np.ndarray) -> list[np.ndarray]:
+    """`_minkowski_chain(e, C)` for every edge e of the closed polygon V,
+    taken as its two ends in lex order, in edge order and without the sums
+    of area at most TAU (an edge parallel to a segment C).
+
+    The chain e = [s, t] has the edges d = t - s and s - t.  Its merge with
+    the edges c_j of C takes d at the first j where `_edge_order(d, c_j)` is
+    not -1, and s - t at the first j after that.  `_edge_order` is taken on
+    all (edges x k) pairs at once, so the ranks are the merge's by
+    construction.  A sum in which d or s - t merges with an edge of C goes
+    through `_minkowski_chain`.  Areas are the shoelace sum of each row,
+    added left to right by `np.cumsum`, as `_signed_area` adds them.
+    """
+    W = _shift(V, 1)
+    swap = ((W[:, 0] < V[:, 0]) | ((W[:, 0] == V[:, 0]) & (W[:, 1] < V[:, 1])))[:, None]
+    S, T = np.where(swap, W, V), np.where(swap, V, W)
+    D, R, EC = T - S, S - T, _shift(C, 1) - C
+    k = len(EC)
+    col = np.arange(k)
+    o1 = _edge_order(D[:, None], EC)
+    r1 = k - np.logical_or.accumulate(o1 != -1, axis=1).sum(1)
+    o2 = _edge_order(R[:, None], EC)
+    r2 = k - np.logical_or.accumulate((o2 != -1) & (col >= r1[:, None]), axis=1).sum(1)
+    rows = np.arange(len(V))
+    merged = ((r1 < k) & (o1[rows, np.minimum(r1, k - 1)] == 0)) \
+        | ((r2 < k) & (o2[rows, np.minimum(r2, k - 1)] == 0))
+    t = np.arange(k + 2)
+    at_d, at_r = t == r1[:, None], t == r2[:, None] + 1
+    src = np.minimum(t - (t > r1[:, None]) - (t > r2[:, None] + 1), k - 1)
+    steps = np.where(at_d[..., None], D[:, None], np.where(at_r[..., None], R[:, None], EC[src]))
+    X = np.cumsum(np.concatenate(((S + C[0])[:, None], steps), axis=1), axis=1)[:, :-1]
+    Y = np.concatenate((X[:, 1:], X[:, :1]), axis=1)
+    area = 0.5 * np.cumsum(X[..., 0] * Y[..., 1] - Y[..., 0] * X[..., 1], axis=1)[:, -1]
+    out = []
+    for e, (merges, big) in enumerate(zip(merged.tolist(), (area > TAU).tolist())):
+        if merges:
+            Z = _minkowski_chain(np.stack((S[e], T[e])), C)
+            if _signed_area(Z) > TAU:
+                out.append(Z)
+        elif big:
+            out.append(X[e])
+    return out
 
 
 def minkowski_convex(P: ConvexPolygon, Q: ConvexPolygon) -> ConvexPolygon:
     """Minkowski sum of convex polygons by merging edge fans; O(n+m)."""
     if not isinstance(P, ConvexPolygon) or not isinstance(Q, ConvexPolygon):
         raise TypeError("minkowski_convex expects convex polygons")
-    return ConvexPolygon(_minkowski_chain(P.vertices, Q.vertices))
+    return ConvexPolygon(_minkowski_chain(P.array, Q.array))
 
 
 def triangulate(P: Polygon) -> list[tuple[Vec2, Vec2, Vec2]]:
     """Ear-clipping triangulation of a simple CCW polygon."""
-    V = np.asarray(P.vertices)
+    V = P.array
     tris: list[tuple[Vec2, Vec2, Vec2]] = []
     while len(V) > 3:
         c, tol = (x.tolist() for x in _corners(V))
@@ -385,7 +507,7 @@ def convex_parts(P: Polygon) -> list[ConvexPolygon]:
     if isinstance(P, ConvexPolygon):
         return [P]
     try:
-        return [ConvexPolygon(P.vertices)]
+        return [ConvexPolygon(P.array)]
     except ValueError:
         return [ConvexPolygon(t) for t in triangulate(P)]
 
@@ -400,8 +522,8 @@ def minkowski_segment(P: Polygon, a, b) -> RegionUnion:
     pieces = convex_parts(P)
     if math.hypot(b[0] - a[0], b[1] - a[1]) <= TAU:
         return RegionUnion(tuple(translate(piece, a) for piece in pieces))
-    seg = (a, b) if a <= b else (b, a)
-    return RegionUnion(tuple(ConvexPolygon(_minkowski_chain(piece.vertices, seg))
+    seg = np.array((a, b) if a <= b else (b, a))
+    return RegionUnion(tuple(ConvexPolygon(_minkowski_chain(piece.array, seg))
                              for piece in pieces))
 
 
@@ -427,9 +549,8 @@ def union_area(region: RegionUnion) -> float:
     parts = region.parts
     if len(parts) == 1:
         return area(parts[0])
-    n = np.array([len(part.vertices) for part in parts])
-    flat = itertools.chain.from_iterable
-    P = np.fromiter(flat(flat(part.vertices for part in parts)), dtype=float).reshape(-1, 2)
+    P = np.concatenate([part.array for part in parts])
+    n = np.array([len(part.array) for part in parts])
     start = np.cumsum(n) - n
     nxt = np.arange(1, len(P) + 1)
     nxt[start + n - 1] = start
@@ -560,7 +681,7 @@ def regular_disc(n: int, r: float) -> ConvexPolygon:
 def point_in_polygon(p, P: Polygon) -> bool:
     """Even-odd test; boundary points count as inside."""
     p = np.array(_as_vec2(p))
-    V = np.asarray(P.vertices)
+    V = P.array
     W = _shift(V, 1)
     E = W - V
     near = ((np.minimum(V, W) - TAU <= p) & (p <= np.maximum(V, W) + TAU)).all(1)
@@ -626,7 +747,7 @@ def ray_exit(origin, direction, region: RegionUnion) -> float:
     dx, dy = _as_vec2(direction)
     best = 0.0
     for part in region.parts:
-        A = np.asarray(part.vertices)
+        A = part.array
         E = _shift(A, 1) - A
         denom = dx * E[:, 1] - dy * E[:, 0]
         crossing = np.abs(denom) > TAU

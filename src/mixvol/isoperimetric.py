@@ -65,7 +65,7 @@ def zonotope(F: SegmentFamily) -> ConvexPolygon:
     if all(abs(vecs[0][0] * v[1] - vecs[0][1] * v[0])
            <= geom2d.TAU * l0 * math.hypot(*v) for v in vecs):
         raise RankDeficient("all generating segments are parallel")
-    segs = [(a, b) if a <= b else (b, a) for a, b in F.segments]
+    segs = [np.array((a, b) if a <= b else (b, a)) for a, b in F.segments]
     return ConvexPolygon(functools.reduce(geom2d._minkowski_chain, segs))
 
 

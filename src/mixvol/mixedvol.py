@@ -92,17 +92,19 @@ class SeriesFit:
 def sum_region(M: Polygon, N: StructuringSet, eps: float) -> RegionUnion:
     """The dilation M + eps*N as an explicit union of polygon parts.
 
-    Every component of N is taken as convex chains C, scaled by eps, each
-    starting at its lex-min vertex as `geom2d._minkowski_chain` needs: a
-    point, or a segment of length at most TAU, one vertex; a segment its two
-    ends in lex order; a disc its `regular_disc` vertices moved to its
-    centre; a polygon the vertices of each of its `geom2d.convex_parts`.
+    Every component of N is taken as convex chains C, (k, 2) arrays scaled
+    by eps, each starting at its lex-min vertex as `geom2d._minkowski_chain`
+    needs: a point, or a segment of length at most TAU, one vertex; a
+    segment its two ends in lex order; a disc its `regular_disc` vertices
+    moved to its centre; a polygon the vertices of each of its
+    `geom2d.convex_parts`.
     Discs and polygons are scaled as plain vertices, never validated as
     polygons at scale eps, so a component too small for `ConvexPolygon`'s
     absolute area floor (a disc with eps * r below about 6e-7) still adds.
     A one-vertex chain gives a translate of M.  When `ConvexPolygon`
     accepts M, every other C gives the one convex part M + C.  Otherwise C
-    gives M + C[0] and the convex part e + C for each edge e of M, because
+    gives M + C[0] and the convex part e + C for each edge e of M, all
+    edges in one `geom2d._edge_sums` call, because
     M + C = (M + c) u (bd M + C) for convex C and c in C: take p = m + x.
     If p - c is not in M, the segment from m to p - c meets bd M at some
     y = m + t(x - c), and p = y + (t c + (1 - t) x) lies in bd M + C.  An
@@ -114,40 +116,33 @@ def sum_region(M: Polygon, N: StructuringSet, eps: float) -> RegionUnion:
     if eps == 0.0:
         return RegionUnion((M,))
     try:
-        K = M if isinstance(M, ConvexPolygon) else ConvexPolygon(M.vertices)
+        K = M if isinstance(M, ConvexPolygon) else ConvexPolygon(M.array)
     except ValueError:
         K = None
-    V = M.vertices
-    edges = [] if K else [(v, w) if v <= w else (w, v) for v, w in zip(V, V[1:] + V[:1])]
     parts: list[Polygon] = []
     for comp in N.components:
         if isinstance(comp, Points):
-            chains = [((eps * x, eps * y),) for x, y in comp.pts]
+            chains = list(eps * np.array(comp.pts)[:, None])
         elif isinstance(comp, Segment):
             a = (eps * comp.a[0], eps * comp.a[1])
             b = (eps * comp.b[0], eps * comp.b[1])
             if math.hypot(b[0] - a[0], b[1] - a[1]) <= geom2d.TAU:
-                chains = [(a,)]
+                chains = [np.array([a])]
             else:
-                chains = [(a, b) if a <= b else (b, a)]
+                chains = [np.array((a, b) if a <= b else (b, a))]
         elif isinstance(comp, Disc):
             centre = (eps * comp.center[0], eps * comp.center[1])
-            disc = eps * comp.radius * structuring._unit_disc() + centre
-            chains = [geom2d._vertex_tuple(disc)]
+            chains = [eps * comp.radius * structuring._unit_disc() + centre]
         else:  # polygon component
-            chains = [tuple((eps * x, eps * y) for x, y in q.vertices)
-                      for q in geom2d.convex_parts(comp)]
+            chains = [eps * q.array for q in geom2d.convex_parts(comp)]
         for C in chains:
             if len(C) == 1:
                 parts.append(geom2d.translate(K or M, C[0]))
             elif K is not None:
-                parts.append(ConvexPolygon(geom2d._minkowski_chain(K.vertices, C)))
+                parts.append(ConvexPolygon(geom2d._minkowski_chain(K.array, C)))
             else:
                 parts.append(geom2d.translate(M, C[0]))
-                for edge in edges:
-                    S = geom2d._minkowski_chain(edge, C)
-                    if geom2d._signed_area(S) > geom2d.TAU:
-                        parts.append(ConvexPolygon(S))
+                parts.extend(ConvexPolygon(S) for S in geom2d._edge_sums(M.array, C))
     return RegionUnion(tuple(parts))
 
 
@@ -212,7 +207,7 @@ def d_boundary_integral(M: Polygon, N: StructuringSet) -> DEstimate:
     value, and one support call evaluates every edge.  Exact for polygons,
     so error_estimate is 0.
     """
-    V = np.asarray(M.vertices)
+    V = M.array
     E = geom2d._shift(V, 1) - V
     values = structuring.support(N, np.stack((E[:, 1], -E[:, 0]), axis=1))
     total = sum(values.tolist())  # left to right; np.sum moves the last bits

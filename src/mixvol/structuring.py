@@ -29,9 +29,7 @@ def _unit_disc() -> np.ndarray:
     """Read-only vertex array of `regular_disc(DISC_RESOLUTION, 1.0)`.  The
     disc of radius r has exactly r times these vertices, so a small disc is
     scaled from it without a polygon of its own to validate."""
-    V = np.array(geom2d.regular_disc(DISC_RESOLUTION, 1.0).vertices)
-    V.flags.writeable = False
-    return V
+    return geom2d.regular_disc(DISC_RESOLUTION, 1.0).array
 
 
 @dataclass(frozen=True)

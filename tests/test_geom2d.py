@@ -1,6 +1,8 @@
 import itertools
 import math
+import pickle
 import tracemalloc
+import warnings
 from fractions import Fraction
 
 import numpy as np
@@ -174,6 +176,34 @@ def test_convex_polygon_matches_scalar_loops(verts, mirror):
         from_dict = None
     assert isinstance(from_dict, ConvexPolygon) == (got is not None)
     assert geom2d._signed_area(verts) == _signed_area_reference(verts)
+
+
+@settings(derandomize=True, max_examples=150, deadline=None)
+@given(near_collinear_convex())
+def test_kept_array_is_the_checked_vertices(verts):
+    """A polygon's `array` is its vertices after collinear merging and the
+    lex-min rotation, read-only."""
+    want = _convex_polygon_reference(verts)
+    if want is None:  # refused (an inward offset made a reflex corner)
+        return
+    for P in (ConvexPolygon(verts), ConvexPolygon(np.array(verts)), Polygon(want)):
+        assert P.array.shape == (len(want), 2)
+        assert P.array.tobytes() == np.array(want).tobytes()
+        with pytest.raises(ValueError, match="read-only"):
+            P.array[0, 0] = 0.0
+
+
+@pytest.mark.parametrize("cls", [Polygon, ConvexPolygon])
+def test_kept_array_leaves_equality_hashing_and_pickles_alone(cls):
+    verts = ((0.0, 0.0), (2.0, 0.0), (2.0, 1.0), (0.0, 1.0))
+    V = np.array(verts)
+    P, Q = cls(V), cls(verts)
+    V[0] = (5.0, 5.0)  # the caller's array is not the kept one
+    assert P == Q and hash(P) == hash(Q) and P.array.tobytes() == Q.array.tobytes()
+    assert P.__reduce_ex__(2)[2] == {"vertices": verts}  # a pickle holds the tuple alone
+    R = pickle.loads(pickle.dumps(P))
+    assert R == P and hash(R) == hash(P) and R.array.tobytes() == P.array.tobytes()
+    assert not R.array.flags.writeable
 
 
 def _regular_star(p, q, r=1.0):
@@ -484,6 +514,182 @@ def test_minkowski_is_hull_of_vertex_sums(P, Q, flip):
                                for p in P.vertices for q in Q.vertices])
     assert geom2d.area(geom2d.minkowski_convex(P, Q)) == \
         pytest.approx(geom2d.area(hull), rel=1e-12)
+
+
+def _minkowski_chain_reference(vp, vq):
+    """The merge as a walk over (x, y) tuples, one edge pair at a time, kept
+    as the reference of the array merge: chains as `_minkowski_chain` takes
+    them, the sum's vertices as a list of tuples."""
+    TAU = geom2d.TAU
+    ep = [(x1 - x0, y1 - y0) for (x0, y0), (x1, y1) in zip(vp, vp[1:] + vp[:1])]
+    eq = [(x1 - x0, y1 - y0) for (x0, y0), (x1, y1) in zip(vq, vq[1:] + vq[:1])]
+    cur = (vp[0][0] + vq[0][0], vp[0][1] + vq[0][1])
+    out = [cur]
+    i = j = 0
+    while i < len(ep) or j < len(eq):
+        if j >= len(eq):
+            step = ep[i]; i += 1
+        elif i >= len(ep):
+            step = eq[j]; j += 1
+        else:
+            (px, py), (qx, qy) = ep[i], eq[j]
+            c = px * qy - py * qx
+            parallel = c * c <= TAU * TAU * (px * px + py * py) * (qx * qx + qy * qy)
+            if parallel and px * qx + py * qy > 0.0:
+                step = (px + qx, py + qy); i += 1; j += 1
+            else:
+                if parallel:  # antiparallel: the right half goes first
+                    c = (ep[i] > (0.0, 0.0)) - (eq[j] > (0.0, 0.0)) or c
+                if c > 0.0:
+                    step = ep[i]; i += 1
+                else:
+                    step = eq[j]; j += 1
+        cur = (cur[0] + step[0], cur[1] + step[1])
+        out.append(cur)
+    return out[:-1]  # closing vertex duplicates the start
+
+
+def _same_bits(got, want):
+    want = np.array(want, dtype=float).reshape(-1, 2)
+    return got.shape == want.shape and got.tobytes() == want.tobytes()
+
+
+def _chain(verts):
+    """A chain as `_minkowski_chain` takes it: a convex polygon's `array`,
+    or a segment's two ends in lex order."""
+    if len(verts) == 2:
+        return np.array(sorted(map(tuple, verts)), dtype=float)
+    return ConvexPolygon(verts).array
+
+
+def _merge_matches_reference(A, B):
+    A, B = _chain(A), _chain(B)
+    want = _minkowski_chain_reference(geom2d._vertex_tuple(A), geom2d._vertex_tuple(B))
+    return _same_bits(geom2d._minkowski_chain(A, B), want)
+
+
+def _edge_sums_match_reference(V, C):
+    """`_edge_sums` against the reference walk, one edge at a time."""
+    V, C = np.asarray(V, dtype=float), _chain(C)
+    verts, chain = geom2d._vertex_tuple(V), geom2d._vertex_tuple(C)
+    want = [S for v, w in zip(verts, verts[1:] + verts[:1])
+            if geom2d._signed_area(S := _minkowski_chain_reference(sorted((v, w)), chain))
+            > geom2d.TAU]
+    got = geom2d._edge_sums(V, C)
+    return len(got) == len(want) and all(map(_same_bits, got, want))
+
+
+@st.composite
+def segment_along(draw, verts):
+    """A segment exactly vertical, exactly horizontal, or along an edge of
+    the polygon `verts` (so one of its two edges is parallel to that edge
+    and the other antiparallel)."""
+    x, y = draw(st.floats(-1.0, 1.0)), draw(st.floats(-1.0, 1.0))
+    t = draw(st.floats(0.1, 2.0)) * draw(st.sampled_from((-1.0, 1.0)))
+    kind = draw(st.sampled_from(("vertical", "horizontal", "edge")))
+    if kind == "vertical":
+        return [(x, y), (x, y + t)]
+    if kind == "horizontal":
+        return [(x, y), (x + t, y)]
+    k = draw(st.integers(0, len(verts) - 1))
+    (x0, y0), (x1, y1) = verts[k], verts[(k + 1) % len(verts)]
+    return [(x, y), (x + t * (x1 - x0), y + t * (y1 - y0))]
+
+
+def _convex_drawn(draw):
+    """The vertices of a `near_collinear_convex` draw as `ConvexPolygon`
+    stores them, or of its hull where an inward offset made a reflex corner."""
+    verts = draw(near_collinear_convex())
+    try:
+        return list(ConvexPolygon(verts).vertices)
+    except ValueError:
+        return list(geom2d.convex_hull(verts).vertices)
+
+
+@st.composite
+def chain_pairs(draw):
+    """Two chains that the merge meets on the estimators' paths: n-gons with
+    near-collinear runs, an n-gon and a segment along one of its edges or
+    an axis, two such segments, or an edge of an exactly regular star (the
+    one with defect A) with a segment."""
+    family = draw(st.sampled_from(("polygons", "segment", "segments", "star")))
+    if family == "star":
+        star = _star(draw(st.sampled_from((4, 6, 8, 12, 16))), draw(st.sampled_from((0.4, 0.5))))
+        k = draw(st.integers(0, len(star) - 1))
+        return [star[k], star[(k + 1) % len(star)]], draw(segment_along(star))
+    P = _convex_drawn(draw)
+    if family == "polygons":
+        return P, _convex_drawn(draw)
+    seg = draw(segment_along(P))
+    return (P, seg) if family == "segment" else (draw(segment_along(P)), seg)
+
+
+@settings(derandomize=True, max_examples=150, deadline=None)
+@given(chain_pairs(), st.booleans())
+def test_minkowski_chain_matches_reference_walk(pair, flip):
+    A, B = pair[::-1] if flip else pair
+    assert _merge_matches_reference(A, B)
+
+
+@pytest.mark.parametrize("n, jitter", [(4096, 0.0), (4096, 0.3), (64, 0.0)])
+def test_minkowski_chain_matches_reference_walk_on_disc_chains(n, jitter):
+    """An n-gon, regular or jittered on a circle, against the disc chain of
+    `sum_region` (the exactly regular one merges every edge pair)."""
+    rng = np.random.default_rng(n)
+    theta = 2 * np.pi * (np.arange(n) + rng.uniform(-jitter, jitter, n)) / n
+    M = ConvexPolygon(np.stack((1.3 * np.cos(theta), 1.3 * np.sin(theta)), axis=1))
+    disc = 0.05 * 0.7 * structuring._unit_disc() + (0.01, -0.02)
+    assert _merge_matches_reference(M.vertices, disc)
+    assert _merge_matches_reference(disc, M.vertices)
+    assert _edge_sums_match_reference(_star(8, 0.4), disc)
+
+
+@pytest.mark.parametrize("B", [((0.0, 0.0), (1.0, 0.0), (1.0, 0.0), (0.0, 1.0)),
+                               1e-320 * geom2d.regular_disc(64, 1.0).array,
+                               1e-321 * structuring._unit_disc()],
+                         ids=["duplicate", "64-gon", "disc"])
+def test_minkowski_chain_matches_reference_walk_on_zero_edges(B):
+    """Chains with zero edges (a repeated vertex, or a disc scaled until its
+    vertices round together): a zero edge has no key, and the walk takes it
+    only after the other chain is spent, so the array merge must sort again
+    after each one."""
+    A, B = ConvexPolygon(_ngon(9)).array, np.array(B, dtype=float)
+    for P, Q in ((A, B), (B, A)):
+        want = _minkowski_chain_reference(geom2d._vertex_tuple(P), geom2d._vertex_tuple(Q))
+        assert _same_bits(geom2d._minkowski_chain(P, Q), want)
+
+
+def test_minkowski_chain_subnormal_width_edge_warns_not():
+    # a left edge 5e-324 wide: its key and comparator see a subnormal x
+    P = [(5e-324, -1.0), (1.0, 0.0), (0.0, 1.0)]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for other in ([(0.0, -1.0), (0.0, 1.0)], [(-1.0, 0.0), (1.0, 0.0)],
+                      [(0.0, -1.0), (5e-324, 1.0)], _ngon(7)):
+            assert _merge_matches_reference(P, other)
+            assert _merge_matches_reference(other, P)
+        assert _edge_sums_match_reference(P, [(0.0, -1.0), (0.0, 1.0)])
+
+
+@settings(derandomize=True, max_examples=60, deadline=None)
+@given(st.sampled_from((4, 6, 8, 12, 16, 24)), st.sampled_from((0.4, 0.5)), st.booleans(),
+       st.data())
+def test_edge_sums_match_reference_walk(k, inner, jitter, data):
+    """The edge parts of a star, exactly regular (defect A) or jittered, with
+    a segment along an axis or an edge (parts that merge, or drop out), a
+    near-collinear polygon, or the disc chain."""
+    star = _star(k, inner)
+    if jitter:
+        star = [(x * data.draw(st.floats(0.95, 1.05)), y * data.draw(st.floats(0.95, 1.05)))
+                for x, y in star]
+    kind = data.draw(st.sampled_from(("segment", "polygon", "disc")))
+    if kind == "segment":
+        C = data.draw(segment_along(star))
+    elif kind == "polygon":
+        C = data.draw(st.composite(_convex_drawn)())
+    else:
+        C = geom2d.regular_disc(256, 0.1).array
+    assert _edge_sums_match_reference(star, C)
 
 
 def test_minkowski_segment_square(unit_square):
