@@ -8,6 +8,12 @@ polygon keeps the vertex array it was validated on, read-only, as `array`
 next to its `vertices` tuple; the kernels read that array and never
 rebuild one from the tuple.
 
+Polygons are validated once, where they enter: by their constructors.  The
+private kernels `_minkowski_chain`, `_edge_sums` and `_union_area` take and
+return `(n, 2)` vertex arrays and check nothing, so a chain of them, such as
+`mixedvol.sum_volume`, builds no polygon; `_convex_array` is the check of
+`ConvexPolygon` on a bare array.
+
 Conventions: polygons are simple, wound counterclockwise, with positive area.
 Region unions are flat tuples of polygon parts, possibly overlapping.
 """
@@ -210,18 +216,25 @@ def _winds_once(R: np.ndarray) -> bool:
     return np.count_nonzero(s[1:] != s[:-1]) <= 1
 
 
+def _convex_array(V: np.ndarray) -> np.ndarray:
+    """The vertices V as `ConvexPolygon` keeps them: straight runs merged and
+    rotated to start at the lex-min vertex, in a new array.  Raises
+    ValueError where `ConvexPolygon` refuses V."""
+    V, c, tol = _merge_collinear(V)
+    if len(V) < 3 or _signed_area(V) <= TAU:
+        raise ValueError("vertices must wind counterclockwise with positive area")
+    R = _lex_first(V)
+    if np.count_nonzero(c < -tol) or not _winds_once(R):
+        raise ValueError("vertices are not in convex position")
+    return R
+
+
 @dataclass(frozen=True)
 class ConvexPolygon(Polygon):
     """Polygon with every vertex extreme; canonical start at the lex-min vertex."""
 
     def __post_init__(self):
-        V, c, tol = _merge_collinear(_vertex_array(self.vertices))
-        if len(V) < 3 or _signed_area(V) <= TAU:
-            raise ValueError("vertices must wind counterclockwise with positive area")
-        R = _lex_first(V)
-        if np.count_nonzero(c < -tol) or not _winds_once(R):
-            raise ValueError("vertices are not in convex position")
-        _keep(self, R)
+        _keep(self, _convex_array(_vertex_array(self.vertices)))
 
 
 @dataclass(frozen=True)
@@ -501,15 +514,22 @@ def triangulate(P: Polygon) -> list[tuple[Vec2, Vec2, Vec2]]:
     return tris
 
 
+def _convex_pieces(P: Polygon) -> list[np.ndarray]:
+    """The arrays of `convex_parts(P)`, with no polygon built."""
+    if isinstance(P, ConvexPolygon):
+        return [P.array]
+    try:
+        return [_convex_array(P.array)]
+    except ValueError:
+        return [_convex_array(np.array(t)) for t in triangulate(P)]
+
+
 def convex_parts(P: Polygon) -> list[ConvexPolygon]:
     """P as convex pieces whose union is P: P as a ConvexPolygon when that
     accepts its vertices, else its ear-clipping triangles."""
     if isinstance(P, ConvexPolygon):
         return [P]
-    try:
-        return [ConvexPolygon(P.array)]
-    except ValueError:
-        return [ConvexPolygon(t) for t in triangulate(P)]
+    return [ConvexPolygon(V) for V in _convex_pieces(P)]
 
 
 def minkowski_segment(P: Polygon, a, b) -> RegionUnion:
@@ -532,7 +552,14 @@ def minkowski_segment(P: Polygon, a, b) -> RegionUnion:
 
 
 def union_area(region: RegionUnion) -> float:
-    """Exact area of a union of simple polygon parts, convex or not.
+    """Exact area of a union of simple polygon parts, convex or not
+    (`_union_area` of their arrays)."""
+    return _union_area([part.array for part in region.parts])
+
+
+def _union_area(parts: Sequence[np.ndarray]) -> float:
+    """Exact area of the union of parts given as CCW vertex arrays, each a
+    simple polygon, convex or not.  The arrays are read, never validated.
 
     The events are the x of every part vertex and of every crossing between
     edges of different parts, from one sweep (`_crossings`).  Between two
@@ -546,11 +573,10 @@ def union_area(region: RegionUnion) -> float:
     taken in blocks of at most max(edges, `_PAIR_BLOCK`) edge spans, so
     memory grows with the edges, not with slabs x parts.
     """
-    parts = region.parts
     if len(parts) == 1:
-        return area(parts[0])
-    P = np.concatenate([part.array for part in parts])
-    n = np.array([len(part.array) for part in parts])
+        return _signed_area(parts[0])
+    P = np.concatenate(parts)
+    n = np.array([len(part) for part in parts])
     start = np.cumsum(n) - n
     nxt = np.arange(1, len(P) + 1)
     nxt[start + n - 1] = start
@@ -766,9 +792,13 @@ def polygon_to_dict(P: Polygon) -> dict:
     return {"vertices": [[x, y] for x, y in P.vertices]}
 
 
-def polygon_from_dict(d: dict) -> Polygon:
-    V = _vertex_array(d["vertices"])
+def _polygon(V) -> Polygon:
+    """V as a ConvexPolygon when that accepts it, else as a Polygon."""
     try:
         return ConvexPolygon(V)
     except ValueError:
         return Polygon(V)
+
+
+def polygon_from_dict(d: dict) -> Polygon:
+    return _polygon(_vertex_array(d["vertices"]))

@@ -89,37 +89,40 @@ class SeriesFit:
 # Dilation regions and volumes
 
 
-def sum_region(M: Polygon, N: StructuringSet, eps: float) -> RegionUnion:
-    """The dilation M + eps*N as an explicit union of polygon parts.
+def _sum_parts(M: Polygon, N: StructuringSet, eps: float) -> list[np.ndarray]:
+    """The dilation M + eps*N as the CCW vertex arrays of parts whose union
+    it is.
 
     Every component of N is taken as convex chains C, (k, 2) arrays scaled
     by eps, each starting at its lex-min vertex as `geom2d._minkowski_chain`
     needs: a point, or a segment of length at most TAU, one vertex; a
     segment its two ends in lex order; a disc its `regular_disc` vertices
     moved to its centre; a polygon the vertices of each of its
-    `geom2d.convex_parts`.
-    Discs and polygons are scaled as plain vertices, never validated as
-    polygons at scale eps, so a component too small for `ConvexPolygon`'s
-    absolute area floor (a disc with eps * r below about 6e-7) still adds.
-    A one-vertex chain gives a translate of M.  When `ConvexPolygon`
-    accepts M, every other C gives the one convex part M + C.  Otherwise C
-    gives M + C[0] and the convex part e + C for each edge e of M, all
-    edges in one `geom2d._edge_sums` call, because
+    `geom2d.convex_parts`.  Let A be M's vertices as `ConvexPolygon` keeps
+    them when it accepts M, else M's own.  A one-vertex chain gives A + C[0].
+    When M is convex, every other C gives the one convex part A + C.
+    Otherwise C gives M + C[0] and the convex part e + C for each edge e of
+    M, all edges in one `geom2d._edge_sums` call, because
     M + C = (M + c) u (bd M + C) for convex C and c in C: take p = m + x.
     If p - c is not in M, the segment from m to p - c meets bd M at some
     y = m + t(x - c), and p = y + (t c + (1 - t) x) lies in bd M + C.  An
     edge part of area at most TAU (an edge parallel to a segment) is left
-    out; it adds no area.  eps = 0 gives M.
+    out; it adds no area.  eps = 0 gives M's array alone.
+    Nothing on this path is validated as a polygon at scale eps: the parts
+    come from proven-convex merges of checked inputs, so a component too
+    small for `ConvexPolygon`'s absolute floors (a disc with eps * r below
+    about 6e-7) still adds.
     """
-    if eps < 0:
-        raise ValueError("epsilon must be nonnegative")
+    if not 0.0 <= eps < math.inf:
+        raise ValueError(f"epsilon must be finite and nonnegative: {eps!r}")
     if eps == 0.0:
-        return RegionUnion((M,))
+        return [M.array]
     try:
-        K = M if isinstance(M, ConvexPolygon) else ConvexPolygon(M.array)
+        A = M.array if isinstance(M, ConvexPolygon) else geom2d._convex_array(M.array)
+        convex = True
     except ValueError:
-        K = None
-    parts: list[Polygon] = []
+        A, convex = M.array, False
+    parts: list[np.ndarray] = []
     for comp in N.components:
         if isinstance(comp, Points):
             chains = list(eps * np.array(comp.pts)[:, None])
@@ -134,23 +137,31 @@ def sum_region(M: Polygon, N: StructuringSet, eps: float) -> RegionUnion:
             centre = (eps * comp.center[0], eps * comp.center[1])
             chains = [eps * comp.radius * structuring._unit_disc() + centre]
         else:  # polygon component
-            chains = [eps * q.array for q in geom2d.convex_parts(comp)]
+            chains = [eps * V for V in geom2d._convex_pieces(comp)]
         for C in chains:
             if len(C) == 1:
-                parts.append(geom2d.translate(K or M, C[0]))
-            elif K is not None:
-                parts.append(ConvexPolygon(geom2d._minkowski_chain(K.array, C)))
+                parts.append(A + C[0])
+            elif convex:
+                parts.append(geom2d._minkowski_chain(A, C))
             else:
-                parts.append(geom2d.translate(M, C[0]))
-                parts.extend(ConvexPolygon(S) for S in geom2d._edge_sums(M.array, C))
-    return RegionUnion(tuple(parts))
+                parts.append(A + C[0])
+                parts.extend(geom2d._edge_sums(A, C))
+    return parts
+
+
+def sum_region(M: Polygon, N: StructuringSet, eps: float) -> RegionUnion:
+    """The dilation M + eps*N as an explicit union of polygon parts: each
+    array of `_sum_parts` as a ConvexPolygon when that accepts it, else as a
+    Polygon.  eps = 0 gives the union of M alone."""
+    if eps == 0.0:
+        return RegionUnion((M,))
+    return RegionUnion(tuple(geom2d._polygon(V) for V in _sum_parts(M, N, eps)))
 
 
 def sum_volume(M: Polygon, N: StructuringSet, eps: float) -> float:
-    """|M + eps*N| via the exact union area; eps = 0 gives |M|."""
-    if eps == 0.0:
-        return geom2d.area(M)
-    return geom2d.union_area(sum_region(M, N, eps))
+    """|M + eps*N| as the exact union area of the arrays of `_sum_parts`; no
+    polygon is built.  eps = 0 gives |M|."""
+    return geom2d._union_area(_sum_parts(M, N, eps))
 
 
 # ---------------------------------------------------------------------------
