@@ -234,8 +234,7 @@ def cmd_lattice(cfg: RunConfig) -> int:
             return lattice.solve_exact(G, n, cfg.mode)
         return lattice.solve_heuristic(G, n, cfg.mode, seed=cfg.seed)
 
-    with ThreadPoolExecutor(max_workers=_workers()) as pool:
-        results = list(pool.map(solve, ns))
+    results = [solve(n) for n in ns]
     out = _out_dir(cfg)
     shape = geom2d.unit_area_centered(predicted)
     for res in results:

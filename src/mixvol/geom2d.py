@@ -9,10 +9,11 @@ next to its `vertices` tuple; the kernels read that array and never
 rebuild one from the tuple.
 
 Polygons are validated once, where they enter: by their constructors.  The
-private kernels `_minkowski_chain`, `_edge_sums` and `_union_area` take and
-return `(n, 2)` vertex arrays and check nothing, so a chain of them, such as
-`mixedvol.sum_volume`, builds no polygon; `_convex_array` is the check of
-`ConvexPolygon` on a bare array.
+private kernels `_minkowski_chain`, `_edge_sums`, `_union_area`, `_ray_exit`
+and `_points_in` take `(n, 2)` vertex arrays, return arrays or numbers, and
+check nothing, so a chain of them, such as `mixedvol.sum_volume`, builds no
+polygon; the public names of the last three read a polygon's `array` and
+call them.  `_convex_array` is the check of `ConvexPolygon` on a bare array.
 
 Conventions: polygons are simple, wound counterclockwise, with positive area.
 Region unions are flat tuples of polygon parts, possibly overlapping.
@@ -469,10 +470,12 @@ def _edge_sums(V: np.ndarray, C: np.ndarray) -> list[np.ndarray]:
     Y = np.concatenate((X[:, 1:], X[:, :1]), axis=1)
     area = 0.5 * np.cumsum(X[..., 0] * Y[..., 1] - Y[..., 0] * X[..., 1], axis=1)[:, -1]
     out = []
-    for e, (merges, big) in enumerate(zip(merged.tolist(), (area > TAU).tolist())):
+    # `not area <= TAU` keeps a NaN area, so an overflowed part reaches the
+    # finiteness check of `_union_area` and is not dropped as a thin one
+    for e, (merges, big) in enumerate(zip(merged.tolist(), (~(area <= TAU)).tolist())):
         if merges:
             Z = _minkowski_chain(np.stack((S[e], T[e])), C)
-            if _signed_area(Z) > TAU:
+            if not _signed_area(Z) <= TAU:
                 out.append(Z)
         elif big:
             out.append(X[e])
@@ -539,12 +542,11 @@ def minkowski_segment(P: Polygon, a, b) -> RegionUnion:
     """
     a = _as_vec2(a)
     b = _as_vec2(b)
-    pieces = convex_parts(P)
+    pieces = _convex_pieces(P)
     if math.hypot(b[0] - a[0], b[1] - a[1]) <= TAU:
-        return RegionUnion(tuple(translate(piece, a) for piece in pieces))
+        return RegionUnion(tuple(ConvexPolygon(V + a) for V in pieces))
     seg = np.array((a, b) if a <= b else (b, a))
-    return RegionUnion(tuple(ConvexPolygon(_minkowski_chain(piece.array, seg))
-                             for piece in pieces))
+    return RegionUnion(tuple(ConvexPolygon(_minkowski_chain(V, seg)) for V in pieces))
 
 
 # ---------------------------------------------------------------------------
@@ -571,10 +573,17 @@ def _union_area(parts: Sequence[np.ndarray]) -> float:
     running sum of these signs in y order counts the parts over each
     stretch; the stretches with a positive count are covered.  Slabs are
     taken in blocks of at most max(edges, `_PAIR_BLOCK`) edge spans, so
-    memory grows with the edges, not with slabs x parts.
+    memory grows with the edges, not with slabs x parts.  Raises
+    NumericalDegeneracy where the area is not finite.
     """
-    if len(parts) == 1:
-        return _signed_area(parts[0])
+    total = _signed_area(parts[0]) if len(parts) == 1 else _sweep_area(parts)
+    if not math.isfinite(total):
+        raise NumericalDegeneracy("union area integration produced non-finite value")
+    return total
+
+
+def _sweep_area(parts: Sequence[np.ndarray]) -> float:
+    """The slab sweep of `_union_area` over two or more parts."""
     P = np.concatenate(parts)
     n = np.array([len(part) for part in parts])
     start = np.cumsum(n) - n
@@ -623,8 +632,6 @@ def _union_area(parts: Sequence[np.ndarray]) -> float:
         covered = np.bincount(s[:-1], np.where(count[:-1] > 0, y[1:] - y[:-1], 0.0), s1 - s0)
         total += float(np.sum(covered * widths[s0:s1]))
         s0 = s1
-    if not math.isfinite(total):
-        raise NumericalDegeneracy("union area integration produced non-finite value")
     return total
 
 
@@ -713,19 +720,21 @@ def point_in_polygon(p, P: Polygon) -> bool:
     near = ((np.minimum(V, W) - TAU <= p) & (p <= np.maximum(V, W) + TAU)).all(1)
     on_edge = near & (np.abs(_cross(V, W, p))
                       <= TAU * np.maximum(1.0, np.hypot(E[:, 0], E[:, 1])))
-    return bool(on_edge.any() or points_in_polygon(p[None], P)[0])
+    return bool(on_edge.any() or _points_in(p[None], V)[0])
 
 
 def points_in_polygon(pts: np.ndarray, P: Polygon) -> np.ndarray:
     """Vectorized even-odd test for an (N, 2) array (boundary not special-cased)."""
+    return _points_in(pts, P.array)
+
+
+def _points_in(pts: np.ndarray, V: np.ndarray) -> np.ndarray:
+    """`points_in_polygon` for the polygon with vertex array V.  The edge ends
+    are Python floats, so each edge's test rounds as a tuple loop's would."""
     x = pts[:, 0]
     y = pts[:, 1]
-    verts = P.vertices
-    n = len(verts)
     inside = np.zeros(len(pts), dtype=bool)
-    for i in range(n):
-        x0, y0 = verts[i]
-        x1, y1 = verts[(i + 1) % n]
+    for (x0, y0), (x1, y1) in zip(V.tolist(), _shift(V, 1).tolist()):
         cond = (y0 > y) != (y1 > y)
         if y1 != y0:
             xi = x0 + (y - y0) * (x1 - x0) / (y1 - y0)
@@ -769,11 +778,15 @@ def ray_exit(origin, direction, region: RegionUnion) -> float:
 
     Returns 0.0 when the ray never meets the region beyond its origin.
     """
+    return _ray_exit(origin, direction, [part.array for part in region.parts])
+
+
+def _ray_exit(origin, direction, parts: Sequence[np.ndarray]) -> float:
+    """`ray_exit` for the region whose parts have the vertex arrays `parts`."""
     ox, oy = _as_vec2(origin)
     dx, dy = _as_vec2(direction)
     best = 0.0
-    for part in region.parts:
-        A = part.array
+    for A in parts:
         E = _shift(A, 1) - A
         denom = dx * E[:, 1] - dy * E[:, 0]
         crossing = np.abs(denom) > TAU

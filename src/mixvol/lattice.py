@@ -303,7 +303,6 @@ def solve_exact(G: PLGGraph, n: int, mode: str, cap: int = 10) -> OptResult:
     # with k occupied neighbors changes the exiting-edge count by deg - 2k,
     # at worst -deg; the vertex boundary loses at most the added cell itself.
     max_drop = state.deg if mode == EDGE else 1
-    _boundary((), G, mode)  # validate the mode string up front
     best = math.inf
     best_witness: tuple[int, ...] | None = None
     nodes = 0
@@ -375,7 +374,6 @@ def solve_heuristic(G: PLGGraph, n: int, mode: str, seed: int = 0,
         raise ValueError("heuristic solver is implemented for dimension 2")
     if n < 1:
         raise ValueError("n must be positive")
-    _boundary((), G, mode)
     rng = random.Random(seed)
     steps = max(iterations, 0) if n > 1 else 0
     # The greedy start lies within ceil(sqrt(n)) of the origin, each step moves
@@ -449,7 +447,7 @@ def _region_samples(P: Polygon, spacing: float) -> np.ndarray:
     gy = np.arange(min(ys), max(ys) + spacing, spacing)
     mesh = np.meshgrid(gx, gy, indexing="ij")
     pts = np.stack([m.ravel() for m in mesh], axis=1)
-    interior = pts[geom2d.points_in_polygon(pts, P)]
+    interior = pts[geom2d._points_in(pts, P.array)]
     edges = []
     verts = P.vertices
     for i in range(len(verts)):

@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import reduce
 from typing import Callable, Sequence
 
 import numpy as np
@@ -152,7 +153,10 @@ def _sum_parts(M: Polygon, N: StructuringSet, eps: float) -> list[np.ndarray]:
 def sum_region(M: Polygon, N: StructuringSet, eps: float) -> RegionUnion:
     """The dilation M + eps*N as an explicit union of polygon parts: each
     array of `_sum_parts` as a ConvexPolygon when that accepts it, else as a
-    Polygon.  eps = 0 gives the union of M alone."""
+    Polygon.  eps = 0 gives the union of M alone.
+
+    For callers outside mixvol: `sum_volume`, `local_expansion_probe` and
+    `d_grid` read the arrays of `_sum_parts` and build no polygon."""
     if eps == 0.0:
         return RegionUnion((M,))
     return RegionUnion(tuple(geom2d._polygon(V) for V in _sum_parts(M, N, eps)))
@@ -247,8 +251,7 @@ def local_expansion_probe(M: Polygon, edge_param: tuple[int, float],
     y = (x0 + t * (x1 - x0), y0 + t * (y1 - y0))
     L = math.hypot(x1 - x0, y1 - y0)
     normal = ((y1 - y0) / L, -(x1 - x0) / L)
-    region = sum_region(M, N, eps)
-    return geom2d.ray_exit(y, normal, region)
+    return geom2d._ray_exit(y, normal, _sum_parts(M, N, eps))
 
 
 def mixed_area(K1: ConvexPolygon, K2: ConvexPolygon) -> float:
@@ -301,26 +304,18 @@ def d_grid(M: Polygon, N: StructuringSet, schedule: Sequence[float],
     coarse but independent check of the exact route (accuracy ~ h * perimeter).
     """
     eps = _check_schedule(schedule)
-    big = sum_region(M, N, eps[0])
-    xs = [v[0] for part in big.parts for v in part.vertices]
-    ys = [v[1] for part in big.parts for v in part.vertices]
+    big = np.concatenate(_sum_parts(M, N, eps[0]))
     pad = 2 * h
-    bounds = ((min(xs) - pad, max(xs) + pad), (min(ys) - pad, max(ys) + pad))
+    bounds = tuple(zip((big.min(axis=0) - pad).tolist(), (big.max(axis=0) + pad).tolist()))
 
-    def region_indicator(region: RegionUnion):
-        def f(pts: np.ndarray) -> np.ndarray:
-            hit = np.zeros(len(pts), dtype=bool)
-            for part in region.parts:
-                hit |= geom2d.points_in_polygon(pts, part)
-            return hit
-        return f
+    def volume(parts: list[np.ndarray]) -> float:
+        """Grid volume of the union of the parts with vertex arrays `parts`."""
+        return geom2d.grid_volume(
+            lambda pts: reduce(np.logical_or, (geom2d._points_in(pts, V) for V in parts)),
+            bounds, h)[0]
 
-    base, _ = geom2d.grid_volume(region_indicator(RegionUnion((M,))), bounds, h)
-    quotients = []
-    for e in eps:
-        v, _ = geom2d.grid_volume(region_indicator(sum_region(M, N, e)), bounds, h)
-        quotients.append((v - base) / e)
-    return _extrapolated(eps, tuple(quotients))
+    base = volume([M.array])
+    return _extrapolated(eps, tuple((volume(_sum_parts(M, N, e)) - base) / e for e in eps))
 
 
 def box_distance(lo: Sequence[float], hi: Sequence[float]) -> Callable:

@@ -717,6 +717,29 @@ def test_minkowski_segment_nonconvex():
     assert geom2d.union_area(R) == pytest.approx(3.0 + 2 * 0.5, abs=1e-9)
 
 
+def _minkowski_segment_reference(P, a, b):
+    """Part vertices of `minkowski_segment` through the polygons of
+    `convex_parts`, a `translate` of each for a zero-length segment."""
+    pieces = geom2d.convex_parts(P)
+    if a == b:
+        return [geom2d.translate(piece, a).vertices for piece in pieces]
+    seg = np.array(sorted((a, b)), dtype=float)
+    return [ConvexPolygon(geom2d._minkowski_chain(piece.array, seg)).vertices
+            for piece in pieces]
+
+
+@pytest.mark.parametrize("P", [
+    geom2d.regular_disc(64, 1.0),
+    Polygon(((0, 0), (2, 0), (2, 1), (1, 1), (1, 2), (0, 2))),
+    Polygon(((0, 0), (1, 0), (1, 1), (0.5, 1), (0, 1))),
+], ids=["convex", "L", "polygon-with-straight-corner"])
+@pytest.mark.parametrize("a, b", [((0, 0), (0, 0.5)), ((0.3, -0.2), (-0.1, 0.4)),
+                                  ((2, 3), (2, 3))], ids=["vertical", "oblique", "zero"])
+def test_minkowski_segment_parts_match_reference(P, a, b):
+    assert [part.vertices for part in geom2d.minkowski_segment(P, a, b).parts] == \
+        _minkowski_segment_reference(P, a, b)
+
+
 # ---------------------------------------------------------------------------
 # unions
 

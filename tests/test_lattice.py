@@ -262,6 +262,18 @@ def test_exact_rejects_3d():
         lattice.solve_exact(lattice.grid_graph(3), 3, "edge")
 
 
+def test_solvers_reject_unknown_mode():
+    """The boundary state checks the mode before any search step; the size
+    cap is checked before that."""
+    with pytest.raises(ValueError, match="mode"):
+        lattice.solve_exact(GRID, 4, "diagonal")
+    for n in (1, 9):
+        with pytest.raises(ValueError, match="mode"):
+            lattice.solve_heuristic(GRID, n, "diagonal")
+    with pytest.raises(CapExceeded):
+        lattice.solve_exact(GRID, 11, "diagonal")
+
+
 def test_opt_result_to_dict():
     res = lattice.solve_exact(GRID, 4, "edge")
     d = res.to_dict()

@@ -9,7 +9,7 @@ from conftest import NEAR_STRAIGHT_RUN, closed_form_plus_dilation, near_collinea
 from test_geom2d import _convex_union_area_reference
 from mixvol import geom2d, mixedvol, structuring
 from mixvol.errors import (DegenerateHull, IllConditioned, NonDecreasingSchedule,
-                           SingularPoint)
+                           NumericalDegeneracy, SingularPoint)
 from mixvol.geom2d import ConvexPolygon, Polygon
 from mixvol.mixedvol import DEstimate
 from mixvol.structuring import Disc, Points, Segment, StructuringSet
@@ -104,6 +104,29 @@ _MIXED_N = StructuringSet((
 ))
 
 
+_SEGMENT_DISC = StructuringSet((Segment((-1, 0), (1, 0)), Disc((0, 0), 0.5)))
+_FAR_POINT = StructuringSet((Points(((1e10, 0.0),)),))
+
+
+@pytest.mark.parametrize("M, N, eps", [
+    (_L_SHAPE, _SEGMENT_DISC, 1e155),
+    (_L_SHAPE, _SEGMENT_DISC, 1e300),
+    (_L_SHAPE, _FAR_POINT, 1e300),
+    (ConvexPolygon(((0, 0), (1, 0), (1, 1), (0, 1))), _FAR_POINT, 1e300),
+], ids=["L-disc-1e155", "L-disc-1e300", "L-point", "square-point"])
+def test_sum_volume_raises_where_the_area_overflows(M, N, eps):
+    """An overflowed part has a NaN area: it is neither dropped as thin nor
+    summed, and a one-part union is checked as a sweep is."""
+    with np.errstate(all="ignore"), pytest.raises(NumericalDegeneracy):
+        mixedvol.sum_volume(M, N, eps)
+
+
+def test_sum_volume_of_a_huge_segment_dilation():
+    with np.errstate(all="ignore"):
+        got = mixedvol.sum_volume(_L_SHAPE, StructuringSet((Segment((-1, 0), (1, 0)),)), 1e300)
+    assert got == pytest.approx(4e300, rel=1e-12)
+
+
 @st.composite
 def star_dilations(draw):
     """A star, jittered or exactly regular, with one to three segments (the
@@ -142,8 +165,10 @@ def test_sum_region_matches_convex_decomposition(case, data):
     (x0, y0), (x1, y1) = M.vertices[i], M.vertices[(i + 1) % len(M.vertices)]
     L = math.hypot(x1 - x0, y1 - y0)
     ray = ((x0 + t * (x1 - x0), y0 + t * (y1 - y0)), ((y1 - y0) / L, -(x1 - x0) / L))
-    assert mixedvol.local_expansion_probe(M, (i, t), N, eps) == \
-        pytest.approx(geom2d.ray_exit(*ray, geom2d.RegionUnion(tuple(want))), rel=1e-12)
+    probe = mixedvol.local_expansion_probe(M, (i, t), N, eps)
+    assert probe == geom2d.ray_exit(*ray, got)
+    assert probe == pytest.approx(geom2d.ray_exit(*ray, geom2d.RegionUnion(tuple(want))),
+                                  rel=1e-12)
 
 
 @pytest.mark.parametrize("M", [geom2d.regular_disc(64, 1.0),
@@ -180,10 +205,21 @@ _STAR4 = Polygon(tuple(((1.0 if i % 2 == 0 else 0.4) * math.cos(math.pi * i / 4)
                        for i in range(8)))
 
 
-@pytest.mark.parametrize("M", [geom2d.regular_disc(64, 1.0), _STAR4], ids=["disc64", "star4"])
-def test_fd_builds_no_polygon(M, monkeypatch):
-    """Polygons are validated where they enter; the estimator passes the
-    kernel's vertex arrays from the merge to the union sweep."""
+_DILATION_CALLERS = (
+    ("", lambda M: mixedvol.d_finite_difference(M, _MIXED_N)),
+    ("probe-", lambda M: mixedvol.local_expansion_probe(M, (0, 0.5), _MIXED_N, 0.1)),
+    ("grid-", lambda M: mixedvol.d_grid(M, _MIXED_N, (0.1, 0.05, 0.025), 0.05)),
+)
+
+
+@pytest.mark.parametrize("call, M", [
+    pytest.param(call, M, id=prefix + name)
+    for prefix, call in _DILATION_CALLERS
+    for name, M in (("disc64", geom2d.regular_disc(64, 1.0)), ("star4", _STAR4))])
+def test_fd_builds_no_polygon(call, M, monkeypatch):
+    """Polygons are validated where they enter; the finite-difference
+    estimator, the normal-ray probe and the grid check read the kernel's
+    vertex arrays of M + eps*N and build no polygon."""
     structuring._unit_disc()  # cached once per process
     built = []
     for cls in (Polygon, ConvexPolygon):
@@ -191,7 +227,7 @@ def test_fd_builds_no_polygon(M, monkeypatch):
             built.append(type(self).__name__)
             init(self)
         monkeypatch.setattr(cls, "__post_init__", counted)
-    mixedvol.d_finite_difference(M, _MIXED_N)
+    call(M)
     assert built == []
 
 
