@@ -175,7 +175,7 @@ class Polygon:
         gap = np.abs(_shift(V, 1) - V)
         if ((gap[:, 0] <= TAU) & (gap[:, 1] <= TAU)).any():
             raise ValueError("consecutive duplicate vertices")
-        if _signed_area(V) <= TAU:
+        if not (TAU < _signed_area(V) < math.inf):  # refuses NaN too
             raise ValueError("vertices must wind counterclockwise with positive area")
         if not _is_simple(V):
             raise ValueError("boundary is self-intersecting")
@@ -222,7 +222,7 @@ def _convex_array(V: np.ndarray) -> np.ndarray:
     rotated to start at the lex-min vertex, in a new array.  Raises
     ValueError where `ConvexPolygon` refuses V."""
     V, c, tol = _merge_collinear(V)
-    if len(V) < 3 or _signed_area(V) <= TAU:
+    if len(V) < 3 or not (TAU < _signed_area(V) < math.inf):
         raise ValueError("vertices must wind counterclockwise with positive area")
     R = _lex_first(V)
     if np.count_nonzero(c < -tol) or not _winds_once(R):

@@ -275,16 +275,50 @@ def _canonical(cells: Iterable[Cell]) -> LatticeSet:
     return LatticeSet(tuple(c - mc for c, mc in zip(cell, m)) for cell in cells)
 
 
+def _line_bound(L: Sequence[int], n: int) -> int:
+    """Least sum of integers a_v >= L_v with a_u * a_v >= n for every u != v.
+
+    At most one a_v lies below s = ceil(sqrt(n)): two would multiply to at
+    most (s - 1)^2 < n.  So the least sum is either sum(max(L_v, s)) or, for
+    one v and one t in [L_v, s), t plus sum(max(L_u, ceil(n / t))) over the
+    other u; ceil(n / t) >= s, which settles the pairs among those u too.
+    """
+    s = math.isqrt(n - 1) + 1
+    least = sum(max(lo, s) for lo in L)
+    for i, lo in enumerate(L):
+        rest = L[:i] + L[i + 1:]
+        for t in range(max(lo, 1), s):
+            m = -(-n // t)
+            least = min(least, t + sum(max(r, m) for r in rest))
+    return least
+
+
 def solve_exact(G: PLGGraph, n: int, mode: str, cap: int = 10) -> OptResult:
     """Global boundary minimum over n-cell sets, one per translation class.
 
     Enumerates connected sets only, via adjacency growth with the
     lexicographically smallest cell pinned at the origin (growth is confined
     to the lex-nonnegative half-space, so each translation class appears
-    exactly once).  Branches whose boundary cannot reach the incumbent even
-    under the steepest possible per-cell decrease are pruned.  Minimizers of
-    either functional are connected — merging distant clusters only removes
-    boundary — so the restriction is lossless.
+    exactly once).  Minimizers of either functional are connected — merging
+    distant clusters only removes boundary — so the restriction is lossless.
+
+    The incumbent starts at the boundary of the greedy warm start, a value
+    some n-set attains.  A branch is pruned only when a lower bound for every
+    completion exceeds the incumbent, and a leaf that ties it is kept when it
+    is the first or has a lex-smaller sorted cell set, so every minimizer is
+    visited and the witness is the lex-smallest minimizer.  The bounds:
+
+    - both modes: the boundary under the steepest possible per-cell decrease;
+    - edge mode, the line-count bound.  For one generator v of each +-v pair,
+      let L_v(S) count the lines parallel to v that meet S.
+      (1) Such a line meeting T holds a last and a first cell of T along v,
+      which exit along +v and -v (v is primitive, so consecutive lattice
+      points of the line are one v apart): edge_boundary(T) >= 2 * sum L_v(T).
+      (2) Non-parallel lines meet in at most one cell, so
+      L_u(T) * L_v(T) >= n for u != v.
+      (3) L_v(T) >= L_v(S) for T containing S, so 2 * `_line_bound(L(S), n)`
+      bounds every completion T of S.  On Z^2 with S empty it is
+      Harary–Harborth's 2 * ceil(2 * sqrt(n)).
 
     Raises CapExceeded beyond the configured size cap.
     """
@@ -295,6 +329,8 @@ def solve_exact(G: PLGGraph, n: int, mode: str, cap: int = 10) -> OptResult:
     if n > cap:
         raise CapExceeded(f"n = {n} exceeds the exact enumeration cap {cap}")
 
+    best = _boundary(_greedy_init(n, mode), G, mode)
+    best_witness: tuple[int, ...] | None = None
     # A connected n-set grown from the origin stays within (n - 1) * reach of
     # it, and its neighbours within n * reach.
     state = _BoundaryState(G, n * _reach(G))
@@ -303,28 +339,63 @@ def solve_exact(G: PLGGraph, n: int, mode: str, cap: int = 10) -> OptResult:
     # with k occupied neighbors changes the exiting-edge count by deg - 2k,
     # at worst -deg; the vertex boundary loses at most the added cell itself.
     max_drop = state.deg if mode == EDGE else 1
-    best = math.inf
-    best_witness: tuple[int, ...] | None = None
     nodes = 0
+    # Edge mode only: per generator (a, b), the cells of S on each line
+    # parallel to it, keyed by x*b - y*a (equal exactly for the cells of one
+    # such line).  ids caches a cell's line ids, bounds the line-count bound
+    # per tuple of line counts.
+    gens = [v for v in G.edge_vectors if v > (0, 0)] if mode == EDGE else []
+    lines: list[dict[int, int]] = [{} for _ in gens]
+    ids: dict[int, tuple[int, ...]] = {}
+    bounds: dict[tuple[int, ...], int] = {}
+
+    def enter_lines(cell: int) -> None:
+        t = ids.get(cell)
+        if t is None:
+            x, y = state.decode(cell)
+            t = ids[cell] = tuple(x * vb - y * va for va, vb in gens)
+        for on, i in zip(lines, t):
+            on[i] = on.get(i, 0) + 1
+
+    def leave_lines(cell: int) -> None:
+        for on, i in zip(lines, ids[cell]):
+            k = on[i] - 1
+            if k:
+                on[i] = k
+            else:
+                del on[i]
+
+    def line_bound() -> int:
+        L = tuple(map(len, lines))
+        lb = bounds.get(L)
+        if lb is None:
+            lb = bounds[L] = 2 * _line_bound(L, n)
+        return lb
 
     def grow(frontier: list[int], reached: set[int]) -> None:
         nonlocal best, best_witness, nodes
         while frontier:
             cell = frontier.pop()
             state.add(cell)
+            if gens:
+                enter_lines(cell)
             nodes += 1
             size = len(state.cells)
             b = state.boundary(mode)
             if size == n:
-                if b < best or (b == best and best_witness is not None
-                                and tuple(sorted(state.cells)) < best_witness):
+                if b < best or (b == best and (
+                        best_witness is None
+                        or tuple(sorted(state.cells)) < best_witness)):
                     best = b
                     best_witness = tuple(sorted(state.cells))
-            elif b - (n - size) * max_drop <= best:
+            elif b - (n - size) * max_drop <= best and (
+                    not gens or line_bound() <= best):
                 fresh = [w for w in (cell + o for o in state.offsets)
                          if w >= origin and w not in reached]  # lex-nonnegative
                 grow(frontier + fresh, reached | set(fresh))
             state.remove(cell)
+            if gens:
+                leave_lines(cell)
 
     grow([origin], {origin})
     assert best_witness is not None
@@ -434,8 +505,12 @@ def convergence_diagnostic(results: Sequence[OptResult],
         pts = np.array(sorted(res.witness.points), dtype=float) / math.sqrt(res.n)
         pts = pts - pts.mean(axis=0)
         d1 = max(geom2d.polygon_distance(tuple(p), shape) for p in pts)
-        diff = samples[:, None, :] - pts[None, :, :]
-        d2 = float(np.sqrt((diff ** 2).sum(axis=2)).min(axis=1).max())
+        # Bit-identical to the norm of a (samples, pts, 2) difference array:
+        # its sum over an axis of length 2 is one `+`, and a correctly
+        # rounded sqrt is monotone, so it may follow the min.
+        dx = samples[:, 0, None] - pts[None, :, 0]
+        dy = samples[:, 1, None] - pts[None, :, 1]
+        d2 = float(np.sqrt((dx * dx + dy * dy).min(axis=1)).max())
         rows.append(DiagnosticRow(res.n, max(d1, d2), res.minimum / math.sqrt(res.n)))
     return rows
 

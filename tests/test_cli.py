@@ -1,3 +1,4 @@
+import hashlib
 import json
 import math
 import xml.etree.ElementTree as ET
@@ -277,6 +278,108 @@ def test_lattice_n_range_alias(tmp_path, files):
                    "--out-dir", str(tmp_path)])
     assert rc == 0
     assert read_json(tmp_path / "opt_edge_n2.json")["minimum"] == 6
+
+
+# SHA-256 of every artifact of `lattice --exact` on Z^2 edge 1..10 and king
+# vertex 1..7, each opt_*.json hashed as json.dumps(sort_keys=True) without
+# its nodes_explored: a faster search must keep every minimum, witness,
+# witness drawing and convergence row byte for byte.
+Z2_EDGE_DIGESTS = {
+    "convergence_edge.csv":
+        "ce8a01f8cce575f780a1b397c78a3da98b9d999e4b3b5fb0f160acd4fd87718a",
+    "opt_edge_n1.json":
+        "7bf28d448a651e4fc738332dd704dbfdc7452b1847c897c6e28253fbd3554849",
+    "opt_edge_n2.json":
+        "ae15038fc4a003f5abc61646bc435118afa80647bfffcfedb836ea31940244fb",
+    "opt_edge_n3.json":
+        "f01a558948406dcfb7cc7ea3116d49256ede42f7c2842bbb1c870e162f1334dd",
+    "opt_edge_n4.json":
+        "aeac716d724cf437bd06feb1345637f2b41930ae3315b4949ba79e26955258d4",
+    "opt_edge_n5.json":
+        "d3a1e9b335a4912769f705b7589a95ca44d1e4ce1ed263ed9a5414aa7016a502",
+    "opt_edge_n6.json":
+        "c2eee31306c20a8abcc426b22e143d7c211ef59029c15998b15ff5e22cc23325",
+    "opt_edge_n7.json":
+        "e6cf469cee50b77fe8cfa06a4f61a1b3750bd7c5f8111414bbbbbd5d293a2b43",
+    "opt_edge_n8.json":
+        "065d0ec59b1adf43a30f570ead51742797fcbf9b9aef900e6199f411850de3a0",
+    "opt_edge_n9.json":
+        "e7d8b6666457d6c19d2d2833b17ae44c96a0244210156a3709acbebd72ab9567",
+    "opt_edge_n10.json":
+        "0432667543974e9717f6367c9405c3c813a0fb52def1c403d9984178f25203bb",
+    "witness_edge_n1.svg":
+        "e2be1710b6c591426954b6b99b267ef0a7fd6680c79cd1aad8106fb55d880216",
+    "witness_edge_n2.svg":
+        "17cea71f1c8956abc4883ba4f4b7da605301b904a7d620d6bafa6af0e7187bec",
+    "witness_edge_n3.svg":
+        "796a2f59f5ac609300e9e8dc922c503024b1b6e82747ef66c0554bd30908f571",
+    "witness_edge_n4.svg":
+        "a4af812caa242d2de2529573d2be0f48db8c87f18468d7addbe01c9fdb311e1b",
+    "witness_edge_n5.svg":
+        "ba13eeacbc35459837221bdc32559b2b0f3a1f31074358e427b0ded4fb9bf344",
+    "witness_edge_n6.svg":
+        "671c41af29bc14b5634f8c6985d194a4c10932060a287586a0e06d7c0679fba8",
+    "witness_edge_n7.svg":
+        "acbc3fbf27dbd9abf21729015d25639412a343a62f5e7b24c54a5fcf01b0f5dc",
+    "witness_edge_n8.svg":
+        "d8a7bee0bbb2250cb6885295fabc3811a69d32510460f67403ac3c73bfb77940",
+    "witness_edge_n9.svg":
+        "31af0b58c9d6d6c1be4d57eede6b7b3b50b447767d2ddb145d7e135654eb9d8a",
+    "witness_edge_n10.svg":
+        "b027ffb968981c8dd3122097890b125eb4ed4bd48ccf44879908c6a33a75b12b",
+}
+KING_VERTEX_DIGESTS = {
+    "convergence_vertex.csv":
+        "24dcbb5d2dba0461df4b4f7e2603a13d2cc81185fbcce125e4bfc47e6601eec2",
+    "opt_vertex_n1.json":
+        "58bb5e32f636a461599a6947505741dc3431398b689fc20dedd90d55c1a30ff9",
+    "opt_vertex_n2.json":
+        "b13521537434e374c883a1ea4598e3a0101fde6aaa1905265bb5c6cc340dda0d",
+    "opt_vertex_n3.json":
+        "48db98bf1cf1d59b6958a11fa5b81d9976f9292743701ebead67a43eedfa9a0c",
+    "opt_vertex_n4.json":
+        "0cbd13376a943568e421201805865582458978ef78fec5fa39c35507e1960101",
+    "opt_vertex_n5.json":
+        "d285ac1419efb594e7380bc72c3bb8ffb487246a96cdf22d18a2215787124930",
+    "opt_vertex_n6.json":
+        "98a00992ede55585cd693a8dfcc4ef038e5d754937fc1e006aa74ab2a1146f13",
+    "opt_vertex_n7.json":
+        "cce982acf433c358fa7d53727ef9bf02b4f6085b55abe18408d8d647dc373637",
+    "witness_vertex_n1.svg":
+        "09ad21bcb8a8cde90d82ff68b76154c7a995681115382e721ce48953e44cf0a2",
+    "witness_vertex_n2.svg":
+        "b91c0b5ed3bb36f6aa62a326fd0c2e91b8c98bef3cce0d9b30718e20de0b58d1",
+    "witness_vertex_n3.svg":
+        "53c6547cbc0a507ba19895a3573f7c7a6af53ec71ce1ef017c06366e6f5ba7bc",
+    "witness_vertex_n4.svg":
+        "b6051e0ea3cd8ac78892e6ec5f7e31f7366eb4802bdd72ccc81e08c8dca70945",
+    "witness_vertex_n5.svg":
+        "d989f7919c165b0fc78ad4b98cf9464e65ca594c38520ec62ed476433d9aba0c",
+    "witness_vertex_n6.svg":
+        "2598528242bb8b73be0562681df37e10e530023695ce136a7087db748429552d",
+    "witness_vertex_n7.svg":
+        "b5dd1dc04a558d8ad74aa60c5bbeefe84a6025ba2a0c02b6c0661863276161ed",
+}
+
+
+@pytest.mark.parametrize("edges, mode, ns, want", [
+    ([[1, 0], [0, 1]], "edge", "1..10", Z2_EDGE_DIGESTS),
+    ([[1, 0], [0, 1], [1, 1], [1, -1]], "vertex", "1..7", KING_VERTEX_DIGESTS),
+], ids=["z2-edge", "king-vertex"])
+def test_lattice_exact_artifact_digests(tmp_path, files, edges, mode, ns, want):
+    out = tmp_path / "out"
+    rc = cli.main(["lattice", "--graph", files("g.json", {"edges": edges}),
+                   "--mode", mode, "--n", ns, "--exact", "--out-dir", str(out)])
+    assert rc == 0
+    got = {}
+    for p in out.iterdir():
+        data = p.read_bytes()
+        if p.name.startswith("opt_"):
+            d = json.loads(data)
+            assert d.pop("nodes_explored") > 0
+            data = json.dumps(d, sort_keys=True).encode()
+        got[p.name] = hashlib.sha256(data).hexdigest()
+    assert got == want
 
 
 # ---------------------------------------------------------------------------

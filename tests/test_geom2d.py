@@ -49,6 +49,24 @@ def test_polygon_rejects_bowtie():
         Polygon(((0, 0), (1, 1), (1, 0), (0, 1)))
 
 
+_HUGE_SQUARE = ((1e200, 1e200), (2e200, 1e200), (2e200, 2e200), (1e200, 2e200))
+
+
+@pytest.mark.parametrize("make, verts", [
+    (ConvexPolygon, ((0, 0), (1e200, 0), (0, 1e200))),
+    (Polygon, ((0, 0), (1e200, 0), (1e200, 1e200), (0, 1e200))),
+    (Polygon, _HUGE_SQUARE),
+    (ConvexPolygon, _HUGE_SQUARE),
+], ids=["convex-inf", "polygon-inf", "polygon-nan", "convex-nan"])
+def test_polygon_rejects_overflowing_area(make, verts):
+    """Finite vertices whose shoelace area overflows to inf, or to NaN where
+    two overflowed products cancel, are refused like a zero area."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        assert not math.isfinite(geom2d._signed_area(np.array(verts, dtype=float)))
+        with pytest.raises(ValueError, match="positive area"):
+            make(verts)
+
+
 def _ngon(n):
     return [(2.2 * math.cos(2 * math.pi * i / n), 2.2 * math.sin(2 * math.pi * i / n))
             for i in range(n)]

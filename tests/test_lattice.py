@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from mixvol import lattice
+from mixvol import geom2d, isoperimetric, lattice, structuring
 from mixvol.errors import CapExceeded, NotPrimitive, RankDeficient
 from mixvol.geom2d import ConvexPolygon
 from mixvol.lattice import (EDGE, LatticeSet, OptResult, PLGGraph, _boundary, _canonical,
@@ -18,7 +18,8 @@ KING = lattice.validate_plg([(1, 0), (0, 1), (1, 1), (1, -1)])
 TRIANGULAR = lattice.validate_plg([(1, 0), (0, 1), (1, 1)])
 SKEW = lattice.validate_plg([(1, 0), (0, 1), (1, 2)])  # reach 2
 
-EDGE_MINIMA = (4, 6, 8, 8, 10, 10, 12, 12, 12)  # 2*ceil(2*sqrt(n)), n = 1..9
+EDGE_MINIMA = (4, 6, 8, 8, 10, 10, 12, 12, 12,  # 2*ceil(2*sqrt(n)), n = 1..16
+               14, 14, 14, 16, 16, 16, 16)
 
 
 def enumerate_polyominoes(n):
@@ -207,8 +208,8 @@ def test_lattice_set_basics():
 
 
 def test_exact_edge_matches_closed_form():
-    for n in range(1, 10):
-        res = lattice.solve_exact(GRID, n, "edge")
+    for n in range(1, 17):
+        res = lattice.solve_exact(GRID, n, "edge", cap=16)
         assert res.exact
         assert res.minimum == EDGE_MINIMA[n - 1]
         assert res.minimum == 2 * math.ceil(2 * math.sqrt(n))
@@ -379,7 +380,34 @@ def test_exact_matches_tuple_reference(G, mode, n_max):
     for n in range(1, n_max + 1):
         got = lattice.solve_exact(G, n, mode)
         want = reference_solve_exact(G, n, mode)
-        assert got.to_dict() == want.to_dict()  # nodes_explored included
+        # the same minimum and witness; the certified bounds only prune more
+        assert {**got.to_dict(), "nodes_explored": 0} == \
+            {**want.to_dict(), "nodes_explored": 0}
+        assert got.nodes_explored <= want.nodes_explored
+
+
+def _line_counts(cells, G):
+    """L_v: the lines parallel to v that meet the cells, one v per +-v pair."""
+    return tuple(len({x * b - y * a for x, y in cells})
+                 for a, b in G.edge_vectors if (a, b) > (0, 0))
+
+
+@settings(derandomize=True, max_examples=200, deadline=None)
+@given(st.sampled_from([GRID, KING, TRIANGULAR, SKEW]),
+       st.lists(st.tuples(st.integers(-4, 4), st.integers(-4, 4)),
+                min_size=1, max_size=30, unique=True),
+       st.data())
+def test_line_bound_holds_for_every_superset(G, cells, data):
+    """2 * _line_bound(L(S), |T|) <= edge_boundary(T) for S inside T."""
+    k = data.draw(st.integers(0, len(cells)))
+    S = data.draw(st.permutations(cells))[:k]
+    bound = lattice._line_bound(_line_counts(S, G), len(cells))
+    assert 2 * bound <= lattice.edge_boundary(cells, G)
+
+
+def test_line_bound_on_z2_is_harary_harborth():
+    for n in range(1, 401):
+        assert 2 * lattice._line_bound((0, 0), n) == 2 * math.ceil(2 * math.sqrt(n))
 
 
 @pytest.mark.parametrize("bound", [1, 2, 7, 40, 100_002])
@@ -508,6 +536,41 @@ def test_convergence_blocks_toward_square():
     assert dists[0] > dists[1] > dists[2]
     for r in rows:
         assert r.ratio == pytest.approx(4.0)
+
+
+def _dense_convergence_diagnostic(results, predicted):
+    """convergence_diagnostic with the far side from one dense (samples, pts,
+    2) difference array, as it was first written; kept as the reference."""
+    shape = geom2d.unit_area_centered(predicted)
+    samples = lattice._region_samples(shape, spacing=0.01)
+    rows = []
+    for res in results:
+        pts = np.array(sorted(res.witness.points), dtype=float) / math.sqrt(res.n)
+        pts = pts - pts.mean(axis=0)
+        d1 = max(geom2d.polygon_distance(tuple(p), shape) for p in pts)
+        diff = samples[:, None, :] - pts[None, :, :]
+        d2 = float(np.sqrt((diff ** 2).sum(axis=2)).min(axis=1).max())
+        rows.append(lattice.DiagnosticRow(res.n, max(d1, d2),
+                                          res.minimum / math.sqrt(res.n)))
+    return rows
+
+
+@pytest.mark.parametrize("G, mode, ns, exact", [
+    (GRID, "edge", range(1, 11), True),
+    (KING, "vertex", range(1, 8), True),
+    (GRID, "edge", (16, 64, 144), False),  # the results of test_criterion_11
+    (GRID, "vertex", (13, 41, 85), False),
+], ids=["z2-edge-exact", "king-vertex-exact", "z2-edge-heuristic",
+        "z2-vertex-heuristic"])
+def test_convergence_far_side_matches_dense_reference(G, mode, ns, exact):
+    results = [lattice.solve_exact(G, n, mode) if exact
+               else lattice.solve_heuristic(G, n, mode, seed=1) for n in ns]
+    family = isoperimetric.SegmentFamily(tuple(
+        ((-a, -b), (a, b)) for a, b in G.edge_vectors if (a, b) > (0, 0)))
+    predicted = isoperimetric.zonotope(family) if mode == "edge" \
+        else structuring.hull(family.as_structuring_set())
+    assert lattice.convergence_diagnostic(results, predicted) == \
+        _dense_convergence_diagnostic(results, predicted)
 
 
 def test_convergence_needs_two_results():
