@@ -118,7 +118,8 @@ def _straddles(d1, d2):
 
 
 #: Edge pairs `_crossings` tests at a time, and the fewest edge spans
-#: `union_area` orders at a time: a block's temporaries stay under 1 MB
+#: `union_area` orders, or (edge, point) pairs `_points_in` tests, at a
+#: time: a block's temporaries stay under 1 MB
 #: (2**14 raised the union peak of a 4096-gon disc's dilation by a sixth).
 _PAIR_BLOCK = 1 << 13
 
@@ -437,9 +438,17 @@ def _minkowski_chain(A: np.ndarray, B: np.ndarray) -> np.ndarray:
 
 
 def _edge_sums(V: np.ndarray, C: np.ndarray) -> list[np.ndarray]:
-    """`_minkowski_chain(e, C)` for every edge e of the closed polygon V,
-    taken as its two ends in lex order, in edge order and without the sums
-    of area at most TAU (an edge parallel to a segment C).
+    """`_minkowski_chain(e, C)` for every front edge e of the closed CCW
+    polygon V, taken as its two ends in lex order, in edge order and
+    without the sums of area at most TAU.
+
+    An edge from v to w is a front edge when its outward normal
+    n = (dy, -dx), (dx, dy) = w - v, sees C from C[0]: n . (C_j - C[0]) > 0
+    for some j.  The test is taken elementwise, `dy * gx - dx * gy` with
+    (gx, gy) = C_j - C[0], so it rounds as the same Python float
+    expression does (no fused multiply-add, as a matrix product may use).
+    Only front edges reach the merge below; `mixedvol._sum_parts` proves
+    that their sums and V + C[0] cover V + C.
 
     The chain e = [s, t] has the edges d = t - s and s - t.  Its merge with
     the edges c_j of C takes d at the first j where `_edge_order(d, c_j)` is
@@ -450,6 +459,10 @@ def _edge_sums(V: np.ndarray, C: np.ndarray) -> list[np.ndarray]:
     added left to right by `np.cumsum`, as `_signed_area` adds them.
     """
     W = _shift(V, 1)
+    E, G = W - V, C - C[0]
+    # `not <= 0` keeps an edge whose test overflows to NaN, as for areas below
+    front = ~(E[:, 1, None] * G[:, 0] - E[:, 0, None] * G[:, 1] <= 0.0).all(1)
+    V, W = V[front], W[front]
     swap = ((W[:, 0] < V[:, 0]) | ((W[:, 0] == V[:, 0]) & (W[:, 1] < V[:, 1])))[:, None]
     S, T = np.where(swap, W, V), np.where(swap, V, W)
     D, R, EC = T - S, S - T, _shift(C, 1) - C
@@ -729,17 +742,34 @@ def points_in_polygon(pts: np.ndarray, P: Polygon) -> np.ndarray:
 
 
 def _points_in(pts: np.ndarray, V: np.ndarray) -> np.ndarray:
-    """`points_in_polygon` for the polygon with vertex array V.  The edge ends
-    are Python floats, so each edge's test rounds as a tuple loop's would."""
-    x = pts[:, 0]
-    y = pts[:, 1]
-    inside = np.zeros(len(pts), dtype=bool)
-    for (x0, y0), (x1, y1) in zip(V.tolist(), _shift(V, 1).tolist()):
-        cond = (y0 > y) != (y1 > y)
-        if y1 != y0:
-            xi = x0 + (y - y0) * (x1 - x0) / (y1 - y0)
-            inside ^= cond & (xi > x)
-    return inside
+    """`points_in_polygon` for the polygon with vertex array V.
+
+    A point (x, y) is inside when an odd number of edges (x0, y0) -> (x1, y1)
+    straddle its y, (y0 > y) != (y1 > y), and cross its row to its right,
+    x0 + (y - y0) * (x1 - x0) / (y1 - y0) > x.  With the points sorted by y,
+    the points an edge straddles are the run min(y0, y1) <= y < max(y0, y1),
+    found by `searchsorted`; the (edge, point) pairs of all runs are tested
+    in blocks of max(points, `_PAIR_BLOCK`) pairs, so memory grows with the
+    points, not with points x edges.  Each test takes the per-edge loop's
+    float operations in its order, so it rounds as that loop's does.
+    """
+    x, y = pts[:, 0], pts[:, 1]
+    W = _shift(V, 1)
+    order = np.argsort(y, kind="stable")
+    ys = y[order]
+    first = np.searchsorted(ys, np.minimum(V[:, 1], W[:, 1]))
+    count = np.searchsorted(ys, np.maximum(V[:, 1], W[:, 1])) - first
+    last = np.cumsum(count)
+    crossings = np.zeros(len(pts), dtype=np.int64)
+    block = max(len(pts), _PAIR_BLOCK)
+    for start in range(0, int(last[-1]), block):
+        k = np.arange(start, min(start + block, last[-1]))
+        e = np.searchsorted(last, k, side="right")
+        p = order[k - last[e] + count[e] + first[e]]
+        (x0, y0), (x1, y1) = V[e].T, W[e].T
+        xi = x0 + (y[p] - y0) * (x1 - x0) / (y1 - y0)
+        crossings += np.bincount(p[xi > x[p]], minlength=len(pts))
+    return crossings % 2 == 1
 
 
 def _point_segment_distance(p: Vec2, a: Vec2, b: Vec2) -> float:

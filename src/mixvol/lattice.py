@@ -263,6 +263,59 @@ class _BoundaryState:
         return d
 
 
+class _CountState(_BoundaryState):
+    """`_BoundaryState` whose outside layer is a plain count, `outside`: the
+    exact search reads only its size and never samples it.  A cell outside S
+    has a count only while it is in the layer, so `add` reads `c in cnt`."""
+
+    def __init__(self, G: PLGGraph, bound: int):
+        self.outside = 0
+        super().__init__(G, bound)
+
+    def boundary(self, mode: str) -> int:
+        return self.outside if mode == VERTEX else super().boundary(mode)
+
+    def add(self, c: int) -> None:
+        cells, cnt = self.cells, self.cnt
+        outside = self.outside - (c in cnt)
+        cells.add(c)
+        own = 0
+        for o in self.offsets:
+            w = c + o
+            if w in cells:
+                own += 1
+                cnt[w] += 1
+            else:
+                k = cnt.get(w, 0)
+                outside += k == 0
+                cnt[w] = k + 1
+        cnt[c] = own
+        self.internal += 2 * own
+        self.outside = outside
+
+    def remove(self, c: int) -> None:
+        cells, cnt = self.cells, self.cnt
+        own = cnt.pop(c)
+        cells.discard(c)
+        outside = self.outside
+        for o in self.offsets:
+            w = c + o
+            if w in cells:
+                cnt[w] -= 1
+            else:
+                k = cnt[w] - 1
+                if k == 0:
+                    del cnt[w]
+                    outside -= 1
+                else:
+                    cnt[w] = k
+        self.internal -= 2 * own
+        if own > 0:
+            cnt[c] = own
+            outside += 1
+        self.outside = outside
+
+
 def _reach(G: PLGGraph) -> int:
     """Largest coordinate step of any edge vector."""
     return max(abs(c) for v in G.edge_vectors for c in v)
@@ -333,7 +386,7 @@ def solve_exact(G: PLGGraph, n: int, mode: str, cap: int = 10) -> OptResult:
     best_witness: tuple[int, ...] | None = None
     # A connected n-set grown from the origin stays within (n - 1) * reach of
     # it, and its neighbours within n * reach.
-    state = _BoundaryState(G, n * _reach(G))
+    state = _CountState(G, n * _reach(G))
     origin = state.encode((0, 0))
     # Steepest possible single-cell decrease of the running boundary: a cell
     # with k occupied neighbors changes the exiting-edge count by deg - 2k,

@@ -102,12 +102,21 @@ def _sum_parts(M: Polygon, N: StructuringSet, eps: float) -> list[np.ndarray]:
     `geom2d.convex_parts`.  Let A be M's vertices as `ConvexPolygon` keeps
     them when it accepts M, else M's own.  A one-vertex chain gives A + C[0].
     When M is convex, every other C gives the one convex part A + C.
-    Otherwise C gives M + C[0] and the convex part e + C for each edge e of
-    M, all edges in one `geom2d._edge_sums` call, because
-    M + C = (M + c) u (bd M + C) for convex C and c in C: take p = m + x.
-    If p - c is not in M, the segment from m to p - c meets bd M at some
-    y = m + t(x - c), and p = y + (t c + (1 - t) x) lies in bd M + C.  An
-    edge part of area at most TAU (an edge parallel to a segment) is left
+    Otherwise C gives M + C[0] and the convex part e + C for each front edge
+    e of M, one whose outward normal n_e = (dy, -dx) has
+    n_e . (C_j - C[0]) > 0 for some vertex C_j, all edges in one
+    `geom2d._edge_sums` call.  For convex C and c0 = C[0] in C,
+    M + C = (M + c0) u (union of e + C over the front edges e).  Take
+    p = m + x with m in M, x in C, and p - c0 not in M.  Follow
+    m + t(x - c0) from t = 0 to its last point y in M, at t < 1.  There the
+    ray leaves M, so some edge e through y has n_e . (x - c0) > 0: at an
+    edge's interior a tangent ray would stay on the edge; at a convex
+    corner, both normals <= 0 keep the ray inside; at a reflex corner,
+    leaving needs both normals > 0.  As x - c0 is a convex combination of
+    the C_j - c0, e is a front edge, and p = y + ((1 - t) x + t c0) lies in
+    e + C.  About half of a star's edges face away from a given C, and their
+    parts, covered by the others, never reach the union sweep.  An edge
+    part of area at most TAU (an edge nearly parallel to a segment) is left
     out; it adds no area.  eps = 0 gives M's array alone.
     Nothing on this path is validated as a polygon at scale eps: the parts
     come from proven-convex merges of checked inputs, so a component too
@@ -153,7 +162,11 @@ def _sum_parts(M: Polygon, N: StructuringSet, eps: float) -> list[np.ndarray]:
 def sum_region(M: Polygon, N: StructuringSet, eps: float) -> RegionUnion:
     """The dilation M + eps*N as an explicit union of polygon parts: each
     array of `_sum_parts` as a ConvexPolygon when that accepts it, else as a
-    Polygon.  eps = 0 gives the union of M alone.
+    Polygon.  eps = 0 gives the union of M alone.  For nonconvex M a chain C
+    of N gives M + C[0] and e + C for the front edges e of M only, those
+    whose outward normal sees C from C[0]: a path m + t(x - C[0]) that
+    leaves M does so through an edge whose normal sees x - C[0], so the
+    other edges' parts lie in these (`_sum_parts` has the proof).
 
     For callers outside mixvol: `sum_volume`, `local_expansion_probe` and
     `d_grid` read the arrays of `_sum_parts` and build no polygon."""

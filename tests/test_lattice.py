@@ -517,6 +517,32 @@ def test_scored_delta_matches_recount(G, cells, moves):
         assert len(state.pos) == len(state.layer)
 
 
+@settings(derandomize=True, max_examples=100, deadline=None)
+@given(st.sampled_from([GRID, KING, TRIANGULAR, SKEW]),
+       st.sets(st.tuples(st.integers(-3, 3), st.integers(-3, 3)), min_size=1, max_size=20),
+       st.lists(st.tuples(st.integers(0, 10 ** 6), st.integers(0, 10 ** 6)),
+                min_size=1, max_size=25))
+def test_count_state_counts_the_layer(G, cells, moves):
+    """The exact search's plain count of the outside layer follows the
+    indexed layer of `_BoundaryState` through the same adds and removes."""
+    bound = 3 + (len(moves) + 2) * lattice._reach(G)
+    state = lattice._BoundaryState(G, bound, sorted(cells))
+    count = lattice._CountState(G, bound)
+    for c in sorted(cells):
+        count.add(count.encode(c))
+        assert count.boundary("vertex") == lattice.vertex_boundary(
+            [count.decode(k) for k in count.cells], G)
+    for i, j in moves:
+        rem = sorted(state.cells)[i % len(state.cells)]
+        add = state.layer[j % len(state.layer)]
+        for s in (state, count):
+            s.remove(rem)
+            s.add(add)
+        assert count.cells == state.cells and count.cnt == state.cnt
+        assert count.boundary("edge") == state.boundary("edge")
+        assert count.boundary("vertex") == len(state.layer)
+
+
 # ---------------------------------------------------------------------------
 # convergence diagnostics
 

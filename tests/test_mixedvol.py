@@ -6,9 +6,9 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from conftest import NEAR_STRAIGHT_RUN, closed_form_plus_dilation, near_collinear_convex
-from test_geom2d import _convex_union_area_reference
+from test_geom2d import _convex_union_area_reference, polar_polygon, segment_along
 from mixvol import geom2d, mixedvol, structuring
-from mixvol.errors import (DegenerateHull, IllConditioned, NonDecreasingSchedule,
+from mixvol.errors import (DegenerateHull, DegenerateInput, IllConditioned, NonDecreasingSchedule,
                            NumericalDegeneracy, SingularPoint)
 from mixvol.geom2d import ConvexPolygon, Polygon
 from mixvol.mixedvol import DEstimate
@@ -198,6 +198,93 @@ def test_sum_volume_is_the_union_area_of_sum_region_near_collinear(verts, eps):
     M = geom2d.polygon_from_dict({"vertices": verts})
     want = geom2d.union_area(mixedvol.sum_region(M, _MIXED_N, eps))
     assert mixedvol.sum_volume(M, _MIXED_N, eps) == pytest.approx(want, rel=1e-14)
+
+
+def _sum_parts_reference(M, N, eps):
+    """`mixedvol._sum_parts` as it was before it kept only the front edges:
+    for nonconvex M, M + C[0] and e + C for every edge e of M, each edge
+    part one `_minkowski_chain` of the edge's ends in lex order with C."""
+    if eps == 0.0:
+        return [M.array]
+    try:
+        A = M.array if isinstance(M, ConvexPolygon) else geom2d._convex_array(M.array)
+        convex = True
+    except ValueError:
+        A, convex = M.array, False
+    parts = []
+    for comp in N.components:
+        if isinstance(comp, Points):
+            chains = list(eps * np.array(comp.pts)[:, None])
+        elif isinstance(comp, Segment):
+            a = (eps * comp.a[0], eps * comp.a[1])
+            b = (eps * comp.b[0], eps * comp.b[1])
+            if math.hypot(b[0] - a[0], b[1] - a[1]) <= geom2d.TAU:
+                chains = [np.array([a])]
+            else:
+                chains = [np.array((a, b) if a <= b else (b, a))]
+        elif isinstance(comp, Disc):
+            centre = (eps * comp.center[0], eps * comp.center[1])
+            chains = [eps * comp.radius * structuring._unit_disc() + centre]
+        else:
+            chains = [eps * V for V in geom2d._convex_pieces(comp)]
+        for C in chains:
+            if len(C) == 1:
+                parts.append(A + C[0])
+            elif convex:
+                parts.append(geom2d._minkowski_chain(A, C))
+            else:
+                parts.append(A + C[0])
+                for v, w in zip(A.tolist(), geom2d._shift(A, 1).tolist()):
+                    Z = geom2d._minkowski_chain(np.array(sorted((v, w))), C)
+                    if not geom2d._signed_area(Z) <= geom2d.TAU:
+                        parts.append(Z)
+    return parts
+
+
+@st.composite
+def polygon_dilations(draw):
+    """A random simple polygon (`polar_polygon`) with one to three
+    components, segments in either lex order along an axis or an edge of M
+    (`segment_along`), triangles or points, and in one draw of six a disc."""
+    verts = draw(polar_polygon())
+    try:
+        M = Polygon(verts)
+    except ValueError:  # angles too close together for a positive-area boundary
+        assume(False)
+    coord = st.floats(-0.5, 0.5)
+    comps = []
+    for kind in draw(st.lists(st.sampled_from(("segment", "segment", "triangle", "points")),
+                              min_size=1, max_size=3)):
+        if kind == "segment":
+            comps.append(Segment(*draw(segment_along(verts))))
+        elif kind == "triangle":
+            try:
+                comps.append(geom2d.convex_hull([(draw(coord), draw(coord)) for _ in range(3)]))
+            except DegenerateInput:
+                assume(False)
+        else:
+            comps.append(Points(tuple((draw(coord), draw(coord))
+                                      for _ in range(draw(st.integers(1, 3))))))
+    if draw(st.integers(0, 5)) == 0:  # a disc's 4096 vertices make each edge part slow
+        comps.append(Disc((draw(coord), draw(coord)), draw(st.floats(0.05, 0.5))))
+    return M, StructuringSet(tuple(comps)), draw(st.sampled_from((0.01, 0.1, 0.5)))
+
+
+@settings(derandomize=True, max_examples=100, deadline=None)
+@given(st.one_of(star_dilations(), polygon_dilations()), st.data())
+def test_front_edge_parts_cover_the_dilation(case, data):
+    """Dropping the edge parts whose outward normal does not see C changes
+    neither the union's area nor the normal-ray probe."""
+    M, N, eps = case
+    want = _sum_parts_reference(M, N, eps)
+    assert mixedvol.sum_volume(M, N, eps) == pytest.approx(geom2d._union_area(want), rel=1e-12)
+    i = data.draw(st.integers(0, len(M.vertices) - 1))
+    t = data.draw(st.floats(0.01, 0.99))
+    (x0, y0), (x1, y1) = M.vertices[i], M.vertices[(i + 1) % len(M.vertices)]
+    L = math.hypot(x1 - x0, y1 - y0)
+    ray = ((x0 + t * (x1 - x0), y0 + t * (y1 - y0)), ((y1 - y0) / L, -(x1 - x0) / L))
+    assert mixedvol.local_expansion_probe(M, (i, t), N, eps) == \
+        pytest.approx(geom2d._ray_exit(*ray, want), rel=1e-12)
 
 
 _STAR4 = Polygon(tuple(((1.0 if i % 2 == 0 else 0.4) * math.cos(math.pi * i / 4),
