@@ -10,10 +10,11 @@ rebuild one from the tuple.
 
 Polygons are validated once, where they enter: by their constructors.  The
 private kernels `_minkowski_chain`, `_edge_sums`, `_union_area`, `_ray_exit`
-and `_points_in` take `(n, 2)` vertex arrays, return arrays or numbers, and
-check nothing, so a chain of them, such as `mixedvol.sum_volume`, builds no
-polygon; the public names of the last three read a polygon's `array` and
-call them.  `_convex_array` is the check of `ConvexPolygon` on a bare array.
+and `_points_in` take `(n, 2)` vertex arrays (`_edge_sums` also a
+`(B, k, 2)` stack of chains), return arrays or numbers, and check nothing,
+so a chain of them, such as `mixedvol.sum_volume`, builds no polygon; the
+public names of the last three read a polygon's `array` and call them.
+`_convex_array` is the check of `ConvexPolygon` on a bare array.
 
 Conventions: polygons are simple, wound counterclockwise, with positive area.
 Region unions are flat tuples of polygon parts, possibly overlapping.
@@ -437,40 +438,45 @@ def _minkowski_chain(A: np.ndarray, B: np.ndarray) -> np.ndarray:
     return np.cumsum(np.concatenate(steps), axis=0)[:-1]  # the last is the start
 
 
-def _edge_sums(V: np.ndarray, C: np.ndarray) -> list[np.ndarray]:
-    """`_minkowski_chain(e, C)` for every front edge e of the closed CCW
-    polygon V, taken as its two ends in lex order, in edge order and
-    without the sums of area at most TAU.
+def _edge_sums(V: np.ndarray, Cs: np.ndarray) -> list[list[np.ndarray]]:
+    """For each chain C of the stack Cs, (B, k, 2): `_minkowski_chain(e, C)`
+    for every front edge e of the closed CCW polygon V, taken as its two
+    ends in lex order, in edge order and without the sums of area at most
+    TAU; one list per chain, in stack order.
 
-    An edge from v to w is a front edge when its outward normal
+    An edge from v to w is a front edge for C when its outward normal
     n = (dy, -dx), (dx, dy) = w - v, sees C from C[0]: n . (C_j - C[0]) > 0
     for some j.  The test is taken elementwise, `dy * gx - dx * gy` with
     (gx, gy) = C_j - C[0], so it rounds as the same Python float
     expression does (no fused multiply-add, as a matrix product may use).
-    Only front edges reach the merge below; `mixedvol._sum_parts` proves
-    that their sums and V + C[0] cover V + C.
+    Only (front edge, chain) rows reach the merge below, chain by chain;
+    `mixedvol._sum_parts` proves that their sums and V + C[0] cover V + C.
 
     The chain e = [s, t] has the edges d = t - s and s - t.  Its merge with
     the edges c_j of C takes d at the first j where `_edge_order(d, c_j)` is
     not -1, and s - t at the first j after that.  `_edge_order` is taken on
-    all (edges x k) pairs at once, so the ranks are the merge's by
+    all (rows x k) pairs at once, so the ranks are the merge's by
     construction.  A sum in which d or s - t merges with an edge of C goes
     through `_minkowski_chain`.  Areas are the shoelace sum of each row,
-    added left to right by `np.cumsum`, as `_signed_area` adds them.
+    added left to right by `np.cumsum`, as `_signed_area` adds them.  Every
+    operation is elementwise or runs along one row, so a chain's sums are
+    the same bits in any stack.
     """
     W = _shift(V, 1)
-    E, G = W - V, C - C[0]
+    E, G = W - V, Cs - Cs[:, :1]
     # `not <= 0` keeps an edge whose test overflows to NaN, as for areas below
-    front = ~(E[:, 1, None] * G[:, 0] - E[:, 0, None] * G[:, 1] <= 0.0).all(1)
-    V, W = V[front], W[front]
+    front = ~(E[:, 1, None] * G[:, None, :, 0] - E[:, 0, None] * G[:, None, :, 1] <= 0.0).all(2)
+    c, i = np.nonzero(front)
+    V, W = V[i], W[i]
     swap = ((W[:, 0] < V[:, 0]) | ((W[:, 0] == V[:, 0]) & (W[:, 1] < V[:, 1])))[:, None]
     S, T = np.where(swap, W, V), np.where(swap, V, W)
-    D, R, EC = T - S, S - T, _shift(C, 1) - C
-    k = len(EC)
+    D, R, EC = T - S, S - T, np.concatenate((Cs[:, 1:], Cs[:, :1]), axis=1) - Cs
+    k = Cs.shape[1]
     col = np.arange(k)
-    o1 = _edge_order(D[:, None], EC)
+    Q = EC[c] if len(Cs) > 1 else EC  # one chain broadcasts, uncopied
+    o1 = _edge_order(D[:, None], Q)
     r1 = k - np.logical_or.accumulate(o1 != -1, axis=1).sum(1)
-    o2 = _edge_order(R[:, None], EC)
+    o2 = _edge_order(R[:, None], Q)
     r2 = k - np.logical_or.accumulate((o2 != -1) & (col >= r1[:, None]), axis=1).sum(1)
     rows = np.arange(len(V))
     merged = ((r1 < k) & (o1[rows, np.minimum(r1, k - 1)] == 0)) \
@@ -478,20 +484,22 @@ def _edge_sums(V: np.ndarray, C: np.ndarray) -> list[np.ndarray]:
     t = np.arange(k + 2)
     at_d, at_r = t == r1[:, None], t == r2[:, None] + 1
     src = np.minimum(t - (t > r1[:, None]) - (t > r2[:, None] + 1), k - 1)
-    steps = np.where(at_d[..., None], D[:, None], np.where(at_r[..., None], R[:, None], EC[src]))
-    X = np.cumsum(np.concatenate(((S + C[0])[:, None], steps), axis=1), axis=1)[:, :-1]
+    steps = np.where(at_d[..., None], D[:, None],
+                     np.where(at_r[..., None], R[:, None], EC[c[:, None], src]))
+    X = np.cumsum(np.concatenate(((S + Cs[c, 0])[:, None], steps), axis=1), axis=1)[:, :-1]
     Y = np.concatenate((X[:, 1:], X[:, :1]), axis=1)
     area = 0.5 * np.cumsum(X[..., 0] * Y[..., 1] - Y[..., 0] * X[..., 1], axis=1)[:, -1]
-    out = []
+    out: list[list[np.ndarray]] = [[] for _ in Cs]
     # `not area <= TAU` keeps a NaN area, so an overflowed part reaches the
     # finiteness check of `_union_area` and is not dropped as a thin one
-    for e, (merges, big) in enumerate(zip(merged.tolist(), (~(area <= TAU)).tolist())):
+    for e, (b, merges, big) in enumerate(zip(c.tolist(), merged.tolist(),
+                                             (~(area <= TAU)).tolist())):
         if merges:
-            Z = _minkowski_chain(np.stack((S[e], T[e])), C)
+            Z = _minkowski_chain(np.stack((S[e], T[e])), Cs[b])
             if not _signed_area(Z) <= TAU:
-                out.append(Z)
+                out[b].append(Z)
         elif big:
-            out.append(X[e])
+            out[b].append(X[e])
     return out
 
 

@@ -14,6 +14,7 @@ into the CLI's exit status.
 from __future__ import annotations
 
 import math
+from contextvars import ContextVar
 from dataclasses import dataclass
 from functools import reduce
 from typing import Callable, Sequence
@@ -90,73 +91,124 @@ class SeriesFit:
 # Dilation regions and volumes
 
 
-def _sum_parts(M: Polygon, N: StructuringSet, eps: float) -> list[np.ndarray]:
-    """The dilation M + eps*N as the CCW vertex arrays of parts whose union
-    it is.
-
-    Every component of N is taken as convex chains C, (k, 2) arrays scaled
-    by eps, each starting at its lex-min vertex as `geom2d._minkowski_chain`
+def _chains(comp, eps: float) -> list[np.ndarray]:
+    """The convex chains of the component `comp` scaled by eps > 0, (k, 2)
+    arrays each starting at its lex-min vertex as `geom2d._minkowski_chain`
     needs: a point, or a segment of length at most TAU, one vertex; a
     segment its two ends in lex order; a disc its `regular_disc` vertices
-    moved to its centre; a polygon the vertices of each of its
-    `geom2d.convex_parts`.  Let A be M's vertices as `ConvexPolygon` keeps
-    them when it accepts M, else M's own.  A one-vertex chain gives A + C[0].
-    When M is convex, every other C gives the one convex part A + C.
-    Otherwise C gives M + C[0] and the convex part e + C for each front edge
-    e of M, one whose outward normal n_e = (dy, -dx) has
-    n_e . (C_j - C[0]) > 0 for some vertex C_j, all edges in one
-    `geom2d._edge_sums` call.  For convex C and c0 = C[0] in C,
-    M + C = (M + c0) u (union of e + C over the front edges e).  Take
-    p = m + x with m in M, x in C, and p - c0 not in M.  Follow
-    m + t(x - c0) from t = 0 to its last point y in M, at t < 1.  There the
-    ray leaves M, so some edge e through y has n_e . (x - c0) > 0: at an
-    edge's interior a tangent ray would stay on the edge; at a convex
-    corner, both normals <= 0 keep the ray inside; at a reflex corner,
-    leaving needs both normals > 0.  As x - c0 is a convex combination of
-    the C_j - c0, e is a front edge, and p = y + ((1 - t) x + t c0) lies in
-    e + C.  About half of a star's edges face away from a given C, and their
-    parts, covered by the others, never reach the union sweep.  An edge
-    part of area at most TAU (an edge nearly parallel to a segment) is left
-    out; it adds no area.  eps = 0 gives M's array alone.
+    moved to its centre; a polygon component, given as the list of its
+    `geom2d._convex_pieces`, each piece."""
+    if isinstance(comp, Points):
+        return list(eps * np.array(comp.pts)[:, None])
+    if isinstance(comp, Segment):
+        a = (eps * comp.a[0], eps * comp.a[1])
+        b = (eps * comp.b[0], eps * comp.b[1])
+        if math.hypot(b[0] - a[0], b[1] - a[1]) <= geom2d.TAU:
+            return [np.array([a])]
+        return [np.array((a, b) if a <= b else (b, a))]
+    if isinstance(comp, Disc):
+        centre = (eps * comp.center[0], eps * comp.center[1])
+        return [eps * comp.radius * structuring._unit_disc() + centre]
+    return [eps * V for V in comp]
+
+
+def _sum_parts(M: Polygon, N: StructuringSet, schedule: Sequence[float]):
+    """For each eps of `schedule`, in order, the dilation M + eps*N as the
+    CCW vertex arrays of parts whose union it is: an iterator of lists.
+
+    Every component of N is taken as the convex chains C of `_chains`.  Let
+    A be M's vertices as `ConvexPolygon` keeps them when it accepts M, else
+    M's own; M is probed once per schedule.  A one-vertex chain gives
+    A + C[0].  When M is convex, every other C gives the one convex part
+    A + C.  Otherwise C gives M + C[0] and the convex part e + C for each
+    front edge e of M, one whose outward normal n_e = (dy, -dx) has
+    n_e . (C_j - C[0]) > 0 for some vertex C_j (`geom2d._edge_sums`).  For
+    convex C and c0 = C[0] in C, M + C = (M + c0) u (union of e + C over
+    the front edges e).  Take p = m + x with m in M, x in C, and p - c0 not
+    in M.  Follow m + t(x - c0) from t = 0 to its last point y in M, at
+    t < 1.  There the ray leaves M, so some edge e through y has
+    n_e . (x - c0) > 0: at an edge's interior a tangent ray would stay on
+    the edge; at a convex corner, both normals <= 0 keep the ray inside; at
+    a reflex corner, leaving needs both normals > 0.  As x - c0 is a convex
+    combination of the C_j - c0, e is a front edge, and p = y + ((1 - t) x
+    + t c0) lies in e + C.  About half of a star's edges face away from a
+    given C, and their parts, covered by the others, never reach the union
+    sweep.  An edge part of area at most TAU (an edge nearly parallel to a
+    segment) is left out; it adds no area.  eps = 0 gives M's array alone.
+
+    For nonconvex M, the edge parts of every chain of k > 1 vertices whose
+    len(A) * k (edge, chain edge) pairs fit twice into `geom2d._PAIR_BLOCK`
+    are made first, for the whole schedule: its copies at every eps are
+    stacked by k into `_edge_sums` calls of at most `_PAIR_BLOCK` pairs, and
+    their parts wait for their eps.  A larger chain is summed alone when its
+    eps comes, so its parts are held one eps at a time, as are those of
+    convex M, which keeps its per-eps merges.  A disc's chain (k = 4096)
+    is always larger, so the stacking pass does not build it.  Each eps
+    builds its chains again when it comes rather than keeping them from
+    that pass, so a disc chain is held one eps at a time too; the
+    construction is deterministic, and `_edge_sums` sums a chain to the
+    same bits in any stack, so each eps's arrays are those of a schedule
+    of that eps alone.
     Nothing on this path is validated as a polygon at scale eps: the parts
     come from proven-convex merges of checked inputs, so a component too
     small for `ConvexPolygon`'s absolute floors (a disc with eps * r below
     about 6e-7) still adds.
     """
-    if not 0.0 <= eps < math.inf:
-        raise ValueError(f"epsilon must be finite and nonnegative: {eps!r}")
-    if eps == 0.0:
-        return [M.array]
+    for eps in schedule:
+        if not 0.0 <= eps < math.inf:
+            raise ValueError(f"epsilon must be finite and nonnegative: {eps!r}")
     try:
         A = M.array if isinstance(M, ConvexPolygon) else geom2d._convex_array(M.array)
         convex = True
     except ValueError:
         A, convex = M.array, False
-    parts: list[np.ndarray] = []
-    for comp in N.components:
-        if isinstance(comp, Points):
-            chains = list(eps * np.array(comp.pts)[:, None])
-        elif isinstance(comp, Segment):
-            a = (eps * comp.a[0], eps * comp.a[1])
-            b = (eps * comp.b[0], eps * comp.b[1])
-            if math.hypot(b[0] - a[0], b[1] - a[1]) <= geom2d.TAU:
-                chains = [np.array([a])]
-            else:
-                chains = [np.array((a, b) if a <= b else (b, a))]
-        elif isinstance(comp, Disc):
-            centre = (eps * comp.center[0], eps * comp.center[1])
-            chains = [eps * comp.radius * structuring._unit_disc() + centre]
-        else:  # polygon component
-            chains = [eps * V for V in geom2d._convex_pieces(comp)]
-        for C in chains:
-            if len(C) == 1:
-                parts.append(A + C[0])
-            elif convex:
-                parts.append(geom2d._minkowski_chain(A, C))
-            else:
-                parts.append(A + C[0])
-                parts.extend(geom2d._edge_sums(A, C))
-    return parts
+    comps = [geom2d._convex_pieces(c) if isinstance(c, Polygon) else c for c in N.components]
+    edges: dict = {}  # (eps, component, chain) indices -> the chain's edge parts
+    if not convex:
+        kmax = geom2d._PAIR_BLOCK // (2 * len(A))
+        stacks: dict = {}
+        for i, eps in enumerate(schedule):
+            for j, comp in enumerate(comps if eps else ()):
+                for m, C in enumerate(() if isinstance(comp, Disc) else _chains(comp, eps)):
+                    if 1 < len(C) <= kmax:
+                        stacks.setdefault(len(C), []).append(((i, j, m), C))
+        for k, items in stacks.items():
+            b = geom2d._PAIR_BLOCK // (len(A) * k)
+            for lo in range(0, len(items), b):
+                keys, Cs = zip(*items[lo:lo + b])
+                edges.update(zip(keys, geom2d._edge_sums(A, np.stack(Cs))))
+
+    def parts(i: int, eps: float) -> list[np.ndarray]:
+        out: list[np.ndarray] = []
+        for j, comp in enumerate(comps):
+            for m, C in enumerate(_chains(comp, eps)):
+                if len(C) == 1:
+                    out.append(A + C[0])
+                elif convex:
+                    out.append(geom2d._minkowski_chain(A, C))
+                else:
+                    out.append(A + C[0])
+                    key = (i, j, m)
+                    out += edges.pop(key) if key in edges else geom2d._edge_sums(A, C[None])[0]
+        return out
+
+    return ([M.array] if eps == 0.0 else parts(i, eps) for i, eps in enumerate(schedule))
+
+
+#: The schedule that `_sum_volumes` dilates: M, N, its eps still to come
+#: (last first) and the iterator of their parts.
+_SCHEDULE: ContextVar = ContextVar("_SCHEDULE", default=None)
+
+
+def _sum_volumes(M: Polygon, N: StructuringSet, schedule: Sequence[float]) -> list[float]:
+    """|M + eps*N| for each eps of `schedule`, each from a call of
+    `sum_volume(M, N, eps)`, which takes its parts, one eps at a time, from
+    a single `_sum_parts` call over the whole schedule."""
+    token = _SCHEDULE.set((M, N, list(schedule)[::-1], _sum_parts(M, N, schedule)))
+    try:
+        return [sum_volume(M, N, e) for e in schedule]
+    finally:
+        _SCHEDULE.reset(token)
 
 
 def sum_region(M: Polygon, N: StructuringSet, eps: float) -> RegionUnion:
@@ -172,13 +224,18 @@ def sum_region(M: Polygon, N: StructuringSet, eps: float) -> RegionUnion:
     `d_grid` read the arrays of `_sum_parts` and build no polygon."""
     if eps == 0.0:
         return RegionUnion((M,))
-    return RegionUnion(tuple(geom2d._polygon(V) for V in _sum_parts(M, N, eps)))
+    return RegionUnion(tuple(geom2d._polygon(V) for V in next(_sum_parts(M, N, (eps,)))))
 
 
 def sum_volume(M: Polygon, N: StructuringSet, eps: float) -> float:
     """|M + eps*N| as the exact union area of the arrays of `_sum_parts`; no
-    polygon is built.  eps = 0 gives |M|."""
-    return geom2d._union_area(_sum_parts(M, N, eps))
+    polygon is built.  eps = 0 gives |M|.  Called by `_sum_volumes` for
+    the next eps of its schedule, it reads that eps's parts from there."""
+    ahead = _SCHEDULE.get()
+    if ahead is not None and ahead[0] is M and ahead[1] is N and ahead[2][-1:] == [eps]:
+        ahead[2].pop()
+        return geom2d._union_area(next(ahead[3]))
+    return geom2d._union_area(next(_sum_parts(M, N, (eps,))))
 
 
 # ---------------------------------------------------------------------------
@@ -189,8 +246,9 @@ def _check_schedule(schedule: Sequence[float]) -> tuple[float, ...]:
     eps = tuple(float(e) for e in schedule)
     if len(eps) < 3:
         raise NonDecreasingSchedule("schedule needs at least 3 epsilons")
-    if any(e <= 0 for e in eps) or any(a <= b for a, b in zip(eps, eps[1:])):
-        raise NonDecreasingSchedule("schedule must be positive and strictly decreasing")
+    if not all(0 < e < math.inf for e in eps) or any(a <= b for a, b in zip(eps, eps[1:])):
+        raise NonDecreasingSchedule(
+            "schedule must be positive, finite and strictly decreasing")
     return eps
 
 
@@ -221,7 +279,7 @@ def d_finite_difference(M: Polygon, N: StructuringSet,
     eps = _check_schedule(schedule if schedule is not None else DEFAULT_SCHEDULE)
     base = geom2d.area(M)
     if volumes is None:
-        volumes = [sum_volume(M, N, e) for e in eps]
+        volumes = _sum_volumes(M, N, eps)
     elif len(volumes) != len(eps):
         raise ValueError("volumes must align with the schedule")
     return _extrapolated(eps, tuple((v - base) / e for v, e in zip(volumes, eps)))
@@ -264,7 +322,7 @@ def local_expansion_probe(M: Polygon, edge_param: tuple[int, float],
     y = (x0 + t * (x1 - x0), y0 + t * (y1 - y0))
     L = math.hypot(x1 - x0, y1 - y0)
     normal = ((y1 - y0) / L, -(x1 - x0) / L)
-    return geom2d._ray_exit(y, normal, _sum_parts(M, N, eps))
+    return geom2d._ray_exit(y, normal, next(_sum_parts(M, N, (eps,))))
 
 
 def mixed_area(K1: ConvexPolygon, K2: ConvexPolygon) -> float:
@@ -285,14 +343,14 @@ def series_fit(M: Polygon, N: StructuringSet, eps_grid: Sequence[float],
     if degree < 1:
         raise ValueError("degree must be at least 1")
     eps = sorted({float(e) for e in eps_grid})
-    if any(e <= 0 for e in eps):
-        raise ValueError("epsilons must be positive")
+    if not all(0 < e < math.inf for e in eps):
+        raise ValueError("epsilons must be positive and finite")
     if len(eps) < degree + 3:
         raise ValueError(f"need at least {degree + 3} distinct epsilons")
     if max(eps) / min(eps) < 10.0:
         raise IllConditioned("epsilon grid spans less than one decade")
     if volumes is None:
-        vols = np.array([sum_volume(M, N, e) for e in eps])
+        vols = np.array(_sum_volumes(M, N, eps))
     else:
         if len(volumes) != len(eps):
             raise ValueError("volumes must align with the deduplicated grid")
@@ -317,7 +375,9 @@ def d_grid(M: Polygon, N: StructuringSet, schedule: Sequence[float],
     coarse but independent check of the exact route (accuracy ~ h * perimeter).
     """
     eps = _check_schedule(schedule)
-    big = np.concatenate(_sum_parts(M, N, eps[0]))
+    dilations = _sum_parts(M, N, eps)
+    first = next(dilations)
+    big = np.concatenate(first)
     pad = 2 * h
     bounds = tuple(zip((big.min(axis=0) - pad).tolist(), (big.max(axis=0) + pad).tolist()))
 
@@ -328,7 +388,8 @@ def d_grid(M: Polygon, N: StructuringSet, schedule: Sequence[float],
             bounds, h)[0]
 
     base = volume([M.array])
-    return _extrapolated(eps, tuple((volume(_sum_parts(M, N, e)) - base) / e for e in eps))
+    vols = [volume(first)] + [volume(parts) for parts in dilations]
+    return _extrapolated(eps, tuple((v - base) / e for v, e in zip(vols, eps)))
 
 
 def box_distance(lo: Sequence[float], hi: Sequence[float]) -> Callable:

@@ -1,4 +1,8 @@
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -200,10 +204,38 @@ def test_sum_volume_is_the_union_area_of_sum_region_near_collinear(verts, eps):
     assert mixedvol.sum_volume(M, _MIXED_N, eps) == pytest.approx(want, rel=1e-14)
 
 
-def _sum_parts_reference(M, N, eps):
-    """`mixedvol._sum_parts` as it was before it kept only the front edges:
-    for nonconvex M, M + C[0] and e + C for every edge e of M, each edge
-    part one `_minkowski_chain` of the edge's ends in lex order with C."""
+def _chains_reference(comp, eps):
+    """The chains of one component of N at eps > 0, each from its lex-min
+    vertex, as `_sum_parts` built them when it took one epsilon."""
+    if isinstance(comp, Points):
+        return list(eps * np.array(comp.pts)[:, None])
+    if isinstance(comp, Segment):
+        a = (eps * comp.a[0], eps * comp.a[1])
+        b = (eps * comp.b[0], eps * comp.b[1])
+        if math.hypot(b[0] - a[0], b[1] - a[1]) <= geom2d.TAU:
+            return [np.array([a])]
+        return [np.array((a, b) if a <= b else (b, a))]
+    if isinstance(comp, Disc):
+        centre = (eps * comp.center[0], eps * comp.center[1])
+        return [eps * comp.radius * structuring._unit_disc() + centre]
+    return [eps * V for V in geom2d._convex_pieces(comp)]
+
+
+def _every_edge_part(A, C):
+    """e + C for every edge e of A, each one `_minkowski_chain` of the
+    edge's ends in lex order with C, but those of area at most TAU."""
+    parts = []
+    for v, w in zip(A.tolist(), geom2d._shift(A, 1).tolist()):
+        Z = geom2d._minkowski_chain(np.array(sorted((v, w))), C)
+        if not geom2d._signed_area(Z) <= geom2d.TAU:
+            parts.append(Z)
+    return parts
+
+
+def _sum_parts_reference(M, N, eps, edge_parts=_every_edge_part):
+    """`mixedvol._sum_parts` as it was when it took one epsilon, with the
+    parts e + C of nonconvex M from `edge_parts(A, C)`: by default those of
+    every edge e, as before it kept only the front edges."""
     if eps == 0.0:
         return [M.array]
     try:
@@ -213,31 +245,14 @@ def _sum_parts_reference(M, N, eps):
         A, convex = M.array, False
     parts = []
     for comp in N.components:
-        if isinstance(comp, Points):
-            chains = list(eps * np.array(comp.pts)[:, None])
-        elif isinstance(comp, Segment):
-            a = (eps * comp.a[0], eps * comp.a[1])
-            b = (eps * comp.b[0], eps * comp.b[1])
-            if math.hypot(b[0] - a[0], b[1] - a[1]) <= geom2d.TAU:
-                chains = [np.array([a])]
-            else:
-                chains = [np.array((a, b) if a <= b else (b, a))]
-        elif isinstance(comp, Disc):
-            centre = (eps * comp.center[0], eps * comp.center[1])
-            chains = [eps * comp.radius * structuring._unit_disc() + centre]
-        else:
-            chains = [eps * V for V in geom2d._convex_pieces(comp)]
-        for C in chains:
+        for C in _chains_reference(comp, eps):
             if len(C) == 1:
                 parts.append(A + C[0])
             elif convex:
                 parts.append(geom2d._minkowski_chain(A, C))
             else:
                 parts.append(A + C[0])
-                for v, w in zip(A.tolist(), geom2d._shift(A, 1).tolist()):
-                    Z = geom2d._minkowski_chain(np.array(sorted((v, w))), C)
-                    if not geom2d._signed_area(Z) <= geom2d.TAU:
-                        parts.append(Z)
+                parts.extend(edge_parts(A, C))
     return parts
 
 
@@ -287,6 +302,23 @@ def test_front_edge_parts_cover_the_dilation(case, data):
         pytest.approx(geom2d._ray_exit(*ray, want), rel=1e-12)
 
 
+@settings(derandomize=True, max_examples=80, deadline=None)
+@given(st.one_of(star_dilations(), polygon_dilations()), st.data())
+def test_schedule_parts_match_one_eps_at_a_time(case, data):
+    """`_sum_parts` on a schedule, in any order, with eps = 0 and an eps at
+    which every segment is a point (its scaled length is below TAU), gives
+    each eps the arrays of the one-eps body, with each chain's front-edge
+    parts from an `_edge_sums` call of its own, bit for bit and in order."""
+    M, N, eps = case
+    schedule = data.draw(st.permutations((eps, 0.0, 1e-13, eps / 3, 0.5)))
+    got = list(mixedvol._sum_parts(M, N, schedule))
+    assert len(got) == len(schedule)
+    for parts, e in zip(got, schedule):
+        want = _sum_parts_reference(M, N, e, lambda A, C: geom2d._edge_sums(A, C[None])[0])
+        assert len(parts) == len(want)
+        assert all(a.shape == b.shape and a.tobytes() == b.tobytes() for a, b in zip(parts, want))
+
+
 _STAR4 = Polygon(tuple(((1.0 if i % 2 == 0 else 0.4) * math.cos(math.pi * i / 4),
                         (1.0 if i % 2 == 0 else 0.4) * math.sin(math.pi * i / 4))
                        for i in range(8)))
@@ -316,6 +348,42 @@ def test_fd_builds_no_polygon(call, M, monkeypatch):
         monkeypatch.setattr(cls, "__post_init__", counted)
     call(M)
     assert built == []
+
+
+#: `d_finite_difference` on a 24-spike star with a segment and a disc, in a
+#: fresh interpreter, so that no earlier test moves its tracemalloc peak.
+_FD_PEAK_SCRIPT = """
+import math, tracemalloc
+from mixvol import mixedvol, structuring
+from mixvol.geom2d import Polygon
+from mixvol.structuring import Disc, Segment, StructuringSet
+M = Polygon(tuple(((1.0 if i % 2 == 0 else 0.5) * math.cos(math.pi * i / 24),
+                   (1.0 if i % 2 == 0 else 0.5) * math.sin(math.pi * i / 24)) for i in range(48)))
+N = StructuringSet((Segment((-0.2, 0.0), (0.2, 0.1)), Disc((0.1, -0.05), 0.3)))
+structuring._unit_disc()
+tracemalloc.start()
+mixedvol.d_finite_difference(M, N, (0.1, 0.05, 0.025))
+print(tracemalloc.get_traced_memory()[1])
+"""
+
+#: The script's peak in bytes where each epsilon built its own parts (the
+#: largest of five runs; they spread by 2 kB).  Where the disc's parts of
+#: the whole schedule are made at once it reads about 47.3e6.  The bound,
+#: 44 MiB (46.1e6), lies between the two, far from allocator noise.
+_FD_PEAK_ONE_EPS = 41_009_736
+_FD_PEAK_BOUND = 44 << 20
+
+
+def test_fd_holds_the_parts_of_one_eps_at_a_time():
+    """The disc's edge parts (about 3 MB an epsilon here) are summed and
+    measured one epsilon at a time; only the segment's parts of the whole
+    schedule (a few kB) are held at once."""
+    src = str(Path(mixedvol.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=src + os.pathsep + os.environ.get("PYTHONPATH", ""))
+    out = subprocess.run([sys.executable, "-c", _FD_PEAK_SCRIPT], env=env, check=True,
+                         capture_output=True, text=True).stdout
+    assert _FD_PEAK_ONE_EPS < _FD_PEAK_BOUND
+    assert int(out) <= _FD_PEAK_BOUND
 
 
 # ---------------------------------------------------------------------------
@@ -366,6 +434,14 @@ def test_fd_rejects_bad_schedules(unit_square, plus_set):
         mixedvol.d_finite_difference(unit_square, plus_set, [0.1, 0.0, -0.1])
 
 
+def test_fd_rejects_non_finite_schedules(unit_square, plus_set):
+    with pytest.raises(NonDecreasingSchedule):
+        mixedvol.d_finite_difference(unit_square, plus_set, (math.nan,) * 3,
+                                     volumes=(1, 1.5, 1.2))
+    with pytest.raises(NonDecreasingSchedule):
+        mixedvol.d_finite_difference(unit_square, plus_set, (math.inf, 0.1, 0.05))
+
+
 def test_fd_accepts_precomputed_volumes(unit_square, plus_set):
     sched = (0.2, 0.1, 0.05, 0.025)
     vols = [mixedvol.sum_volume(unit_square, plus_set, e) for e in sched]
@@ -373,6 +449,27 @@ def test_fd_accepts_precomputed_volumes(unit_square, plus_set):
     ref = mixedvol.d_finite_difference(unit_square, plus_set, sched)
     assert est.value == ref.value
     assert est.raw_quotients == ref.raw_quotients
+
+
+@pytest.mark.parametrize("M", [_L_SHAPE, ConvexPolygon(((0.0, 0.0), (1.0, 0.0), (1.0, 1.0)))],
+                         ids=["L", "triangle"])
+def test_schedule_volumes_go_through_sum_volume(M, plus_set, monkeypatch):
+    # one `_sum_parts` call per schedule, and every volume still from `sum_volume`
+    sched = (0.2, 0.1, 0.05, 0.025)
+    want = [mixedvol.sum_volume(M, plus_set, e) for e in sched]
+    real_parts, real_volume = mixedvol._sum_parts, mixedvol.sum_volume
+    schedules, seen = [], []
+    monkeypatch.setattr(mixedvol, "_sum_parts",
+                        lambda M, N, s: (schedules.append(tuple(s)), real_parts(M, N, s))[1])
+    monkeypatch.setattr(mixedvol, "sum_volume",
+                        lambda M, N, e: (seen.append(e), real_volume(M, N, e) + 1.0)[1])
+    est = mixedvol.d_finite_difference(M, plus_set, sched)
+    ref = mixedvol.d_finite_difference(M, plus_set, sched, volumes=[v + 1.0 for v in want])
+    assert schedules == [sched] and seen == list(sched)
+    assert est.raw_quotients == ref.raw_quotients
+    schedules.clear(), seen.clear()
+    mixedvol.series_fit(M, plus_set, (0.01, 0.02, 0.05, 0.1), 1)
+    assert schedules == [(0.01, 0.02, 0.05, 0.1)] and seen == [0.01, 0.02, 0.05, 0.1]
 
 
 def test_default_schedule_shape():
@@ -578,6 +675,13 @@ def test_series_rejects_short_grid(unit_square, plus_set):
         mixedvol.series_fit(unit_square, plus_set, (0.01, 0.1, 0.3), 2)
 
 
+def test_series_rejects_non_finite_grid_before_the_fit(unit_square, plus_set, capfd):
+    for bad in (math.inf, math.nan):
+        with pytest.raises(ValueError, match="finite"):
+            mixedvol.series_fit(unit_square, plus_set, [1e-3, 1e-2, bad, 0.1], 1, volumes=[1] * 4)
+    assert capfd.readouterr() == ("", "")
+
+
 def test_series_accepts_precomputed_volumes(unit_square, plus_set):
     grid = np.linspace(0.004, 0.4, 8)
     vols = [mixedvol.sum_volume(unit_square, plus_set, e) for e in grid]
@@ -689,6 +793,35 @@ def test_fd_bi_agreement_regular_star(k, plus_set):
 def test_d_grid_square_plus(unit_square, plus_set):
     est = mixedvol.d_grid(unit_square, plus_set, (0.4, 0.2, 0.1, 0.05), 0.02)
     assert est.value == pytest.approx(4.0, abs=0.2)
+
+
+#: `d_grid` value and quotients at (M, N, h) on the schedule (0.1, 0.05,
+#: 0.025), as each epsilon built its own parts, the first one twice.
+_D_GRID_REPRS = {
+    ("square", "plus", 0.02): "(1.8666666666666762, (4.000000000000001, 3.999999999999999, "
+                              "3.200000000000003))",
+    ("square", "plus", 0.05): "(4.000000000000011, (4.000000000000001, 3.999999999999999, "
+                              "4.0000000000000036))",
+    ("square", "mixed", 0.02): "(6.946666666666653, (6.072, 6.136000000000001, "
+                               "6.447999999999996))",
+    ("square", "mixed", 0.05): "(7.983333333333337, (5.750000000000002, 5.100000000000002, "
+                               "6.100000000000003))",
+    ("L", "plus", 0.02): "(5.4013333333333415, (7.9, 7.128000000000005, 6.3840000000000074))",
+    ("L", "plus", 0.05): "(8.06666666666667, (7.900000000000005, 7.950000000000008, "
+                         "8.000000000000007))",
+    ("L", "mixed", 0.02): "(11.256000000000013, (11.575999999999999, 11.256000000000004, "
+                          "11.216000000000008))",
+    ("L", "mixed", 0.05): "(15.883333333333338, (11.150000000000006, 10.050000000000008, "
+                          "12.100000000000009))",
+}
+
+
+@pytest.mark.parametrize("m, n, h", sorted(_D_GRID_REPRS))
+def test_d_grid_values_are_unchanged(m, n, h, unit_square, plus_set):
+    M = {"square": unit_square, "L": _L_SHAPE}[m]
+    N = {"plus": plus_set, "mixed": _MIXED_N}[n]
+    est = mixedvol.d_grid(M, N, (0.1, 0.05, 0.025), h)
+    assert repr((est.value, est.raw_quotients)) == _D_GRID_REPRS[m, n, h]
 
 
 def test_box_distance():
