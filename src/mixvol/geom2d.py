@@ -9,11 +9,13 @@ next to its `vertices` tuple; the kernels read that array and never
 rebuild one from the tuple.
 
 Polygons are validated once, where they enter: by their constructors.  The
-private kernels `_minkowski_chain`, `_edge_sums`, `_union_area`, `_ray_exit`
-and `_points_in` take `(n, 2)` vertex arrays (`_edge_sums` also a
-`(B, k, 2)` stack of chains), return arrays or numbers, and check nothing,
-so a chain of them, such as `mixedvol.sum_volume`, builds no polygon; the
-public names of the last three read a polygon's `array` and call them.
+private kernels take `(n, 2)` vertex arrays, return arrays or numbers, and
+check nothing, so a chain of them, such as `mixedvol.sum_volume`, builds no
+polygon: `_minkowski_chain` (the sum of two convex chains), `_convolution`
+(the indices of the convolution cycle of a polygon and a convex chain,
+which winds positively exactly on their sum), `_union_area` (of simple
+parts and such cycles), `_ray_exit` and `_points_in` (by winding number).
+The public names of the last three read a polygon's `array` and call them.
 `_convex_array` is the check of `ConvexPolygon` on a bare array.
 
 Conventions: polygons are simple, wound counterclockwise, with positive area.
@@ -129,11 +131,11 @@ def _crossings(P: np.ndarray, Q: np.ndarray, owner: np.ndarray) -> np.ndarray:
     """x of every proper crossing between edges P[i] -> Q[i] of different
     owners: TAU sign tests on all four orientations.
 
-    One sort-and-sweep over x-extents, after Shamos and Hoey (1976): with the edges
-    ordered by their x minimum, the candidates of an edge are the later edges
-    that start before it ends.  Those whose y-extents meet too are tested in
-    blocks of `_PAIR_BLOCK` pairs at any edge count.  Edges that share an
-    endpoint never cross: its cross product is exactly 0.
+    One sort-and-sweep over x-extents, with no ordered active set as in
+    Shamos and Hoey's sweep: with the edges ordered by their x minimum, the
+    candidates of an edge are the later edges that start before it ends, and
+    those whose y-extents meet too are all tested, `_PAIR_BLOCK` at a time.
+    Edges that share an endpoint never cross: its cross product is exactly 0.
     """
     lo, hi = np.minimum(P, Q), np.maximum(P, Q)
     order = np.argsort(lo[:, 0], kind="stable")
@@ -192,13 +194,20 @@ class Polygon:
 
 def _merge_collinear(V: np.ndarray):
     """Drop vertices interior to straight runs, each round testing every
-    corner of the last; returns the remaining vertices and their `_corners`."""
+    corner of the last; returns the remaining vertices and their `_corners`.
+    A round drops every other corner of a run of straight ones, from its
+    first: both ends of an edge within round-off of a point look straight,
+    and dropping both would cut off the corner they make together."""
     c, tol = _corners(V)
     while len(V) > 3:
-        keep = np.abs(c) > tol
-        if np.count_nonzero(keep) == len(V):
+        straight = np.abs(c) <= tol
+        if not np.count_nonzero(straight):
             break
-        V = V[keep]
+        i = np.arange(len(V))
+        first = np.maximum.accumulate(np.where(straight & ~_after(straight), i, 0))
+        drop = straight & ((i - first) % 2 == 0)
+        drop[0] &= not drop[-1]  # a run through the last corner goes on at the first
+        V = V[~drop]
         c, tol = _corners(V)
     return V, c, tol
 
@@ -438,69 +447,55 @@ def _minkowski_chain(A: np.ndarray, B: np.ndarray) -> np.ndarray:
     return np.cumsum(np.concatenate(steps), axis=0)[:-1]  # the last is the start
 
 
-def _edge_sums(V: np.ndarray, Cs: np.ndarray) -> list[list[np.ndarray]]:
-    """For each chain C of the stack Cs, (B, k, 2): `_minkowski_chain(e, C)`
-    for every front edge e of the closed CCW polygon V, taken as its two
-    ends in lex order, in edge order and without the sums of area at most
-    TAU; one list per chain, in stack order.
+def _convolution(V: np.ndarray, C: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Index arrays (a, b) of the convolution cycle of the closed CCW polygon
+    V, (n, 2), and a convex CCW chain C, (k, 2), k >= 2, from its lex-min
+    vertex: the cycle's vertices are V[a] + C[b], in order.
 
-    An edge from v to w is a front edge for C when its outward normal
-    n = (dy, -dx), (dx, dy) = w - v, sees C from C[0]: n . (C_j - C[0]) > 0
-    for some j.  The test is taken elementwise, `dy * gx - dx * gy` with
-    (gx, gy) = C_j - C[0], so it rounds as the same Python float
-    expression does (no fused multiply-add, as a matrix product may use).
-    Only (front edge, chain) rows reach the merge below, chain by chain;
-    `mixedvol._sum_parts` proves that their sums and V + C[0] cover V + C.
+    Edge i, from V[i] to V[i + 1], is translated by C[b_i], the vertex
+    extreme along its outward normal: the one after the b_i edges of C that
+    come before edge i in direction.  At corner i, between edges i - 1 and
+    i, the cycle runs over C's vertices from b_{i-1} to b_i at V[i],
+    forward at a left turn and backward at a right one.  Directions and
+    turns are both ranked by `_pseudo_angle` (a key step below 2, mod 4,
+    turns left), so a run takes exactly the edges of C whose keys lie
+    between its corner's and never wraps round C; C's keys rise from its
+    lex-min vertex, and a zero edge takes the key before it.  Keys that tie
+    or cross belong to directions a few ulps apart, which `_edge_order`
+    would merge into one step: either order gives the same cycle up to a
+    sliver that thin, so a tie puts V's edge first and no comparator is
+    needed.  The indices depend on directions only: they serve C at every
+    positive scale.
 
-    The chain e = [s, t] has the edges d = t - s and s - t.  Its merge with
-    the edges c_j of C takes d at the first j where `_edge_order(d, c_j)` is
-    not -1, and s - t at the first j after that.  `_edge_order` is taken on
-    all (rows x k) pairs at once, so the ranks are the merge's by
-    construction.  A sum in which d or s - t merges with an edge of C goes
-    through `_minkowski_chain`.  Areas are the shoelace sum of each row,
-    added left to right by `np.cumsum`, as `_signed_area` adds them.  Every
-    operation is elementwise or runs along one row, so a chain's sums are
-    the same bits in any stack.
+    Let M be the closed polygon V and w(x) the cycle's winding number about
+    x off it.  Then w(x) counts the components of M ∩ K, K = x - C, so
+    w >= 0, and w > 0 exactly on M + C less the cycle, a null set.  Both
+    are 0 far away.  As x moves, the count changes only where ∂M and ∂K
+    touch with M and K on opposite sides:
+    (1) a vertex x - c of K on edge i, K outside its line, so c is extreme
+        along its normal: x is on edge i + C[b_i];
+    (2) a convex corner V[i] on an edge x - [C_j, C_j+1] of K, M's edges
+        outside K: C_j -> C_j+1 lies between edges i - 1 and i turning
+        left, and x is on the forward run at V[i];
+    (3) a reflex corner V[i] on such an edge, M's notch inside K: the same,
+        turning right, on the backward run.
+    At other contacts a wedge straddles a line or lies beyond it, and M ∩ K
+    stays connected there.  Crossing a cycle edge to its left adds 1 to w
+    and a component: (1) a corner of K enters M through edge i, (2) M's tip
+    at V[i] enters K, (3) V[i] leaves K, whose edge cuts the notch's arms
+    apart.  They stay apart: a path joining them in M ∩ K, closed round
+    V[i], would wind round points of the notch, outside M, so outside every
+    loop in the simply connected M.  Crossing to the right undoes each.
     """
-    W = _shift(V, 1)
-    E, G = W - V, Cs - Cs[:, :1]
-    # `not <= 0` keeps an edge whose test overflows to NaN, as for areas below
-    front = ~(E[:, 1, None] * G[:, None, :, 0] - E[:, 0, None] * G[:, None, :, 1] <= 0.0).all(2)
-    c, i = np.nonzero(front)
-    V, W = V[i], W[i]
-    swap = ((W[:, 0] < V[:, 0]) | ((W[:, 0] == V[:, 0]) & (W[:, 1] < V[:, 1])))[:, None]
-    S, T = np.where(swap, W, V), np.where(swap, V, W)
-    D, R, EC = T - S, S - T, np.concatenate((Cs[:, 1:], Cs[:, :1]), axis=1) - Cs
-    k = Cs.shape[1]
-    col = np.arange(k)
-    Q = EC[c] if len(Cs) > 1 else EC  # one chain broadcasts, uncopied
-    o1 = _edge_order(D[:, None], Q)
-    r1 = k - np.logical_or.accumulate(o1 != -1, axis=1).sum(1)
-    o2 = _edge_order(R[:, None], Q)
-    r2 = k - np.logical_or.accumulate((o2 != -1) & (col >= r1[:, None]), axis=1).sum(1)
-    rows = np.arange(len(V))
-    merged = ((r1 < k) & (o1[rows, np.minimum(r1, k - 1)] == 0)) \
-        | ((r2 < k) & (o2[rows, np.minimum(r2, k - 1)] == 0))
-    t = np.arange(k + 2)
-    at_d, at_r = t == r1[:, None], t == r2[:, None] + 1
-    src = np.minimum(t - (t > r1[:, None]) - (t > r2[:, None] + 1), k - 1)
-    steps = np.where(at_d[..., None], D[:, None],
-                     np.where(at_r[..., None], R[:, None], EC[c[:, None], src]))
-    X = np.cumsum(np.concatenate(((S + Cs[c, 0])[:, None], steps), axis=1), axis=1)[:, :-1]
-    Y = np.concatenate((X[:, 1:], X[:, :1]), axis=1)
-    area = 0.5 * np.cumsum(X[..., 0] * Y[..., 1] - Y[..., 0] * X[..., 1], axis=1)[:, -1]
-    out: list[list[np.ndarray]] = [[] for _ in Cs]
-    # `not area <= TAU` keeps a NaN area, so an overflowed part reaches the
-    # finiteness check of `_union_area` and is not dropped as a thin one
-    for e, (b, merges, big) in enumerate(zip(c.tolist(), merged.tolist(),
-                                             (~(area <= TAU)).tolist())):
-        if merges:
-            Z = _minkowski_chain(np.stack((S[e], T[e])), Cs[b])
-            if not _signed_area(Z) <= TAU:
-                out[b].append(Z)
-        elif big:
-            out[b].append(X[e])
-    return out
+    key, ckey = _pseudo_angle(_shift(V, 1) - V), _pseudo_angle(_shift(C, 1) - C)
+    k = len(C)
+    b = np.searchsorted(np.maximum.accumulate(np.where(np.isnan(ckey), -np.inf, ckey)), key) % k
+    before = _shift(b, -1)  # b_{i-1}, the vertex of C that edge i - 1 took
+    step = np.where((key - _shift(key, -1)) % 4.0 <= 2.0, 1, -1)
+    run = (step * (b - before)) % k + 1  # vertices at each corner, both ends included
+    t = np.arange(run.sum()) - np.repeat(np.cumsum(run) - run, run)
+    a = np.repeat(np.arange(len(V)), run)
+    return a, (np.repeat(before, run) + np.repeat(step, run) * t) % k
 
 
 def minkowski_convex(P: ConvexPolygon, Q: ConvexPolygon) -> ConvexPolygon:
@@ -539,13 +534,16 @@ def triangulate(P: Polygon) -> list[tuple[Vec2, Vec2, Vec2]]:
 
 
 def _convex_pieces(P: Polygon) -> list[np.ndarray]:
-    """The arrays of `convex_parts(P)`, with no polygon built."""
+    """The arrays of `convex_parts(P)`, with no polygon built: each from its
+    lex-min vertex.  An ear of area at most TAU (a corner bent by little
+    more than TAU radians clips one) is kept, though `ConvexPolygon`
+    refuses it: its sum with a chain is no sliver."""
     if isinstance(P, ConvexPolygon):
         return [P.array]
     try:
         return [_convex_array(P.array)]
     except ValueError:
-        return [_convex_array(np.array(t)) for t in triangulate(P)]
+        return [_lex_first(np.array(t)) for t in triangulate(P)]
 
 
 def convex_parts(P: Polygon) -> list[ConvexPolygon]:
@@ -580,38 +578,47 @@ def union_area(region: RegionUnion) -> float:
     return _union_area([part.array for part in region.parts])
 
 
-def _union_area(parts: Sequence[np.ndarray]) -> float:
-    """Exact area of the union of parts given as CCW vertex arrays, each a
-    simple polygon, convex or not.  The arrays are read, never validated.
+def _union_area(parts: Sequence[np.ndarray], cycles: Sequence[np.ndarray] = ()) -> float:
+    """Exact area of the union of simple CCW parts, convex or not, and of
+    the sets of positive winding of closed `cycles` (`_convolution`'s),
+    given as vertex arrays, which are read, never validated.
 
-    The events are the x of every part vertex and of every crossing between
-    edges of different parts, from one sweep (`_crossings`).  Between two
-    events no edges cross, so the edges that span a slab keep their order in
-    y and the length the union covers is linear in x: its value on the
-    slab's midline times the slab's width is the slab's area.  On the
-    midline an edge that runs right enters its part (a counterclockwise
-    part lies left of its edges) and one that runs left leaves it, so a
-    running sum of these signs in y order counts the parts over each
-    stretch; the stretches with a positive count are covered.  Slabs are
-    taken in blocks of at most max(edges, `_PAIR_BLOCK`) edge spans, so
-    memory grows with the edges, not with slabs x parts.  Raises
+    The events are the x of every vertex and of every crossing between
+    edges of different owners, from one sweep (`_crossings`): a simple
+    part owns its edges, and each edge of a cycle is its own owner, since
+    a cycle crosses itself.  Between two events no edges cross, so the
+    edges that span a slab keep their order in y and the length the union
+    covers is linear in x: its value on the slab's midline times the
+    slab's width is the slab's area.  On the midline an edge that runs
+    right adds 1 and one that runs left takes 1 away (a counterclockwise
+    part lies left of its edges), so a running sum of these signs in y
+    order is, over each stretch, the number of parts plus the winding
+    numbers of the cycles; the stretches with a positive sum are covered.
+    A lone part is measured by the shoelace formula, a cycle never is.
+    Slabs are taken in blocks of at most max(edges, `_PAIR_BLOCK`) edge
+    spans, so memory grows with the edges, not with slabs x parts.  Raises
     NumericalDegeneracy where the area is not finite.
     """
-    total = _signed_area(parts[0]) if len(parts) == 1 else _sweep_area(parts)
+    one = len(parts) == 1 and not len(cycles)
+    total = _signed_area(parts[0]) if one else _sweep_area(parts, cycles)
     if not math.isfinite(total):
         raise NumericalDegeneracy("union area integration produced non-finite value")
     return total
 
 
-def _sweep_area(parts: Sequence[np.ndarray]) -> float:
-    """The slab sweep of `_union_area` over two or more parts."""
-    P = np.concatenate(parts)
-    n = np.array([len(part) for part in parts])
+def _sweep_area(parts: Sequence[np.ndarray], cycles: Sequence[np.ndarray]) -> float:
+    """The slab sweep of `_union_area`."""
+    arrays = [*parts, *cycles]
+    P = np.concatenate(arrays)
+    n = np.array([len(part) for part in arrays])
     start = np.cumsum(n) - n
     nxt = np.arange(1, len(P) + 1)
     nxt[start + n - 1] = start
     Q = P[nxt]
-    xs = np.unique(np.concatenate((P[:, 0], _crossings(P, Q, np.repeat(np.arange(len(n)), n)))))
+    owner = np.repeat(np.arange(len(n)), n)
+    first_cycle = int(n[:len(parts)].sum())
+    owner[first_cycle:] = len(n) + np.arange(len(P) - first_cycle)
+    xs = np.unique(np.concatenate((P[:, 0], _crossings(P, Q, owner))))
     mids = 0.5 * (xs[:-1] + xs[1:])
     # a slab too narrow for a midline strictly inside it is measured at its
     # left end: where parts share vertices up to an ulp such slabs are many,
@@ -733,7 +740,8 @@ def regular_disc(n: int, r: float) -> ConvexPolygon:
 
 
 def point_in_polygon(p, P: Polygon) -> bool:
-    """Even-odd test; boundary points count as inside."""
+    """Nonzero-winding test, which is the even-odd test on a simple polygon;
+    boundary points count as inside."""
     p = np.array(_as_vec2(p))
     V = P.array
     W = _shift(V, 1)
@@ -745,21 +753,26 @@ def point_in_polygon(p, P: Polygon) -> bool:
 
 
 def points_in_polygon(pts: np.ndarray, P: Polygon) -> np.ndarray:
-    """Vectorized even-odd test for an (N, 2) array (boundary not special-cased)."""
+    """Vectorized nonzero-winding test for an (N, 2) array (boundary not
+    special-cased); on a simple polygon it is the even-odd test."""
     return _points_in(pts, P.array)
 
 
 def _points_in(pts: np.ndarray, V: np.ndarray) -> np.ndarray:
     """`points_in_polygon` for the polygon with vertex array V.
 
-    A point (x, y) is inside when an odd number of edges (x0, y0) -> (x1, y1)
+    A point (x, y) is inside when the edges (x0, y0) -> (x1, y1) that
     straddle its y, (y0 > y) != (y1 > y), and cross its row to its right,
-    x0 + (y - y0) * (x1 - x0) / (y1 - y0) > x.  With the points sorted by y,
-    the points an edge straddles are the run min(y0, y1) <= y < max(y0, y1),
-    found by `searchsorted`; the (edge, point) pairs of all runs are tested
-    in blocks of max(points, `_PAIR_BLOCK`) pairs, so memory grows with the
-    points, not with points x edges.  Each test takes the per-edge loop's
-    float operations in its order, so it rounds as that loop's does.
+    x0 + (y - y0) * (x1 - x0) / (y1 - y0) > x, wind round it: those that
+    run up outnumber those that run down, or the other way.  On a simple
+    polygon that is an odd number of them; a cycle of `_convolution` winds
+    0 or more times, and covers its sum where it winds.  With the points
+    sorted by y, the points an edge straddles are the run min(y0, y1) <= y
+    < max(y0, y1), found by `searchsorted`; the (edge, point) pairs of all
+    runs are tested in blocks of max(points, `_PAIR_BLOCK`) pairs, so memory
+    grows with the points, not with points x edges.  Each test takes the
+    per-edge loop's float operations in its order, so it rounds as that
+    loop's does.
     """
     x, y = pts[:, 0], pts[:, 1]
     W = _shift(V, 1)
@@ -768,7 +781,7 @@ def _points_in(pts: np.ndarray, V: np.ndarray) -> np.ndarray:
     first = np.searchsorted(ys, np.minimum(V[:, 1], W[:, 1]))
     count = np.searchsorted(ys, np.maximum(V[:, 1], W[:, 1])) - first
     last = np.cumsum(count)
-    crossings = np.zeros(len(pts), dtype=np.int64)
+    winding = np.zeros(len(pts))
     block = max(len(pts), _PAIR_BLOCK)
     for start in range(0, int(last[-1]), block):
         k = np.arange(start, min(start + block, last[-1]))
@@ -776,8 +789,8 @@ def _points_in(pts: np.ndarray, V: np.ndarray) -> np.ndarray:
         p = order[k - last[e] + count[e] + first[e]]
         (x0, y0), (x1, y1) = V[e].T, W[e].T
         xi = x0 + (y[p] - y0) * (x1 - x0) / (y1 - y0)
-        crossings += np.bincount(p[xi > x[p]], minlength=len(pts))
-    return crossings % 2 == 1
+        winding += np.bincount(p, np.where(xi > x[p], np.sign(y1 - y0), 0.0), len(pts))
+    return winding != 0.0
 
 
 def _point_segment_distance(p: Vec2, a: Vec2, b: Vec2) -> float:

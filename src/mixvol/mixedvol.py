@@ -112,87 +112,61 @@ def _chains(comp, eps: float) -> list[np.ndarray]:
     return [eps * V for V in comp]
 
 
+def _probe(M: Polygon) -> tuple[np.ndarray, bool]:
+    """M's vertices as `ConvexPolygon` keeps them and True, or M's own and False."""
+    if isinstance(M, ConvexPolygon):
+        return M.array, True
+    try:
+        return geom2d._convex_array(M.array), True
+    except ValueError:
+        return M.array, False
+
+
 def _sum_parts(M: Polygon, N: StructuringSet, schedule: Sequence[float]):
-    """For each eps of `schedule`, in order, the dilation M + eps*N as the
-    CCW vertex arrays of parts whose union it is: an iterator of lists.
+    """For each eps of `schedule`, in order, the dilation M + eps*N as a pair
+    (parts, cycles) of lists of vertex arrays, as `geom2d._union_area` takes
+    them: simple CCW parts, and closed cycles read by their winding number.
 
     Every component of N is taken as the convex chains C of `_chains`.  Let
     A be M's vertices as `ConvexPolygon` keeps them when it accepts M, else
-    M's own; M is probed once per schedule.  A one-vertex chain gives
-    A + C[0].  When M is convex, every other C gives the one convex part
-    A + C.  Otherwise C gives M + C[0] and the convex part e + C for each
-    front edge e of M, one whose outward normal n_e = (dy, -dx) has
-    n_e . (C_j - C[0]) > 0 for some vertex C_j (`geom2d._edge_sums`).  For
-    convex C and c0 = C[0] in C, M + C = (M + c0) u (union of e + C over
-    the front edges e).  Take p = m + x with m in M, x in C, and p - c0 not
-    in M.  Follow m + t(x - c0) from t = 0 to its last point y in M, at
-    t < 1.  There the ray leaves M, so some edge e through y has
-    n_e . (x - c0) > 0: at an edge's interior a tangent ray would stay on
-    the edge; at a convex corner, both normals <= 0 keep the ray inside; at
-    a reflex corner, leaving needs both normals > 0.  As x - c0 is a convex
-    combination of the C_j - c0, e is a front edge, and p = y + ((1 - t) x
-    + t c0) lies in e + C.  About half of a star's edges face away from a
-    given C, and their parts, covered by the others, never reach the union
-    sweep.  An edge part of area at most TAU (an edge nearly parallel to a
-    segment) is left out; it adds no area.  eps = 0 gives M's array alone.
-
-    For nonconvex M, the edge parts of every chain of k > 1 vertices whose
-    len(A) * k (edge, chain edge) pairs fit twice into `geom2d._PAIR_BLOCK`
-    are made first, for the whole schedule: its copies at every eps are
-    stacked by k into `_edge_sums` calls of at most `_PAIR_BLOCK` pairs, and
-    their parts wait for their eps.  A larger chain is summed alone when its
-    eps comes, so its parts are held one eps at a time, as are those of
-    convex M, which keeps its per-eps merges.  A disc's chain (k = 4096)
-    is always larger, so the stacking pass does not build it.  Each eps
-    builds its chains again when it comes rather than keeping them from
-    that pass, so a disc chain is held one eps at a time too; the
-    construction is deterministic, and `_edge_sums` sums a chain to the
-    same bits in any stack, so each eps's arrays are those of a schedule
-    of that eps alone.
-    Nothing on this path is validated as a polygon at scale eps: the parts
-    come from proven-convex merges of checked inputs, so a component too
-    small for `ConvexPolygon`'s absolute floors (a disc with eps * r below
-    about 6e-7) still adds.
+    M's own; M is probed once per schedule.  A one-vertex chain gives the
+    part A + C[0].  When M is convex, every other C gives the one convex
+    part A + C.  Otherwise it gives the convolution cycle of M and C, whose
+    winding number is never negative and is positive exactly on M + C
+    (`geom2d._convolution` has the proof).  Its indices (a, b) depend on
+    directions only, so they are made once per schedule from the chain U
+    at eps = 1 (for a segment its two ends, however close), and each eps
+    gathers A[a] + C[b] (eps * U for a segment), with no running sum: its
+    arrays are those of a schedule of that eps alone, bit for bit.
+    eps = 0 gives M alone.  Nothing is validated as a polygon at scale eps,
+    so a component too small for `ConvexPolygon`'s absolute floors (a disc
+    with eps * r below about 6e-7) still adds.
     """
     for eps in schedule:
         if not 0.0 <= eps < math.inf:
             raise ValueError(f"epsilon must be finite and nonnegative: {eps!r}")
-    try:
-        A = M.array if isinstance(M, ConvexPolygon) else geom2d._convex_array(M.array)
-        convex = True
-    except ValueError:
-        A, convex = M.array, False
+    A, convex = _probe(M)
     comps = [geom2d._convex_pieces(c) if isinstance(c, Polygon) else c for c in N.components]
-    edges: dict = {}  # (eps, component, chain) indices -> the chain's edge parts
-    if not convex:
-        kmax = geom2d._PAIR_BLOCK // (2 * len(A))
-        stacks: dict = {}
-        for i, eps in enumerate(schedule):
-            for j, comp in enumerate(comps if eps else ()):
-                for m, C in enumerate(() if isinstance(comp, Disc) else _chains(comp, eps)):
-                    if 1 < len(C) <= kmax:
-                        stacks.setdefault(len(C), []).append(((i, j, m), C))
-        for k, items in stacks.items():
-            b = geom2d._PAIR_BLOCK // (len(A) * k)
-            for lo in range(0, len(items), b):
-                keys, Cs = zip(*items[lo:lo + b])
-                edges.update(zip(keys, geom2d._edge_sums(A, np.stack(Cs))))
+    units = [] if convex else [[np.array(sorted((c.a, c.b)))] if isinstance(c, Segment)
+                               else _chains(c, 1.0) for c in comps]
+    index = [[(U, *geom2d._convolution(A, U)) if len(U) > 1 else None for U in us]
+             for us in units]
 
-    def parts(i: int, eps: float) -> list[np.ndarray]:
-        out: list[np.ndarray] = []
+    def dilation(eps: float):
+        parts, cycles = [], []
         for j, comp in enumerate(comps):
             for m, C in enumerate(_chains(comp, eps)):
                 if len(C) == 1:
-                    out.append(A + C[0])
+                    parts.append(A + C[0])
                 elif convex:
-                    out.append(geom2d._minkowski_chain(A, C))
+                    parts.append(geom2d._minkowski_chain(A, C))
                 else:
-                    out.append(A + C[0])
-                    key = (i, j, m)
-                    out += edges.pop(key) if key in edges else geom2d._edge_sums(A, C[None])[0]
-        return out
+                    U, a, b = index[j][m]
+                    # `_chains` orders a segment's ends at scale eps, where they may tie in x
+                    cycles.append(A[a] + (eps * U if isinstance(comp, Segment) else C)[b])
+        return parts, cycles
 
-    return ([M.array] if eps == 0.0 else parts(i, eps) for i, eps in enumerate(schedule))
+    return (([M.array], []) if eps == 0.0 else dilation(eps) for eps in schedule)
 
 
 #: The schedule that `_sum_volumes` dilates: M, N, its eps still to come
@@ -212,30 +186,41 @@ def _sum_volumes(M: Polygon, N: StructuringSet, schedule: Sequence[float]) -> li
 
 
 def sum_region(M: Polygon, N: StructuringSet, eps: float) -> RegionUnion:
-    """The dilation M + eps*N as an explicit union of polygon parts: each
-    array of `_sum_parts` as a ConvexPolygon when that accepts it, else as a
-    Polygon.  eps = 0 gives the union of M alone.  For nonconvex M a chain C
-    of N gives M + C[0] and e + C for the front edges e of M only, those
-    whose outward normal sees C from C[0]: a path m + t(x - C[0]) that
-    leaves M does so through an edge whose normal sees x - C[0], so the
-    other edges' parts lie in these (`_sum_parts` has the proof).
+    """The dilation M + eps*N as a union of simple parts, each a
+    ConvexPolygon when that accepts it, else a Polygon: A + C[0] for a
+    one-vertex chain C of N (`_chains`; A as in `_sum_parts`), and P + C
+    for every other chain and each convex piece P of M
+    (`geom2d._convex_pieces`), but those of area at most TAU (a sliver ear
+    swept along a parallel segment).  eps = 0 gives M alone.  For convex M
+    these are the parts of `_sum_parts`, vertex for vertex; for nonconvex M
+    it makes cycles, and the two agree to round-off.
 
     For callers outside mixvol: `sum_volume`, `local_expansion_probe` and
     `d_grid` read the arrays of `_sum_parts` and build no polygon."""
+    if not 0.0 <= eps < math.inf:
+        raise ValueError(f"epsilon must be finite and nonnegative: {eps!r}")
     if eps == 0.0:
         return RegionUnion((M,))
-    return RegionUnion(tuple(geom2d._polygon(V) for V in next(_sum_parts(M, N, (eps,)))))
+    A, convex = _probe(M)
+    pieces = [A] if convex else geom2d._convex_pieces(M)
+    comps = [geom2d._convex_pieces(c) if isinstance(c, Polygon) else c for c in N.components]
+    parts = []
+    for comp in comps:
+        for C in _chains(comp, eps):
+            parts += [A + C[0]] if len(C) == 1 else [geom2d._minkowski_chain(P, C) for P in pieces]
+    return RegionUnion(tuple(geom2d._polygon(V) for V in parts
+                             if not geom2d._signed_area(V) <= geom2d.TAU))
 
 
 def sum_volume(M: Polygon, N: StructuringSet, eps: float) -> float:
-    """|M + eps*N| as the exact union area of the arrays of `_sum_parts`; no
+    """|M + eps*N| as the exact area of the arrays of `_sum_parts`; no
     polygon is built.  eps = 0 gives |M|.  Called by `_sum_volumes` for
-    the next eps of its schedule, it reads that eps's parts from there."""
+    the next eps of its schedule, it reads that eps's arrays from there."""
     ahead = _SCHEDULE.get()
     if ahead is not None and ahead[0] is M and ahead[1] is N and ahead[2][-1:] == [eps]:
         ahead[2].pop()
-        return geom2d._union_area(next(ahead[3]))
-    return geom2d._union_area(next(_sum_parts(M, N, (eps,))))
+        return geom2d._union_area(*next(ahead[3]))
+    return geom2d._union_area(*next(_sum_parts(M, N, (eps,))))
 
 
 # ---------------------------------------------------------------------------
@@ -322,7 +307,8 @@ def local_expansion_probe(M: Polygon, edge_param: tuple[int, float],
     y = (x0 + t * (x1 - x0), y0 + t * (y1 - y0))
     L = math.hypot(x1 - x0, y1 - y0)
     normal = ((y1 - y0) / L, -(x1 - x0) / L)
-    return geom2d._ray_exit(y, normal, next(_sum_parts(M, N, (eps,))))
+    parts, cycles = next(_sum_parts(M, N, (eps,)))
+    return geom2d._ray_exit(y, normal, parts + cycles)
 
 
 def mixed_area(K1: ConvexPolygon, K2: ConvexPolygon) -> float:
@@ -375,14 +361,15 @@ def d_grid(M: Polygon, N: StructuringSet, schedule: Sequence[float],
     coarse but independent check of the exact route (accuracy ~ h * perimeter).
     """
     eps = _check_schedule(schedule)
-    dilations = _sum_parts(M, N, eps)
+    dilations = (parts + cycles for parts, cycles in _sum_parts(M, N, eps))
     first = next(dilations)
     big = np.concatenate(first)
     pad = 2 * h
     bounds = tuple(zip((big.min(axis=0) - pad).tolist(), (big.max(axis=0) + pad).tolist()))
 
     def volume(parts: list[np.ndarray]) -> float:
-        """Grid volume of the union of the parts with vertex arrays `parts`."""
+        """Grid volume of the union of the parts and cycles with vertex
+        arrays `parts`, each read by its winding number."""
         return geom2d.grid_volume(
             lambda pts: reduce(np.logical_or, (geom2d._points_in(pts, V) for V in parts)),
             bounds, h)[0]

@@ -140,19 +140,21 @@ def _signed_area_reference(verts):
 
 
 def _merge_collinear_reference(verts):
+    """Rounds over every corner of the last round's vertices: a straight
+    corner goes unless the corner before it went in this round (the first
+    corner's is the last)."""
     out = list(verts)
     changed = True
     while changed and len(out) > 3:
         changed = False
         n = len(out)
-        kept = []
-        for i in range(n):
-            o, a, b = out[i - 1], out[i], out[(i + 1) % n]
-            if abs(geom2d._cross(o, a, b)) <= geom2d._turn_tol(o, a, b):
-                changed = True
-                continue
-            kept.append(a)
-        out = kept
+        drop = [abs(geom2d._cross(out[i - 1], out[i], out[(i + 1) % n]))
+                <= geom2d._turn_tol(out[i - 1], out[i], out[(i + 1) % n]) for i in range(n)]
+        for i in range(1, n):
+            drop[i] = drop[i] and not drop[i - 1]
+        drop[0] = drop[0] and not drop[-1]
+        changed = any(drop)
+        out = [a for a, d in zip(out, drop) if not d]
     return out
 
 
@@ -391,6 +393,9 @@ def _convex_hull_reference(points):
 @settings(derandomize=True, max_examples=100, deadline=None)
 @given(near_collinear_convex(), st.lists(st.tuples(st.floats(-0.5, 0.5), st.floats(-0.5, 0.5)),
                                          max_size=10))
+# two corners an ulp apart, each straight on the edge between them: merging
+# both at once left two vertices of a triangle of area 0.25
+@example([(0.0, 0.0), (0.5, -0.4999999999999999), (0.0, 1.0)], [(0.5, -0.5)])
 def test_hull_matches_stepwise_chain(verts, inner):
     points = verts + inner
     assert geom2d.convex_hull(points).vertices == _convex_hull_reference(points)
@@ -586,33 +591,6 @@ def _merge_matches_reference(A, B):
     return _same_bits(geom2d._minkowski_chain(A, B), want)
 
 
-def _faces(v, w, chain):
-    """Whether the outward normal (dy, -dx) of the edge v -> w sees the
-    chain from its first vertex, on Python floats: not every
-    n . (c - chain[0]) is <= 0 (a NaN counts as seeing)."""
-    dx, dy = w[0] - v[0], w[1] - v[1]
-    (x0, y0) = chain[0]
-    return not all(dy * (x - x0) - dx * (y - y0) <= 0.0 for x, y in chain)
-
-
-def _edge_sums_match_reference(V, C):
-    """`_edge_sums` on one stack of four chains against the reference walk
-    on each, one front edge at a time: C, C halved, C turned by pi (other
-    edges, as many), and C scaled by 2**-40 (a segment's parts thin below
-    TAU)."""
-    V, C = np.asarray(V, dtype=float), _chain(C)
-    Cs = np.stack((C, 0.5 * C, _chain(-C), 2.0 ** -40 * C))
-    verts = geom2d._vertex_tuple(V)
-    got = geom2d._edge_sums(V, Cs)
-    for chain, parts in zip(map(geom2d._vertex_tuple, Cs), got):
-        want = [S for v, w in zip(verts, verts[1:] + verts[:1]) if _faces(v, w, chain)
-                and geom2d._signed_area(S := _minkowski_chain_reference(sorted((v, w)), chain))
-                > geom2d.TAU]
-        if len(parts) != len(want) or not all(map(_same_bits, parts, want)):
-            return False
-    return len(got) == len(Cs)
-
-
 @st.composite
 def segment_along(draw, verts):
     """A segment exactly vertical, exactly horizontal, or along an edge of
@@ -665,6 +643,32 @@ def test_minkowski_chain_matches_reference_walk(pair, flip):
     assert _merge_matches_reference(A, B)
 
 
+@st.composite
+def convex_and_chain(draw):
+    """A `near_collinear_convex` polygon and a chain: another one, a segment
+    along one of its edges or an axis, or a disc chain."""
+    P = _convex_drawn(draw)
+    kind = draw(st.sampled_from(("polygon", "segment", "disc")))
+    if kind == "polygon":
+        return P, _convex_drawn(draw)
+    if kind == "segment":
+        return P, draw(segment_along(P))
+    return P, 0.1 * structuring._unit_disc() + (0.01, -0.02)
+
+
+@settings(derandomize=True, max_examples=100, deadline=None)
+@given(convex_and_chain())
+def test_convolution_of_convex_chains_walks_their_sum_once(pair):
+    """Where V is convex every corner turns left, and the cycle runs once
+    round the boundary of the sum: its shoelace area is the merge's, with
+    near-collinear runs and edges parallel to the chain's alike (a run that
+    wrapped round C would add |C| or take it away)."""
+    A, B = (_chain(P) for P in pair)
+    a, b = geom2d._convolution(A, B)
+    assert geom2d._signed_area(A[a] + B[b]) == \
+        pytest.approx(geom2d._signed_area(geom2d._minkowski_chain(A, B)), rel=1e-12)
+
+
 @pytest.mark.parametrize("n, jitter", [(4096, 0.0), (4096, 0.3), (64, 0.0)])
 def test_minkowski_chain_matches_reference_walk_on_disc_chains(n, jitter):
     """An n-gon, regular or jittered on a circle, against the disc chain of
@@ -675,7 +679,6 @@ def test_minkowski_chain_matches_reference_walk_on_disc_chains(n, jitter):
     disc = 0.05 * 0.7 * structuring._unit_disc() + (0.01, -0.02)
     assert _merge_matches_reference(M.vertices, disc)
     assert _merge_matches_reference(disc, M.vertices)
-    assert _edge_sums_match_reference(_star(8, 0.4), disc)
 
 
 @pytest.mark.parametrize("B", [((0.0, 0.0), (1.0, 0.0), (1.0, 0.0), (0.0, 1.0)),
@@ -702,28 +705,7 @@ def test_minkowski_chain_subnormal_width_edge_warns_not():
                       [(0.0, -1.0), (5e-324, 1.0)], _ngon(7)):
             assert _merge_matches_reference(P, other)
             assert _merge_matches_reference(other, P)
-        assert _edge_sums_match_reference(P, [(0.0, -1.0), (0.0, 1.0)])
-
-
-@settings(derandomize=True, max_examples=60, deadline=None)
-@given(st.sampled_from((4, 6, 8, 12, 16, 24)), st.sampled_from((0.4, 0.5)), st.booleans(),
-       st.data())
-def test_edge_sums_match_reference_walk(k, inner, jitter, data):
-    """The edge parts of a star, exactly regular (defect A) or jittered, with
-    a segment along an axis or an edge (parts that merge, or drop out), a
-    near-collinear polygon, or the disc chain."""
-    star = _star(k, inner)
-    if jitter:
-        star = [(x * data.draw(st.floats(0.95, 1.05)), y * data.draw(st.floats(0.95, 1.05)))
-                for x, y in star]
-    kind = data.draw(st.sampled_from(("segment", "polygon", "disc")))
-    if kind == "segment":
-        C = data.draw(segment_along(star))
-    elif kind == "polygon":
-        C = data.draw(st.composite(_convex_drawn)())
-    else:
-        C = geom2d.regular_disc(256, 0.1).array
-    assert _edge_sums_match_reference(star, C)
+        geom2d._convolution(np.array(P), np.array([(0.0, -1.0), (0.0, 1.0)]))
 
 
 def test_minkowski_segment_square(unit_square):
@@ -950,7 +932,8 @@ def _drawn_star(draw):
 
 def _star_parts(draw):
     """The `sum_region` parts of a star, jittered or exactly regular, with
-    one to three segments."""
+    one to three segments: each ear-clipping triangle swept along each
+    segment, parts that overlap along shared edges."""
     M = _drawn_star(draw)
     coord = st.floats(-0.3, 0.3)
     segs = draw(st.lists(st.tuples(coord, coord, coord, coord), min_size=1, max_size=3))
@@ -1011,11 +994,13 @@ def _star_and_translate(draw):
 
 
 def _star_edge_parts(draw):
-    """A star with its own edge parts: the `sum_region` parts of a segment
-    from the origin, whose translate of the star is the star itself."""
+    """A star and the `sum_region` parts of a segment from the origin: its
+    triangles swept along the segment, each of which holds its triangle, so
+    their edges run along the star's own."""
     coord = st.floats(-0.3, 0.3)
     N = structuring.StructuringSet((structuring.Segment((0.0, 0.0), (draw(coord), draw(coord))),))
-    return list(mixedvol.sum_region(_drawn_star(draw), N, draw(st.sampled_from((0.01, 0.1, 0.5)))).parts)
+    M = _drawn_star(draw)
+    return [M] + list(mixedvol.sum_region(M, N, draw(st.sampled_from((0.01, 0.1, 0.5)))).parts)
 
 
 def _l_shapes(draw):
@@ -1139,7 +1124,7 @@ def test_union_of_two_convex_parts_is_inclusion_exclusion(A, B):
 
 @pytest.mark.parametrize("shape, parts, limit_mb", [
     ("disc", 2, 3.0),
-    ("star24", 50, 8.0),  # M + C[0] and 24 front edge parts per segment
+    ("star24", 92, 8.0),  # the 46 triangles of M, each swept along each segment
 ])
 def test_union_area_peak_memory(disc_4096, plus_set, shape, parts, limit_mb):
     M = disc_4096 if shape == "disc" else Polygon(tuple(_star(24, 0.4)))
@@ -1275,16 +1260,24 @@ def test_point_in_polygon_matches_even_odd_loop():
 
 
 def _points_in_reference(pts, V):
-    """The per-edge loop `_points_in` replaced: edge ends as Python floats,
-    each edge's even-odd test on all points at once."""
+    """The per-edge loop `_points_in` replaced, counting signs: edge ends as
+    Python floats, each edge's crossing of all points' rows at once, +1
+    where it runs up and -1 where it runs down.  The winding numbers."""
     x, y = pts[:, 0], pts[:, 1]
-    inside = np.zeros(len(pts), dtype=bool)
+    winding = np.zeros(len(pts), dtype=int)
     for (x0, y0), (x1, y1) in zip(V.tolist(), geom2d._shift(V, 1).tolist()):
         cond = (y0 > y) != (y1 > y)
         if y1 != y0:
             xi = x0 + (y - y0) * (x1 - x0) / (y1 - y0)
-            inside ^= cond & (xi > x)
-    return inside
+            winding += np.where(cond & (xi > x), 1 if y1 > y0 else -1, 0)
+    return winding
+
+
+#: The convolution cycle of a six-spike star and a segment wider than its
+#: notches: the sweeps of neighbouring spikes overlap, and there it winds twice.
+_STAR_CYCLE = next(mixedvol._sum_parts(
+    Polygon(tuple(_star(6, 0.4))),
+    structuring.StructuringSet((structuring.Segment((-0.6, 0.1), (0.6, 0.1)),)), (1.0,)))[1][0]
 
 
 @pytest.mark.parametrize("V", [
@@ -1292,14 +1285,17 @@ def _points_in_reference(pts, V):
     pytest.param(ConvexPolygon(((0, 0), (1, 0), (1, 1), (0, 1))).array, id="square"),
     pytest.param(Polygon(NEAR_STRAIGHT_RUN).array, id="near-straight"),
     pytest.param(geom2d.regular_disc(1024, 0.9).array, id="disc1024"),
-    pytest.param(next(mixedvol._sum_parts(
-        Polygon(tuple(_star(6, 0.4))),
-        structuring.StructuringSet((structuring.Disc((0.1, 0), 0.3),)), (0.5,)))[1], id="edge-part"),
+    pytest.param(geom2d._minkowski_chain(np.array(sorted(_star(6, 0.4)[:2])),
+                                         0.15 * structuring._unit_disc() + (0.05, 0.0)),
+                 id="edge-part"),
+    pytest.param(_STAR_CYCLE, id="cycle"),
 ])
 def test_points_in_matches_per_edge_loop(V):
-    """Bit-identical to the loop on random points, on a grid through the
-    vertices' own coordinates (points on edges and at vertex heights), and
-    on points of equal y (many per edge band)."""
+    """Bit-identical to the loop's nonzero winding on random points, on a
+    grid through the vertices' own coordinates (points on edges and at
+    vertex heights), and on points of equal y (many per edge band).  On
+    the simple polygons that is the loop's even-odd test too; the cycle
+    never winds negatively, and twice on some points."""
     rng = np.random.default_rng(len(V))
     lo, hi = V.min(0) - 0.1, V.max(0) + 0.1
     grid = np.stack(np.meshgrid(np.linspace(lo[0], hi[0], 41), np.unique(V[:, 1])[::7]),
@@ -1308,7 +1304,14 @@ def test_points_in_matches_per_edge_loop(V):
     t = rng.uniform(0, 1, size=(len(V), 1))
     for pts in (rng.uniform(lo, hi, size=(5000, 2)), grid, V, V + t * (W - V),
                 np.empty((0, 2))):
-        assert np.array_equal(geom2d._points_in(pts, V), _points_in_reference(pts, V))
+        winding = _points_in_reference(pts, V)
+        assert np.array_equal(geom2d._points_in(pts, V), winding != 0)
+        if V is _STAR_CYCLE:
+            assert (winding >= 0).all()
+        else:
+            assert np.array_equal(winding != 0, winding % 2 == 1)
+    winding = _points_in_reference(rng.uniform(lo, hi, size=(5000, 2)), V)
+    assert winding.max() == (2 if V is _STAR_CYCLE else 1)
 
 
 def test_polygon_distance(unit_square):

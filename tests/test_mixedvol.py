@@ -10,7 +10,8 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from conftest import NEAR_STRAIGHT_RUN, closed_form_plus_dilation, near_collinear_convex
-from test_geom2d import _convex_union_area_reference, polar_polygon, segment_along
+from test_geom2d import (_convex_union_area_reference, _points_in_reference, polar_polygon,
+                         segment_along)
 from mixvol import geom2d, mixedvol, structuring
 from mixvol.errors import (DegenerateHull, DegenerateInput, IllConditioned, NonDecreasingSchedule,
                            NumericalDegeneracy, SingularPoint)
@@ -170,7 +171,7 @@ def test_sum_region_matches_convex_decomposition(case, data):
     L = math.hypot(x1 - x0, y1 - y0)
     ray = ((x0 + t * (x1 - x0), y0 + t * (y1 - y0)), ((y1 - y0) / L, -(x1 - x0) / L))
     probe = mixedvol.local_expansion_probe(M, (i, t), N, eps)
-    assert probe == geom2d.ray_exit(*ray, got)
+    assert probe == pytest.approx(geom2d.ray_exit(*ray, got), rel=1e-12)
     assert probe == pytest.approx(geom2d.ray_exit(*ray, geom2d.RegionUnion(tuple(want))),
                                   rel=1e-12)
 
@@ -186,10 +187,11 @@ def test_sum_region_of_convex_m_is_the_convex_decomposition(M):
 @settings(derandomize=True, max_examples=200, deadline=None)
 @given(star_dilations())
 def test_sum_volume_is_the_union_area_of_sum_region_on_stars(case):
-    """The array path of `sum_volume` and the polygons of `sum_region` give
-    one area, bit for bit."""
+    """The cycles of `sum_volume` and the convex parts of `sum_region`, two
+    constructions of one set, give one area up to round-off."""
     M, N, eps = case
-    assert mixedvol.sum_volume(M, N, eps) == geom2d.union_area(mixedvol.sum_region(M, N, eps))
+    assert mixedvol.sum_volume(M, N, eps) == \
+        pytest.approx(geom2d.union_area(mixedvol.sum_region(M, N, eps)), rel=1e-12)
 
 
 @settings(derandomize=True, max_examples=12, deadline=None)
@@ -232,10 +234,10 @@ def _every_edge_part(A, C):
     return parts
 
 
-def _sum_parts_reference(M, N, eps, edge_parts=_every_edge_part):
-    """`mixedvol._sum_parts` as it was when it took one epsilon, with the
-    parts e + C of nonconvex M from `edge_parts(A, C)`: by default those of
-    every edge e, as before it kept only the front edges."""
+def _sum_parts_reference(M, N, eps):
+    """The parts of M + eps*N as `mixedvol._sum_parts` made them when it took
+    one epsilon and made no cycles: for nonconvex M, M + C[0] and the parts
+    e + C of every edge e, as before it kept only the front edges."""
     if eps == 0.0:
         return [M.array]
     try:
@@ -252,7 +254,7 @@ def _sum_parts_reference(M, N, eps, edge_parts=_every_edge_part):
                 parts.append(geom2d._minkowski_chain(A, C))
             else:
                 parts.append(A + C[0])
-                parts.extend(edge_parts(A, C))
+                parts.extend(_every_edge_part(A, C))
     return parts
 
 
@@ -285,21 +287,82 @@ def polygon_dilations(draw):
     return M, StructuringSet(tuple(comps)), draw(st.sampled_from((0.01, 0.1, 0.5)))
 
 
-@settings(derandomize=True, max_examples=100, deadline=None)
-@given(st.one_of(star_dilations(), polygon_dilations()), st.data())
-def test_front_edge_parts_cover_the_dilation(case, data):
-    """Dropping the edge parts whose outward normal does not see C changes
-    neither the union's area nor the normal-ray probe."""
-    M, N, eps = case
-    want = _sum_parts_reference(M, N, eps)
-    assert mixedvol.sum_volume(M, N, eps) == pytest.approx(geom2d._union_area(want), rel=1e-12)
+def _probe_ray(M, data):
+    """A drawn point inside an edge of M, as `local_expansion_probe` takes
+    it, and the normal ray from there."""
     i = data.draw(st.integers(0, len(M.vertices) - 1))
     t = data.draw(st.floats(0.01, 0.99))
     (x0, y0), (x1, y1) = M.vertices[i], M.vertices[(i + 1) % len(M.vertices)]
     L = math.hypot(x1 - x0, y1 - y0)
-    ray = ((x0 + t * (x1 - x0), y0 + t * (y1 - y0)), ((y1 - y0) / L, -(x1 - x0) / L))
-    assert mixedvol.local_expansion_probe(M, (i, t), N, eps) == \
+    return (i, t), ((x0 + t * (x1 - x0), y0 + t * (y1 - y0)), ((y1 - y0) / L, -(x1 - x0) / L))
+
+
+@settings(derandomize=True, max_examples=100, deadline=None)
+@given(st.one_of(star_dilations(), polygon_dilations()), st.data())
+def test_cycles_match_every_edge_parts(case, data):
+    """The convolution cycles give the area and the normal-ray probe of
+    M + C[0] and the parts e + C of every edge e."""
+    M, N, eps = case
+    want = _sum_parts_reference(M, N, eps)
+    assert mixedvol.sum_volume(M, N, eps) == pytest.approx(geom2d._union_area(want), rel=1e-12)
+    edge, ray = _probe_ray(M, data)
+    assert mixedvol.local_expansion_probe(M, edge, N, eps) == \
         pytest.approx(geom2d._ray_exit(*ray, want), rel=1e-12)
+
+
+def _far_from_edges(pts, arrays, tol):
+    """Which points lie more than tol from every edge of the closed arrays."""
+    far = np.ones(len(pts), dtype=bool)
+    for V in arrays:
+        for lo in range(0, len(V), 1024):
+            P, Q = V[lo:lo + 1024], geom2d._shift(V, 1)[lo:lo + 1024]
+            D = Q - P
+            t = np.clip(((pts[:, None] - P) * D).sum(2) / np.maximum((D * D).sum(1), 1e-300), 0, 1)
+            far &= (np.hypot(*np.moveaxis(pts[:, None] - P - t[..., None] * D, 2, 0)) > tol).all(1)
+    return far
+
+
+@settings(derandomize=True, max_examples=60, deadline=None)
+@given(st.one_of(star_dilations(), polygon_dilations()), st.data())
+def test_cycles_wind_positively_exactly_on_the_dilation(case, data):
+    """At random points more than 1e-9 from every edge, the signed crossing
+    count of each cycle (`_points_in_reference`, a loop over its edges) is
+    never negative, and some part or cycle covers a point exactly where a
+    part of every edge reference does."""
+    M, N, eps = case
+    parts, cycles = next(mixedvol._sum_parts(M, N, (eps,)))
+    want = _sum_parts_reference(M, N, eps)
+    box = np.concatenate(want)
+    rng = np.random.default_rng(data.draw(st.integers(0, 2 ** 32 - 1)))
+    pts = rng.uniform(box.min(0) - 0.05, box.max(0) + 0.05, size=(300, 2))
+    pts = pts[_far_from_edges(pts, parts + cycles + want, 1e-9)]
+    windings = [_points_in_reference(pts, C) for C in cycles]
+    assert all((w >= 0).all() for w in windings)
+    got = np.zeros(len(pts), dtype=bool)
+    for w in windings + [_points_in_reference(pts, V) for V in parts]:
+        got |= w > 0
+    covered = np.zeros(len(pts), dtype=bool)
+    for V in want:
+        covered |= _points_in_reference(pts, V) != 0
+    assert np.array_equal(got, covered)
+
+
+#: A U whose notch, 1 wide, is bridged by a segment 1.5 long: the dilation
+#: is 4.5 x 2, and the cycle winds twice over the 0.5 x 1 where the
+#: sweeps of the two prongs overlap.
+_U_SHAPE = Polygon(((0, 0), (3, 0), (3, 2), (2, 2), (2, 1), (1, 1), (1, 2), (0, 2)))
+
+
+def test_a_cycle_that_winds_twice_is_swept():
+    N = StructuringSet((Segment((0, 0), (1.5, 0)),))
+    parts, (cycle,) = next(mixedvol._sum_parts(_U_SHAPE, N, (1.0,)))
+    assert parts == []
+    assert geom2d._signed_area(cycle) == pytest.approx(9.5, rel=1e-12)  # the overlap twice
+    assert _points_in_reference(np.array([[2.25, 1.5], [0.5, 0.5]]), cycle).tolist() == [2, 1]
+    assert mixedvol.sum_volume(_U_SHAPE, N, 1.0) == pytest.approx(9.0, rel=1e-12)
+    # an even-odd grid test would leave out the twice-wound 0.5 and read 3.5
+    assert mixedvol.d_grid(_U_SHAPE, N, (1.0, 0.5, 0.25), 0.05).raw_quotients[0] == \
+        pytest.approx(9.0 - 5.0, abs=0.2)
 
 
 @settings(derandomize=True, max_examples=80, deadline=None)
@@ -307,16 +370,18 @@ def test_front_edge_parts_cover_the_dilation(case, data):
 def test_schedule_parts_match_one_eps_at_a_time(case, data):
     """`_sum_parts` on a schedule, in any order, with eps = 0 and an eps at
     which every segment is a point (its scaled length is below TAU), gives
-    each eps the arrays of the one-eps body, with each chain's front-edge
-    parts from an `_edge_sums` call of its own, bit for bit and in order."""
+    each eps the parts and cycles of a schedule of that eps alone, bit for
+    bit and in order, though it makes each cycle's indices once."""
     M, N, eps = case
     schedule = data.draw(st.permutations((eps, 0.0, 1e-13, eps / 3, 0.5)))
     got = list(mixedvol._sum_parts(M, N, schedule))
     assert len(got) == len(schedule)
-    for parts, e in zip(got, schedule):
-        want = _sum_parts_reference(M, N, e, lambda A, C: geom2d._edge_sums(A, C[None])[0])
-        assert len(parts) == len(want)
-        assert all(a.shape == b.shape and a.tobytes() == b.tobytes() for a, b in zip(parts, want))
+    for (parts, cycles), e in zip(got, schedule):
+        want_parts, want_cycles = next(mixedvol._sum_parts(M, N, (e,)))
+        for arrays, want in ((parts, want_parts), (cycles, want_cycles)):
+            assert len(arrays) == len(want)
+            assert all(a.shape == b.shape and a.tobytes() == b.tobytes()
+                       for a, b in zip(arrays, want))
 
 
 _STAR4 = Polygon(tuple(((1.0 if i % 2 == 0 else 0.4) * math.cos(math.pi * i / 4),
