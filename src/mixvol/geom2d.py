@@ -11,11 +11,11 @@ rebuild one from the tuple.
 Polygons are validated once, where they enter: by their constructors.  The
 private kernels take `(n, 2)` vertex arrays, return arrays or numbers, and
 check nothing, so a chain of them, such as `mixedvol.sum_volume`, builds no
-polygon: `_minkowski_chain` (the sum of two convex chains), `_convolution`
-(the indices of the convolution cycle of a polygon and a convex chain,
-which winds positively exactly on their sum), `_union_area` (of simple
-parts and such cycles), `_ray_exit` and `_points_in` (by winding number).
-The public names of the last three read a polygon's `array` and call them.
+polygon: `_convolution` (the indices of the convolution cycle of a polygon
+and a convex chain, which winds positively exactly on their sum and bounds
+it where the polygon is convex; `_minkowski` gathers it), `_union_area` (of
+simple parts and such cycles), `_ray_exit` and `_points_in` (by winding
+number).  The public names of the last three read a polygon's `array` and call them.
 `_convex_array` is the check of `ConvexPolygon` on a bare array.
 
 Conventions: polygons are simple, wound counterclockwise, with positive area.
@@ -192,6 +192,11 @@ class Polygon:
         _keep(self, np.array(state["vertices"], dtype=float))
 
 
+def _after(flags: np.ndarray) -> np.ndarray:
+    """flags moved one place on: entry k is flags[k - 1], and entry 0 False."""
+    return np.concatenate(([False], flags[:-1]))
+
+
 def _merge_collinear(V: np.ndarray):
     """Drop vertices interior to straight runs, each round testing every
     corner of the last; returns the remaining vertices and their `_corners`.
@@ -362,91 +367,6 @@ def _pseudo_angle(E: np.ndarray) -> np.ndarray:
     return np.where(_right_half(x, y), t, 2.0 - t)
 
 
-def _edge_order(P: np.ndarray, Q: np.ndarray) -> np.ndarray:
-    """The merge's comparator on edges P and Q, (..., 2) arrays that
-    broadcast: 1 where P's edge goes first, -1 where Q's does, 0 where the
-    two are parallel within TAU radians and point the same way, so that they
-    merge into one step.  Other pairs go by the sign of their cross product,
-    or by their halves where they are antiparallel within TAU and the halves
-    differ (right half first)."""
-    px, py, qx, qy = P[..., 0], P[..., 1], Q[..., 0], Q[..., 1]
-    c = px * qy - py * qx
-    parallel = c * c <= TAU * TAU * (px * px + py * py) * (qx * qx + qy * qy)
-    hp, hq = _right_half(px, py), _right_half(qx, qy)
-    first = np.where(parallel & (hp != hq), hp, c > 0.0)
-    return np.where(parallel & (px * qx + py * qy > 0.0), 0, np.where(first, 1, -1))
-
-
-def _after(flags: np.ndarray) -> np.ndarray:
-    """flags moved one place on: entry k is flags[k - 1], and entry 0 False."""
-    return np.concatenate(([False], flags[:-1]))
-
-
-def _minkowski_chain(A: np.ndarray, B: np.ndarray) -> np.ndarray:
-    """Vertices of the sum of two convex CCW chains A and B, (n, 2) and
-    (m, 2) float arrays that each start at the lex-min vertex (least x,
-    then least y): a `ConvexPolygon`'s `array`, or a segment as its two ends
-    in lex order.  The sum starts at the sum of the two starts, its lex-min.
-
-    From its lex-min vertex a chain lies in x >= x0, so its first edge points
-    right, or straight up for a vertical segment: into the right half
-    (-pi/2, pi/2] of directions.  The directions then turn left and the last
-    edge comes back into the start, so all of them lie in (-pi/2, 3pi/2],
-    the right half first.  A merge of the two edge lists takes, at each
-    step, the current edge of A or of B that `_edge_order` puts first, or
-    both as one step where it merges them.  Two first edges are less than pi
-    apart; after that the edge last taken from one chain is no later than
-    the other's current edge, and a chain turns by less than pi from edge to
-    edge (by pi between a segment's two edges), so the two current edges
-    are at most pi apart and the sign of their cross product orders them,
-    with no angles.  An antiparallel pair in different halves is ordered by
-    its halves, since its cross product is round-off; in one half it can
-    only be a nearly vertical pair, one edge at each end of the half, and
-    there the product's two terms have one sign.
-
-    The merge is found on arrays: all edges are sorted by `_pseudo_angle`,
-    and each move of that order is checked with `_edge_order` on the pair
-    of current edges it is taken at.  Where that pair merges and its edges
-    are the move and the next one, the two are one step (in a run of such
-    moves, pairing from the first).  At the first move the comparator does
-    not confirm (keys that round into a tie, or a zero edge), the
-    comparator's step is taken and the rest is sorted again, so the steps
-    are the merge's own.  The vertices are their running sum from the
-    start, which `np.cumsum` adds left to right.
-    """
-    P, Q = _shift(A, 1) - A, _shift(B, 1) - B
-    n, m = len(P), len(Q)
-    kp, kq = _pseudo_angle(P), _pseudo_angle(Q)
-    steps = [A[:1] + B[:1]]
-    i = j = 0
-    while i < n or j < m:
-        order = np.argsort(np.concatenate((kp[i:], kq[j:])), kind="stable")
-        move = np.arange(len(order))
-        from_p = order < n - i
-        ip = i + np.cumsum(from_p) - from_p  # edges of A taken before each move
-        jq = j + move - (ip - i)             # and of B
-        p, q = P[np.minimum(ip, n - 1)], Q[np.minimum(jq, m - 1)]
-        want = np.where(from_p, 1, -1)
-        # once one chain is spent, the other's edges follow in order
-        code = np.where((ip < n) & (jq < m), _edge_order(p, q), want)
-        pair = code == 0
-        pair[:-1] &= from_p[1:] != from_p[:-1]
-        pair[-1] = False
-        run = np.maximum.accumulate(np.where(pair & ~_after(pair), move, 0))
-        taken = pair & ((move - run) % 2 == 0)
-        kept = ~_after(taken)
-        bad = np.flatnonzero(kept & ~taken & (code != want))
-        f = bad[0] if len(bad) else len(order)
-        step = np.where(taken[:, None], p + q, np.where(from_p[:, None], p, q))
-        steps.append(step[:f][kept[:f]])
-        if f == len(order):
-            break
-        c = code[f]
-        steps.append((p[f] + q[f] if c == 0 else p[f] if c > 0 else q[f])[None])
-        i, j = ip[f] + (c >= 0), jq[f] + (c <= 0)
-    return np.cumsum(np.concatenate(steps), axis=0)[:-1]  # the last is the start
-
-
 def _convolution(V: np.ndarray, C: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Index arrays (a, b) of the convolution cycle of the closed CCW polygon
     V, (n, 2), and a convex CCW chain C, (k, 2), k >= 2, from its lex-min
@@ -461,11 +381,14 @@ def _convolution(V: np.ndarray, C: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     turns left), so a run takes exactly the edges of C whose keys lie
     between its corner's and never wraps round C; C's keys rise from its
     lex-min vertex, and a zero edge takes the key before it.  Keys that tie
-    or cross belong to directions a few ulps apart, which `_edge_order`
-    would merge into one step: either order gives the same cycle up to a
-    sliver that thin, so a tie puts V's edge first and no comparator is
-    needed.  The indices depend on directions only: they serve C at every
-    positive scale.
+    or cross belong to directions a few ulps apart: either order gives the
+    same cycle up to a sliver that thin, so a tie puts V's edge first and no
+    comparator is needed.  The indices depend on directions only: they
+    serve C at every positive scale.
+
+    Where V is convex every corner turns left and the cycle is the boundary
+    of V + C, each vertex one rounded sum V[i] + C[j]; an edge of V parallel
+    to one of C leaves a collinear vertex, which `ConvexPolygon` merges.
 
     Let M be the closed polygon V and w(x) the cycle's winding number about
     x off it.  Then w(x) counts the components of M ∩ K, K = x - C, so
@@ -498,11 +421,17 @@ def _convolution(V: np.ndarray, C: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return a, (np.repeat(before, run) + np.repeat(step, run) * t) % k
 
 
+def _minkowski(V: np.ndarray, C: np.ndarray) -> np.ndarray:
+    """The vertices of the convolution cycle of V and C: V + C for convex V."""
+    a, b = _convolution(V, C)
+    return V[a] + C[b]
+
+
 def minkowski_convex(P: ConvexPolygon, Q: ConvexPolygon) -> ConvexPolygon:
-    """Minkowski sum of convex polygons by merging edge fans; O(n+m)."""
+    """Minkowski sum of convex polygons: their convolution cycle."""
     if not isinstance(P, ConvexPolygon) or not isinstance(Q, ConvexPolygon):
         raise TypeError("minkowski_convex expects convex polygons")
-    return ConvexPolygon(_minkowski_chain(P.array, Q.array))
+    return ConvexPolygon(_minkowski(P.array, Q.array))
 
 
 def triangulate(P: Polygon) -> list[tuple[Vec2, Vec2, Vec2]]:
@@ -565,7 +494,7 @@ def minkowski_segment(P: Polygon, a, b) -> RegionUnion:
     if math.hypot(b[0] - a[0], b[1] - a[1]) <= TAU:
         return RegionUnion(tuple(ConvexPolygon(V + a) for V in pieces))
     seg = np.array((a, b) if a <= b else (b, a))
-    return RegionUnion(tuple(ConvexPolygon(_minkowski_chain(V, seg)) for V in pieces))
+    return RegionUnion(tuple(ConvexPolygon(_minkowski(V, seg)) for V in pieces))
 
 
 # ---------------------------------------------------------------------------

@@ -10,7 +10,6 @@ figure of merit is the scale-invariant ratio energy / sqrt(area).
 
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass
 
@@ -54,9 +53,12 @@ class IsoReport:
 
 
 def zonotope(F: SegmentFamily) -> ConvexPolygon:
-    """Minkowski sum of the family's segments (a centrally symmetric polygon):
-    `geom2d._minkowski_chain` folded over the segments, each taken as its
-    two ends in lex order.
+    """Minkowski sum of the family's segments (a centrally symmetric polygon)
+    in closed form.  Its lex-min vertex is the sum of the segments' lex-min
+    ends; from there its edges are the 2k vectors +g and -g, g a segment's
+    other end minus its lex-min one, in the order of their direction angles
+    (a stable sort by `geom2d._pseudo_angle`), summed by `np.cumsum`.
+    `ConvexPolygon` merges the collinear vertices of parallel generators.
 
     Raises RankDeficient when all segments are pairwise parallel.
     """
@@ -65,8 +67,12 @@ def zonotope(F: SegmentFamily) -> ConvexPolygon:
     if all(abs(vecs[0][0] * v[1] - vecs[0][1] * v[0])
            <= geom2d.TAU * l0 * math.hypot(*v) for v in vecs):
         raise RankDeficient("all generating segments are parallel")
-    segs = [np.array((a, b) if a <= b else (b, a)) for a, b in F.segments]
-    return ConvexPolygon(functools.reduce(geom2d._minkowski_chain, segs))
+    ends = np.array([sorted(s) for s in F.segments])
+    g = ends[:, 1] - ends[:, 0]
+    E = np.concatenate((g, -g))
+    steps = E[np.argsort(geom2d._pseudo_angle(E), kind="stable")]
+    start = ends[:, 0].sum(0, keepdims=True)
+    return ConvexPolygon(np.cumsum(np.concatenate((start, steps)), axis=0)[:-1])
 
 
 def _dedupe_close(pts: list[Vec2], tol: float) -> list[Vec2]:

@@ -93,7 +93,7 @@ class SeriesFit:
 
 def _chains(comp, eps: float) -> list[np.ndarray]:
     """The convex chains of the component `comp` scaled by eps > 0, (k, 2)
-    arrays each starting at its lex-min vertex as `geom2d._minkowski_chain`
+    arrays each starting at its lex-min vertex as `geom2d._convolution`
     needs: a point, or a segment of length at most TAU, one vertex; a
     segment its two ends in lex order; a disc its `regular_disc` vertices
     moved to its centre; a polygon component, given as the list of its
@@ -130,9 +130,9 @@ def _sum_parts(M: Polygon, N: StructuringSet, schedule: Sequence[float]):
     Every component of N is taken as the convex chains C of `_chains`.  Let
     A be M's vertices as `ConvexPolygon` keeps them when it accepts M, else
     M's own; M is probed once per schedule.  A one-vertex chain gives the
-    part A + C[0].  When M is convex, every other C gives the one convex
-    part A + C.  Otherwise it gives the convolution cycle of M and C, whose
-    winding number is never negative and is positive exactly on M + C
+    part A + C[0], every other C the convolution cycle of A and C: for
+    convex M the boundary of the part A + C, else a cycle, whose winding
+    number is never negative and is positive exactly on M + C
     (`geom2d._convolution` has the proof).  Its indices (a, b) depend on
     directions only, so they are made once per schedule from the chain U
     at eps = 1 (for a segment its two ends, however close), and each eps
@@ -147,8 +147,8 @@ def _sum_parts(M: Polygon, N: StructuringSet, schedule: Sequence[float]):
             raise ValueError(f"epsilon must be finite and nonnegative: {eps!r}")
     A, convex = _probe(M)
     comps = [geom2d._convex_pieces(c) if isinstance(c, Polygon) else c for c in N.components]
-    units = [] if convex else [[np.array(sorted((c.a, c.b)))] if isinstance(c, Segment)
-                               else _chains(c, 1.0) for c in comps]
+    units = [[np.array(sorted((c.a, c.b)))] if isinstance(c, Segment) else _chains(c, 1.0)
+             for c in comps]
     index = [[(U, *geom2d._convolution(A, U)) if len(U) > 1 else None for U in us]
              for us in units]
 
@@ -158,12 +158,11 @@ def _sum_parts(M: Polygon, N: StructuringSet, schedule: Sequence[float]):
             for m, C in enumerate(_chains(comp, eps)):
                 if len(C) == 1:
                     parts.append(A + C[0])
-                elif convex:
-                    parts.append(geom2d._minkowski_chain(A, C))
-                else:
-                    U, a, b = index[j][m]
-                    # `_chains` orders a segment's ends at scale eps, where they may tie in x
-                    cycles.append(A[a] + (eps * U if isinstance(comp, Segment) else C)[b])
+                    continue
+                U, a, b = index[j][m]
+                # `_chains` orders a segment's ends at scale eps, where they may tie in x
+                (parts if convex else cycles).append(
+                    A[a] + (eps * U if isinstance(comp, Segment) else C)[b])
         return parts, cycles
 
     return (([M.array], []) if eps == 0.0 else dilation(eps) for eps in schedule)
@@ -190,10 +189,12 @@ def sum_region(M: Polygon, N: StructuringSet, eps: float) -> RegionUnion:
     ConvexPolygon when that accepts it, else a Polygon: A + C[0] for a
     one-vertex chain C of N (`_chains`; A as in `_sum_parts`), and P + C
     for every other chain and each convex piece P of M
-    (`geom2d._convex_pieces`), but those of area at most TAU (a sliver ear
-    swept along a parallel segment).  eps = 0 gives M alone.  For convex M
-    these are the parts of `_sum_parts`, vertex for vertex; for nonconvex M
-    it makes cycles, and the two agree to round-off.
+    (`geom2d._convex_pieces`), the convolution cycle of the two, but those
+    of area at most TAU (a sliver ear swept along a parallel segment).
+    eps = 0 gives M alone.  For convex M these are the parts of
+    `_sum_parts` but for the order of directions parallel within a few ulps,
+    which `_sum_parts` ranks at eps = 1; for nonconvex M it makes cycles,
+    and the two agree to round-off.
 
     For callers outside mixvol: `sum_volume`, `local_expansion_probe` and
     `d_grid` read the arrays of `_sum_parts` and build no polygon."""
@@ -207,7 +208,7 @@ def sum_region(M: Polygon, N: StructuringSet, eps: float) -> RegionUnion:
     parts = []
     for comp in comps:
         for C in _chains(comp, eps):
-            parts += [A + C[0]] if len(C) == 1 else [geom2d._minkowski_chain(P, C) for P in pieces]
+            parts += [A + C[0]] if len(C) == 1 else [geom2d._minkowski(P, C) for P in pieces]
     return RegionUnion(tuple(geom2d._polygon(V) for V in parts
                              if not geom2d._signed_area(V) <= geom2d.TAU))
 

@@ -1,5 +1,6 @@
 import math
 
+import numpy as np
 import pytest
 from hypothesis import assume
 from hypothesis import strategies as st
@@ -35,6 +36,44 @@ NEAR_STRAIGHT_RUN = [
     [0, 0], [0.1, 0], [0.2, -9.000000000000001e-14], [0.30000000000000004, -2.7e-13],
     [0.4, -5.4e-13], [0.5, -6.6e-13], [0.6, -8.7e-13], [0.7, -1.17e-12],
     [0.7999999999999999, -1.56e-12], [0.7999999999999999, 1], [0, 1]]
+
+
+def minkowski_walk(A, B) -> np.ndarray:
+    """The sum of two convex CCW chains as a walk over (x, y) tuples, one
+    edge pair at a time, the tests' reference for Minkowski sums: A and B
+    each start at their lex-min vertex (a convex polygon's vertices, or a
+    segment's two ends in lex order), and so does the sum.  Edges parallel
+    within TAU radians and pointing the same way make one step; an
+    antiparallel pair goes right half first, others by their cross product.
+    The steps are summed one at a time from the sum of the two starts."""
+    TAU = geom2d.TAU
+    vp, vq = ([tuple(v) for v in np.asarray(V, dtype=float).tolist()] for V in (A, B))
+    ep = [(x1 - x0, y1 - y0) for (x0, y0), (x1, y1) in zip(vp, vp[1:] + vp[:1])]
+    eq = [(x1 - x0, y1 - y0) for (x0, y0), (x1, y1) in zip(vq, vq[1:] + vq[:1])]
+    cur = (vp[0][0] + vq[0][0], vp[0][1] + vq[0][1])
+    out = [cur]
+    i = j = 0
+    while i < len(ep) or j < len(eq):
+        if j >= len(eq):
+            step = ep[i]; i += 1
+        elif i >= len(ep):
+            step = eq[j]; j += 1
+        else:
+            (px, py), (qx, qy) = ep[i], eq[j]
+            c = px * qy - py * qx
+            parallel = c * c <= TAU * TAU * (px * px + py * py) * (qx * qx + qy * qy)
+            if parallel and px * qx + py * qy > 0.0:
+                step = (px + qx, py + qy); i += 1; j += 1
+            else:
+                if parallel:  # antiparallel: the right half goes first
+                    c = (ep[i] > (0.0, 0.0)) - (eq[j] > (0.0, 0.0)) or c
+                if c > 0.0:
+                    step = ep[i]; i += 1
+                else:
+                    step = eq[j]; j += 1
+        cur = (cur[0] + step[0], cur[1] + step[1])
+        out.append(cur)
+    return np.array(out[:-1])  # the closing vertex repeats the start
 
 
 @pytest.fixture(scope="session")

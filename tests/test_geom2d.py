@@ -10,7 +10,8 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from conftest import NEAR_STRAIGHT_RUN, closed_form_plus_dilation, near_collinear_convex
+from conftest import (NEAR_STRAIGHT_RUN, closed_form_plus_dilation, minkowski_walk,
+                      near_collinear_convex)
 from mixvol import geom2d, mixedvol, structuring
 from mixvol.errors import DegenerateInput, ResolutionTooCoarse
 from mixvol.geom2d import ConvexPolygon, Polygon, RegionUnion
@@ -539,56 +540,29 @@ def test_minkowski_is_hull_of_vertex_sums(P, Q, flip):
         pytest.approx(geom2d.area(hull), rel=1e-12)
 
 
-def _minkowski_chain_reference(vp, vq):
-    """The merge as a walk over (x, y) tuples, one edge pair at a time, kept
-    as the reference of the array merge: chains as `_minkowski_chain` takes
-    them, the sum's vertices as a list of tuples."""
-    TAU = geom2d.TAU
-    ep = [(x1 - x0, y1 - y0) for (x0, y0), (x1, y1) in zip(vp, vp[1:] + vp[:1])]
-    eq = [(x1 - x0, y1 - y0) for (x0, y0), (x1, y1) in zip(vq, vq[1:] + vq[:1])]
-    cur = (vp[0][0] + vq[0][0], vp[0][1] + vq[0][1])
-    out = [cur]
-    i = j = 0
-    while i < len(ep) or j < len(eq):
-        if j >= len(eq):
-            step = ep[i]; i += 1
-        elif i >= len(ep):
-            step = eq[j]; j += 1
-        else:
-            (px, py), (qx, qy) = ep[i], eq[j]
-            c = px * qy - py * qx
-            parallel = c * c <= TAU * TAU * (px * px + py * py) * (qx * qx + qy * qy)
-            if parallel and px * qx + py * qy > 0.0:
-                step = (px + qx, py + qy); i += 1; j += 1
-            else:
-                if parallel:  # antiparallel: the right half goes first
-                    c = (ep[i] > (0.0, 0.0)) - (eq[j] > (0.0, 0.0)) or c
-                if c > 0.0:
-                    step = ep[i]; i += 1
-                else:
-                    step = eq[j]; j += 1
-        cur = (cur[0] + step[0], cur[1] + step[1])
-        out.append(cur)
-    return out[:-1]  # closing vertex duplicates the start
-
-
-def _same_bits(got, want):
-    want = np.array(want, dtype=float).reshape(-1, 2)
-    return got.shape == want.shape and got.tobytes() == want.tobytes()
-
-
 def _chain(verts):
-    """A chain as `_minkowski_chain` takes it: a convex polygon's `array`,
+    """A chain as `_convolution` takes it for C: a convex polygon's `array`,
     or a segment's two ends in lex order."""
     if len(verts) == 2:
         return np.array(sorted(map(tuple, verts)), dtype=float)
     return ConvexPolygon(verts).array
 
 
-def _merge_matches_reference(A, B):
-    A, B = _chain(A), _chain(B)
-    want = _minkowski_chain_reference(geom2d._vertex_tuple(A), geom2d._vertex_tuple(B))
-    return _same_bits(geom2d._minkowski_chain(A, B), want)
+def _convex_count(V):
+    """The vertex count of `ConvexPolygon(V)`, or None where it refuses V."""
+    try:
+        return len(ConvexPolygon(V).vertices)
+    except ValueError:
+        return None
+
+
+def _sum_matches_walk(A, B):
+    """The convolution cycle of the chains A and B has the area of their sum
+    by the reference walk, to 1e-12 relative, and `ConvexPolygon` keeps as
+    many of its vertices as of the walk's, or refuses both."""
+    got, want = geom2d._minkowski(A, B), minkowski_walk(A, B)
+    assert geom2d._signed_area(got) == pytest.approx(geom2d._signed_area(want), rel=1e-12)
+    assert _convex_count(got) == _convex_count(want)
 
 
 @st.composite
@@ -620,7 +594,7 @@ def _convex_drawn(draw):
 
 @st.composite
 def chain_pairs(draw):
-    """Two chains that the merge meets on the estimators' paths: n-gons with
+    """Two chains that a sum meets on the estimators' paths: n-gons with
     near-collinear runs, an n-gon and a segment along one of its edges or
     an axis, two such segments, or an edge of an exactly regular star (the
     one with defect A) with a segment."""
@@ -639,8 +613,9 @@ def chain_pairs(draw):
 @settings(derandomize=True, max_examples=150, deadline=None)
 @given(chain_pairs(), st.booleans())
 def test_minkowski_chain_matches_reference_walk(pair, flip):
-    A, B = pair[::-1] if flip else pair
-    assert _merge_matches_reference(A, B)
+    """The sum of two chains by the convolution kernel, either one taken as
+    the polygon V, against the reference walk."""
+    _sum_matches_walk(*(_chain(P) for P in (pair[::-1] if flip else pair)))
 
 
 @st.composite
@@ -660,25 +635,26 @@ def convex_and_chain(draw):
 @given(convex_and_chain())
 def test_convolution_of_convex_chains_walks_their_sum_once(pair):
     """Where V is convex every corner turns left, and the cycle runs once
-    round the boundary of the sum: its shoelace area is the merge's, with
-    near-collinear runs and edges parallel to the chain's alike (a run that
-    wrapped round C would add |C| or take it away)."""
+    round the boundary of the sum: its shoelace area is the reference
+    walk's, with near-collinear runs and edges parallel to the chain's alike
+    (a run that wrapped round C would add |C| or take it away)."""
     A, B = (_chain(P) for P in pair)
     a, b = geom2d._convolution(A, B)
     assert geom2d._signed_area(A[a] + B[b]) == \
-        pytest.approx(geom2d._signed_area(geom2d._minkowski_chain(A, B)), rel=1e-12)
+        pytest.approx(geom2d._signed_area(minkowski_walk(A, B)), rel=1e-12)
 
 
 @pytest.mark.parametrize("n, jitter", [(4096, 0.0), (4096, 0.3), (64, 0.0)])
 def test_minkowski_chain_matches_reference_walk_on_disc_chains(n, jitter):
-    """An n-gon, regular or jittered on a circle, against the disc chain of
-    `sum_region` (the exactly regular one merges every edge pair)."""
+    """An n-gon, regular or jittered on a circle, and the disc chain of
+    `sum_region`, in both orders (the exactly regular one is parallel to
+    the disc's edges pair by pair)."""
     rng = np.random.default_rng(n)
     theta = 2 * np.pi * (np.arange(n) + rng.uniform(-jitter, jitter, n)) / n
     M = ConvexPolygon(np.stack((1.3 * np.cos(theta), 1.3 * np.sin(theta)), axis=1))
     disc = 0.05 * 0.7 * structuring._unit_disc() + (0.01, -0.02)
-    assert _merge_matches_reference(M.vertices, disc)
-    assert _merge_matches_reference(disc, M.vertices)
+    _sum_matches_walk(M.array, disc)
+    _sum_matches_walk(disc, M.array)
 
 
 @pytest.mark.parametrize("B", [((0.0, 0.0), (1.0, 0.0), (1.0, 0.0), (0.0, 1.0)),
@@ -686,26 +662,46 @@ def test_minkowski_chain_matches_reference_walk_on_disc_chains(n, jitter):
                                1e-321 * structuring._unit_disc()],
                          ids=["duplicate", "64-gon", "disc"])
 def test_minkowski_chain_matches_reference_walk_on_zero_edges(B):
-    """Chains with zero edges (a repeated vertex, or a disc scaled until its
-    vertices round together): a zero edge has no key, and the walk takes it
-    only after the other chain is spent, so the array merge must sort again
-    after each one."""
-    A, B = ConvexPolygon(_ngon(9)).array, np.array(B, dtype=float)
-    for P, Q in ((A, B), (B, A)):
-        want = _minkowski_chain_reference(geom2d._vertex_tuple(P), geom2d._vertex_tuple(Q))
-        assert _same_bits(geom2d._minkowski_chain(P, Q), want)
+    """Chains C with zero edges (a repeated vertex, or a disc scaled until
+    its vertices round together): a zero edge has no key, and takes the one
+    before it."""
+    _sum_matches_walk(ConvexPolygon(_ngon(9)).array, np.array(B, dtype=float))
 
 
 def test_minkowski_chain_subnormal_width_edge_warns_not():
-    # a left edge 5e-324 wide: its key and comparator see a subnormal x
-    P = [(5e-324, -1.0), (1.0, 0.0), (0.0, 1.0)]
+    # a left edge 5e-324 wide: its key sees a subnormal x
+    P = _chain([(5e-324, -1.0), (1.0, 0.0), (0.0, 1.0)])
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         for other in ([(0.0, -1.0), (0.0, 1.0)], [(-1.0, 0.0), (1.0, 0.0)],
                       [(0.0, -1.0), (5e-324, 1.0)], _ngon(7)):
-            assert _merge_matches_reference(P, other)
-            assert _merge_matches_reference(other, P)
-        geom2d._convolution(np.array(P), np.array([(0.0, -1.0), (0.0, 1.0)]))
+            _sum_matches_walk(P, _chain(other))
+            _sum_matches_walk(_chain(other), P)
+
+
+def _drifted(V, P, Q):
+    """How many rows of V equal no rounded sum P[i] + Q[j]."""
+    def key(X):  # each row as one complex number
+        return np.ascontiguousarray(X, dtype=float).view(np.complex128).ravel()
+    Vs = np.sort(key(V))
+    hit = []
+    for lo in range(0, len(P), 256):  # the sums in blocks, not len(P) * len(Q) at once
+        S = key((P[lo:lo + 256, None] + Q[None]).reshape(-1, 2))
+        hit.append(S[Vs[np.minimum(np.searchsorted(Vs, S), len(Vs) - 1)] == S])
+    return int(np.count_nonzero(~np.isin(key(V), np.concatenate(hit))))
+
+
+@pytest.mark.parametrize("P, Q", [
+    (ConvexPolygon(1.3 * geom2d.regular_disc(4096, 1.0).array),
+     ConvexPolygon(0.05 * 0.7 * structuring._unit_disc() + (0.01, -0.02))),
+    (geom2d.regular_disc(64, 1.0), ConvexPolygon(((0, 0), (1, 0), (0, 1)))),
+    (geom2d.regular_disc(8, 1.0), ConvexPolygon(((0, 0), (1, 0), (1, 1), (0, 1)))),
+], ids=["4096-gon-disc", "64-gon-triangle", "8-gon-square"])
+def test_minkowski_convex_vertices_are_single_sums(P, Q):
+    """Every vertex of the sum is one rounded P[i] + Q[j], with no running
+    sum of edges to drift."""
+    S = geom2d.minkowski_convex(P, Q)
+    assert _drifted(S.array, P.array, Q.array) == 0
 
 
 def test_minkowski_segment_square(unit_square):
@@ -734,14 +730,13 @@ def test_minkowski_segment_nonconvex():
 
 
 def _minkowski_segment_reference(P, a, b):
-    """Part vertices of `minkowski_segment` through the polygons of
-    `convex_parts`, a `translate` of each for a zero-length segment."""
+    """Part vertex arrays of `minkowski_segment` through the polygons of
+    `convex_parts` and the reference walk, a `translate` of each for a
+    zero-length segment."""
     pieces = geom2d.convex_parts(P)
     if a == b:
-        return [geom2d.translate(piece, a).vertices for piece in pieces]
-    seg = np.array(sorted((a, b)), dtype=float)
-    return [ConvexPolygon(geom2d._minkowski_chain(piece.array, seg)).vertices
-            for piece in pieces]
+        return [geom2d.translate(piece, a).array for piece in pieces]
+    return [ConvexPolygon(minkowski_walk(piece.array, sorted((a, b)))).array for piece in pieces]
 
 
 @pytest.mark.parametrize("P", [
@@ -752,8 +747,15 @@ def _minkowski_segment_reference(P, a, b):
 @pytest.mark.parametrize("a, b", [((0, 0), (0, 0.5)), ((0.3, -0.2), (-0.1, 0.4)),
                                   ((2, 3), (2, 3))], ids=["vertical", "oblique", "zero"])
 def test_minkowski_segment_parts_match_reference(P, a, b):
-    assert [part.vertices for part in geom2d.minkowski_segment(P, a, b).parts] == \
-        _minkowski_segment_reference(P, a, b)
+    """The parts are the walk's up to its running sum's round-off, and each
+    vertex is one sum of a piece's vertex and an end."""
+    got = [part.array for part in geom2d.minkowski_segment(P, a, b).parts]
+    want = _minkowski_segment_reference(P, a, b)
+    assert [V.shape for V in got] == [V.shape for V in want]
+    assert all(np.abs(V - W).max() <= 1e-15 for V, W in zip(got, want))
+    ends = np.array((a, b), dtype=float)
+    assert [_drifted(V, piece.array, ends) for V, piece in zip(got, geom2d.convex_parts(P))] == \
+        [0] * len(got)
 
 
 # ---------------------------------------------------------------------------
@@ -1285,8 +1287,8 @@ _STAR_CYCLE = next(mixedvol._sum_parts(
     pytest.param(ConvexPolygon(((0, 0), (1, 0), (1, 1), (0, 1))).array, id="square"),
     pytest.param(Polygon(NEAR_STRAIGHT_RUN).array, id="near-straight"),
     pytest.param(geom2d.regular_disc(1024, 0.9).array, id="disc1024"),
-    pytest.param(geom2d._minkowski_chain(np.array(sorted(_star(6, 0.4)[:2])),
-                                         0.15 * structuring._unit_disc() + (0.05, 0.0)),
+    pytest.param(minkowski_walk(sorted(_star(6, 0.4)[:2]),
+                                0.15 * structuring._unit_disc() + (0.05, 0.0)),
                  id="edge-part"),
     pytest.param(_STAR_CYCLE, id="cycle"),
 ])
