@@ -360,13 +360,16 @@ def d_grid(M: Polygon, N: StructuringSet, schedule: Sequence[float],
 
     Deliberately avoids union_area: each |M+eN| is a cell count, so this is a
     coarse but independent check of the exact route (accuracy ~ h * perimeter).
+    The grid is taken from the inputs: M's box, grown by 2h and along each
+    axis by the support of eps[0] * N, where that is positive, so it holds
+    M + e*N for every 0 <= e <= eps[0].
     """
     eps = _check_schedule(schedule)
-    dilations = (parts + cycles for parts, cycles in _sum_parts(M, N, eps))
-    first = next(dilations)
-    big = np.concatenate(first)
+    reach = eps[0] * np.maximum(
+        structuring.support(N, np.array(((1, 0), (0, 1), (-1, 0), (0, -1)))), 0)
     pad = 2 * h
-    bounds = tuple(zip((big.min(axis=0) - pad).tolist(), (big.max(axis=0) + pad).tolist()))
+    bounds = tuple(zip((M.array.min(axis=0) - reach[2:] - pad).tolist(),
+                       (M.array.max(axis=0) + reach[:2] + pad).tolist()))
 
     def volume(parts: list[np.ndarray]) -> float:
         """Grid volume of the union of the parts and cycles with vertex
@@ -376,7 +379,7 @@ def d_grid(M: Polygon, N: StructuringSet, schedule: Sequence[float],
             bounds, h)[0]
 
     base = volume([M.array])
-    vols = [volume(first)] + [volume(parts) for parts in dilations]
+    vols = [volume(parts + cycles) for parts, cycles in _sum_parts(M, N, eps)]
     return _extrapolated(eps, tuple((v - base) / e for v, e in zip(vols, eps)))
 
 

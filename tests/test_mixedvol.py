@@ -862,21 +862,22 @@ def test_d_grid_square_plus(unit_square, plus_set):
 
 
 #: `d_grid` value and quotients at (M, N, h) on the schedule (0.1, 0.05,
-#: 0.025), as each epsilon built its own parts, the first one twice.
+#: 0.025), on a grid over M's box grown by the support of 0.1 * N along the
+#: axes and by 2h.
 _D_GRID_REPRS = {
     ("square", "plus", 0.02): "(1.8666666666666762, (4.000000000000001, 3.999999999999999, "
                               "3.200000000000003))",
     ("square", "plus", 0.05): "(4.000000000000011, (4.000000000000001, 3.999999999999999, "
                               "4.0000000000000036))",
-    ("square", "mixed", 0.02): "(6.9653333333333265, (6.079999999999999, 6.1279999999999974, "
-                               "6.447999999999996))",
+    ("square", "mixed", 0.02): "(6.445333333333339, (5.880000000000001, 5.352000000000001, "
+                               "5.696000000000003))",
     ("square", "mixed", 0.05): "(7.983333333333337, (5.750000000000002, 5.100000000000002, "
                                "6.100000000000003))",
     ("L", "plus", 0.02): "(5.4013333333333415, (7.9, 7.128000000000005, 6.3840000000000074))",
     ("L", "plus", 0.05): "(8.06666666666667, (7.900000000000005, 7.950000000000008, "
                          "8.000000000000007))",
-    ("L", "mixed", 0.02): "(11.256000000000013, (11.575999999999999, 11.256000000000004, "
-                          "11.216000000000008))",
+    ("L", "mixed", 0.02): "(10.604, (11.379999999999999, 10.504000000000007, "
+                          "10.432000000000006))",
     ("L", "mixed", 0.05): "(15.883333333333338, (11.150000000000006, 10.050000000000008, "
                           "12.100000000000009))",
 }
@@ -888,6 +889,14 @@ def test_d_grid_values_are_unchanged(m, n, h, unit_square, plus_set):
     N = {"plus": plus_set, "mixed": _MIXED_N}[n]
     est = mixedvol.d_grid(M, N, (0.1, 0.05, 0.025), h)
     assert repr((est.value, est.raw_quotients)) == _D_GRID_REPRS[m, n, h]
+
+
+def test_d_grid_covers_m_where_n_lies_off_the_origin(unit_square):
+    """A far point translates M, so every quotient is 0; a grid over the
+    first dilation alone would leave part of M out of the base volume."""
+    N = StructuringSet((Points(((5.0, 0.0),)),))
+    est = mixedvol.d_grid(unit_square, N, (0.1, 0.05, 0.025), 0.05)
+    assert est.raw_quotients == (0.0, 0.0, 0.0)
 
 
 def test_box_distance():
