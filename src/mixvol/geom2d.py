@@ -462,25 +462,34 @@ def triangulate(P: Polygon) -> list[tuple[Vec2, Vec2, Vec2]]:
     return tris
 
 
+def _convex_probe(P: Polygon) -> tuple[np.ndarray, bool]:
+    """P's vertices as `ConvexPolygon` keeps them and True, or P's own and
+    False where `ConvexPolygon` refuses them."""
+    if isinstance(P, ConvexPolygon):
+        return P.array, True
+    try:
+        return _convex_array(P.array), True
+    except ValueError:
+        return P.array, False
+
+
 def _convex_pieces(P: Polygon) -> list[np.ndarray]:
     """The arrays of `convex_parts(P)`, with no polygon built: each from its
     lex-min vertex.  An ear of area at most TAU (a corner bent by little
     more than TAU radians clips one) is kept, though `ConvexPolygon`
     refuses it: its sum with a chain is no sliver."""
-    if isinstance(P, ConvexPolygon):
-        return [P.array]
-    try:
-        return [_convex_array(P.array)]
-    except ValueError:
-        return [_lex_first(np.array(t)) for t in triangulate(P)]
+    A, convex = _convex_probe(P)
+    return [A] if convex else [_lex_first(np.array(t)) for t in triangulate(P)]
 
 
 def convex_parts(P: Polygon) -> list[ConvexPolygon]:
     """P as convex pieces whose union is P: P as a ConvexPolygon when that
-    accepts its vertices, else its ear-clipping triangles."""
+    accepts its vertices, else its ear-clipping triangles.  Triangles of
+    area at most TAU, which `ConvexPolygon` refuses, are left out, so each
+    of them moves the union's area by at most TAU."""
     if isinstance(P, ConvexPolygon):
         return [P]
-    return [ConvexPolygon(V) for V in _convex_pieces(P)]
+    return [ConvexPolygon(V) for V in _convex_pieces(P) if not _signed_area(V) <= TAU]
 
 
 def minkowski_segment(P: Polygon, a, b) -> RegionUnion:

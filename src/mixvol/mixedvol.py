@@ -14,7 +14,6 @@ into the CLI's exit status.
 from __future__ import annotations
 
 import math
-from contextvars import ContextVar
 from dataclasses import dataclass
 from functools import reduce
 from typing import Callable, Sequence
@@ -91,137 +90,117 @@ class SeriesFit:
 # Dilation regions and volumes
 
 
-def _chains(comp, eps: float) -> list[np.ndarray]:
-    """The convex chains of the component `comp` scaled by eps > 0, (k, 2)
+def _unit_chains(N: StructuringSet) -> list[np.ndarray]:
+    """The convex chains of N's components at eps = 1, in order, (k, 2)
     arrays each starting at its lex-min vertex as `geom2d._convolution`
-    needs: a point, or a segment of length at most TAU, one vertex; a
-    segment its two ends in lex order; a disc its `regular_disc` vertices
-    moved to its centre; a polygon component, given as the list of its
-    `geom2d._convex_pieces`, each piece."""
-    if isinstance(comp, Points):
-        return list(eps * np.array(comp.pts)[:, None])
-    if isinstance(comp, Segment):
-        a = (eps * comp.a[0], eps * comp.a[1])
-        b = (eps * comp.b[0], eps * comp.b[1])
-        if math.hypot(b[0] - a[0], b[1] - a[1]) <= geom2d.TAU:
-            return [np.array([a])]
-        return [np.array((a, b) if a <= b else (b, a))]
-    if isinstance(comp, Disc):
-        centre = (eps * comp.center[0], eps * comp.center[1])
-        return [eps * comp.radius * structuring._unit_disc() + centre]
-    return [eps * V for V in comp]
+    needs: a point gives one vertex; a segment its two ends in lex order, or
+    one vertex when it is at most TAU long; a disc r times
+    `structuring._unit_disc()` moved to its centre; a polygon each of its
+    `geom2d._convex_pieces`.  The chains of eps * N are eps times these."""
+    chains = []
+    for c in N.components:
+        if isinstance(c, Points):
+            chains += list(np.array(c.pts)[:, None])
+        elif isinstance(c, Segment):
+            short = math.hypot(c.b[0] - c.a[0], c.b[1] - c.a[1]) <= geom2d.TAU
+            chains.append(np.array([c.a] if short else sorted((c.a, c.b))))
+        elif isinstance(c, Disc):
+            chains.append(c.radius * structuring._unit_disc() + c.center)
+        else:
+            chains += geom2d._convex_pieces(c)
+    return chains
 
 
-def _probe(M: Polygon) -> tuple[np.ndarray, bool]:
-    """M's vertices as `ConvexPolygon` keeps them and True, or M's own and False."""
-    if isinstance(M, ConvexPolygon):
-        return M.array, True
-    try:
-        return geom2d._convex_array(M.array), True
-    except ValueError:
-        return M.array, False
+def _dilation(M: Polygon, N: StructuringSet) -> Callable:
+    """The dilation M + eps*N as a function `at(eps)` of eps >= 0, which
+    gives a pair (parts, cycles) of lists of vertex arrays, as
+    `geom2d._union_area` takes them: simple CCW parts, and closed cycles
+    read by their winding number.
 
-
-def _sum_parts(M: Polygon, N: StructuringSet, schedule: Sequence[float]):
-    """For each eps of `schedule`, in order, the dilation M + eps*N as a pair
-    (parts, cycles) of lists of vertex arrays, as `geom2d._union_area` takes
-    them: simple CCW parts, and closed cycles read by their winding number.
-
-    Every component of N is taken as the convex chains C of `_chains`.  Let
-    A be M's vertices as `ConvexPolygon` keeps them when it accepts M, else
-    M's own; M is probed once per schedule.  A one-vertex chain gives the
-    part A + C[0], every other C the convolution cycle of A and C: for
-    convex M the boundary of the part A + C, else a cycle, whose winding
-    number is never negative and is positive exactly on M + C
+    Let A be M's vertices as `ConvexPolygon` keeps them when it accepts M,
+    else M's own (`geom2d._convex_probe`), and U a chain of
+    `_unit_chains(N)`.  A one-vertex U gives the part A + eps * U[0], every
+    other U the convolution cycle of A and eps * U: for convex M the
+    boundary of the part A + eps * U, else a cycle, whose winding number is
+    never negative and is positive exactly on M + eps * U
     (`geom2d._convolution` has the proof).  Its indices (a, b) depend on
-    directions only, so they are made once per schedule from the chain U
-    at eps = 1 (for a segment its two ends, however close), and each eps
-    gathers A[a] + C[b] (eps * U for a segment), with no running sum: its
-    arrays are those of a schedule of that eps alone, bit for bit.
-    eps = 0 gives M alone.  Nothing is validated as a polygon at scale eps,
-    so a component too small for `ConvexPolygon`'s absolute floors (a disc
-    with eps * r below about 6e-7) still adds.
+    directions only, so M is probed and they are made here, once, and each
+    eps gathers A[a] + (eps * U)[b], with no running sum: the arrays of an
+    eps do not depend on the eps asked for before.  eps = 0 gives M alone.
+    Nothing is validated as a polygon at scale eps, so a component too small
+    for `ConvexPolygon`'s absolute floors (a disc with eps * r below about
+    6e-7) still adds.
     """
-    for eps in schedule:
+    A, convex = geom2d._convex_probe(M)
+    index = [(U, *geom2d._convolution(A, U)) if len(U) > 1 else (U, None, None)
+             for U in _unit_chains(N)]
+
+    def at(eps: float) -> tuple[list[np.ndarray], list[np.ndarray]]:
         if not 0.0 <= eps < math.inf:
             raise ValueError(f"epsilon must be finite and nonnegative: {eps!r}")
-    A, convex = _probe(M)
-    comps = [geom2d._convex_pieces(c) if isinstance(c, Polygon) else c for c in N.components]
-    units = [[np.array(sorted((c.a, c.b)))] if isinstance(c, Segment) else _chains(c, 1.0)
-             for c in comps]
-    index = [[(U, *geom2d._convolution(A, U)) if len(U) > 1 else None for U in us]
-             for us in units]
-
-    def dilation(eps: float):
+        if eps == 0.0:
+            return [M.array], []
         parts, cycles = [], []
-        for j, comp in enumerate(comps):
-            for m, C in enumerate(_chains(comp, eps)):
-                if len(C) == 1:
-                    parts.append(A + C[0])
-                    continue
-                U, a, b = index[j][m]
-                # `_chains` orders a segment's ends at scale eps, where they may tie in x
-                (parts if convex else cycles).append(
-                    A[a] + (eps * U if isinstance(comp, Segment) else C)[b])
+        for U, a, b in index:
+            if a is None:
+                parts.append(A + eps * U[0])
+            else:
+                (parts if convex else cycles).append(A[a] + (eps * U)[b])
         return parts, cycles
 
-    return (([M.array], []) if eps == 0.0 else dilation(eps) for eps in schedule)
+    return at
 
 
-#: The schedule that `_sum_volumes` dilates: M, N, its eps still to come
-#: (last first) and the iterator of their parts.
-_SCHEDULE: ContextVar = ContextVar("_SCHEDULE", default=None)
+#: The last pair (M, N) that `_dilation_of` was given, and its `_dilation`.
+_last_dilation: tuple = (None, None, None)
 
 
-def _sum_volumes(M: Polygon, N: StructuringSet, schedule: Sequence[float]) -> list[float]:
-    """|M + eps*N| for each eps of `schedule`, each from a call of
-    `sum_volume(M, N, eps)`, which takes its parts, one eps at a time, from
-    a single `_sum_parts` call over the whole schedule."""
-    token = _SCHEDULE.set((M, N, list(schedule)[::-1], _sum_parts(M, N, schedule)))
-    try:
-        return [sum_volume(M, N, e) for e in schedule]
-    finally:
-        _SCHEDULE.reset(token)
+def _dilation_of(M: Polygon, N: StructuringSet) -> Callable:
+    """`_dilation(M, N)`, remembered for the last pair, told by identity: the
+    volumes of one pair, from a schedule, the CLI's worker threads or the
+    probe, share one probe of M and one index per chain.  The slot is read
+    and replaced whole, so a thread always gets its own pair's dilation;
+    threads that miss at once each build one, and the last is kept."""
+    global _last_dilation
+    last = _last_dilation
+    if last[0] is not M or last[1] is not N:
+        last = _last_dilation = (M, N, _dilation(M, N))
+    return last[2]
 
 
 def sum_region(M: Polygon, N: StructuringSet, eps: float) -> RegionUnion:
     """The dilation M + eps*N as a union of simple parts, each a
-    ConvexPolygon when that accepts it, else a Polygon: A + C[0] for a
-    one-vertex chain C of N (`_chains`; A as in `_sum_parts`), and P + C
-    for every other chain and each convex piece P of M
+    ConvexPolygon when that accepts it, else a Polygon: A + eps * U[0] for
+    a one-vertex chain U of `_unit_chains(N)` (A as in `_dilation`), and
+    P + eps * U for every other chain and each convex piece P of M
     (`geom2d._convex_pieces`), the convolution cycle of the two, but those
     of area at most TAU (a sliver ear swept along a parallel segment).
-    eps = 0 gives M alone.  For convex M these are the parts of
-    `_sum_parts` but for the order of directions parallel within a few ulps,
-    which `_sum_parts` ranks at eps = 1; for nonconvex M it makes cycles,
-    and the two agree to round-off.
+    eps = 0 gives M alone.  For convex M these are the parts of `_dilation`
+    but for the order of directions parallel within a few ulps, which
+    `_dilation` ranks at eps = 1; for nonconvex M it makes cycles, and the
+    two agree to round-off.
 
     For callers outside mixvol: `sum_volume`, `local_expansion_probe` and
-    `d_grid` read the arrays of `_sum_parts` and build no polygon."""
+    `d_grid` read the arrays of `_dilation` and build no polygon."""
     if not 0.0 <= eps < math.inf:
         raise ValueError(f"epsilon must be finite and nonnegative: {eps!r}")
     if eps == 0.0:
         return RegionUnion((M,))
-    A, convex = _probe(M)
+    A, convex = geom2d._convex_probe(M)
     pieces = [A] if convex else geom2d._convex_pieces(M)
-    comps = [geom2d._convex_pieces(c) if isinstance(c, Polygon) else c for c in N.components]
     parts = []
-    for comp in comps:
-        for C in _chains(comp, eps):
-            parts += [A + C[0]] if len(C) == 1 else [geom2d._minkowski(P, C) for P in pieces]
+    for U in _unit_chains(N):
+        C = eps * U
+        parts += [A + C[0]] if len(C) == 1 else [geom2d._minkowski(P, C) for P in pieces]
     return RegionUnion(tuple(geom2d._polygon(V) for V in parts
                              if not geom2d._signed_area(V) <= geom2d.TAU))
 
 
 def sum_volume(M: Polygon, N: StructuringSet, eps: float) -> float:
-    """|M + eps*N| as the exact area of the arrays of `_sum_parts`; no
-    polygon is built.  eps = 0 gives |M|.  Called by `_sum_volumes` for
-    the next eps of its schedule, it reads that eps's arrays from there."""
-    ahead = _SCHEDULE.get()
-    if ahead is not None and ahead[0] is M and ahead[1] is N and ahead[2][-1:] == [eps]:
-        ahead[2].pop()
-        return geom2d._union_area(*next(ahead[3]))
-    return geom2d._union_area(*next(_sum_parts(M, N, (eps,))))
+    """|M + eps*N| as the exact area of the arrays of `_dilation`, shared by
+    the calls on one pair (`_dilation_of`); no polygon is built.  eps = 0
+    gives |M|."""
+    return geom2d._union_area(*_dilation_of(M, N)(eps))
 
 
 # ---------------------------------------------------------------------------
@@ -265,7 +244,7 @@ def d_finite_difference(M: Polygon, N: StructuringSet,
     eps = _check_schedule(schedule if schedule is not None else DEFAULT_SCHEDULE)
     base = geom2d.area(M)
     if volumes is None:
-        volumes = _sum_volumes(M, N, eps)
+        volumes = [sum_volume(M, N, e) for e in eps]
     elif len(volumes) != len(eps):
         raise ValueError("volumes must align with the schedule")
     return _extrapolated(eps, tuple((v - base) / e for v, e in zip(volumes, eps)))
@@ -308,7 +287,7 @@ def local_expansion_probe(M: Polygon, edge_param: tuple[int, float],
     y = (x0 + t * (x1 - x0), y0 + t * (y1 - y0))
     L = math.hypot(x1 - x0, y1 - y0)
     normal = ((y1 - y0) / L, -(x1 - x0) / L)
-    parts, cycles = next(_sum_parts(M, N, (eps,)))
+    parts, cycles = _dilation_of(M, N)(eps)
     return geom2d._ray_exit(y, normal, parts + cycles)
 
 
@@ -337,7 +316,7 @@ def series_fit(M: Polygon, N: StructuringSet, eps_grid: Sequence[float],
     if max(eps) / min(eps) < 10.0:
         raise IllConditioned("epsilon grid spans less than one decade")
     if volumes is None:
-        vols = np.array(_sum_volumes(M, N, eps))
+        vols = np.array([sum_volume(M, N, e) for e in eps])
     else:
         if len(volumes) != len(eps):
             raise ValueError("volumes must align with the deduplicated grid")
@@ -379,7 +358,7 @@ def d_grid(M: Polygon, N: StructuringSet, schedule: Sequence[float],
             bounds, h)[0]
 
     base = volume([M.array])
-    vols = [volume(parts + cycles) for parts, cycles in _sum_parts(M, N, eps)]
+    vols = [volume(parts + cycles) for parts, cycles in map(_dilation_of(M, N), eps)]
     return _extrapolated(eps, tuple((v - base) / e for v, e in zip(vols, eps)))
 
 

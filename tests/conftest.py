@@ -1,3 +1,18 @@
+"""Fixtures, strategies and references shared by the test modules.
+
+The property tests are derandomized, yet their draws do not follow from the
+test code alone.  Hypothesis (as of 6.155) mines the literals of the local
+non-test modules it has loaded, `src/mixvol` among them, and draws some
+values from that pool.  So adding or removing a numeric literal in
+`src/mixvol` can hand a test new examples, though no test changed (short
+string literals join the pool too, but only string draws read them, and
+this suite makes none).  To check a change, compare
+`hypothesis.internal.constants_ast.constants_from_module(m)` over the loaded
+`mixvol` modules m, before and after it: where the numbers agree, so do the
+draws.  Writing a value as an int (1 for 1.0) keeps it out of the pool,
+which skips ints between -100 and 100.
+"""
+
 import math
 
 import numpy as np

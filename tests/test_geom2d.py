@@ -327,6 +327,16 @@ def test_near_straight_run_splits_into_convex_pieces(plus_set):
     assert mixedvol.sum_volume(P, plus_set, 0.1) == pytest.approx(1.16, abs=1e-9)
 
 
+def test_convex_parts_leave_out_a_sliver_ear():
+    """Ear clipping cuts P into triangles of area 0.125, 0.125 and 8.3e-13.
+    `ConvexPolygon` refuses the last; `convex_parts` leaves it out, and
+    `_convex_pieces` keeps it."""
+    P = Polygon(((0, 0), (0.5, -0.75), (0.25, 0.125), (0.12500000000175, 0.5625000000005), (0, 1)))
+    pieces = geom2d.convex_parts(P)
+    assert len(pieces) == 2 and len(geom2d._convex_pieces(P)) == 3
+    assert sum(geom2d.area(piece) for piece in pieces) == pytest.approx(geom2d.area(P), abs=1e-12)
+
+
 def test_convex_polygon_rejects_reflex():
     with pytest.raises(ValueError):
         ConvexPolygon(((0, 0), (2, 0), (2, 2), (1, 0.5), (0, 2)))
@@ -1277,9 +1287,9 @@ def _points_in_reference(pts, V):
 
 #: The convolution cycle of a six-spike star and a segment wider than its
 #: notches: the sweeps of neighbouring spikes overlap, and there it winds twice.
-_STAR_CYCLE = next(mixedvol._sum_parts(
+_STAR_CYCLE = mixedvol._dilation(
     Polygon(tuple(_star(6, 0.4))),
-    structuring.StructuringSet((structuring.Segment((-0.6, 0.1), (0.6, 0.1)),)), (1.0,)))[1][0]
+    structuring.StructuringSet((structuring.Segment((-0.6, 0.1), (0.6, 0.1)),)))(1.0)[1][0]
 
 
 @pytest.mark.parametrize("V", [

@@ -2,6 +2,7 @@ import math
 import os
 import subprocess
 import sys
+from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
 import numpy as np
@@ -13,7 +14,7 @@ from conftest import (NEAR_STRAIGHT_RUN, closed_form_plus_dilation, minkowski_wa
                       near_collinear_convex)
 from test_geom2d import (_convex_union_area_reference, _points_in_reference, polar_polygon,
                          segment_along)
-from mixvol import geom2d, mixedvol, structuring
+from mixvol import cli, geom2d, mixedvol, structuring
 from mixvol.errors import (DegenerateHull, DegenerateInput, IllConditioned, NonDecreasingSchedule,
                            NumericalDegeneracy, SingularPoint)
 from mixvol.geom2d import ConvexPolygon, Polygon
@@ -82,7 +83,8 @@ def test_sum_volume_point_set_translates(unit_square):
 
 def _convex_decomposition(M, N, eps):
     """M + eps*N as `sum_region` built it before it kept M whole: every
-    convex piece of M summed with every component of N."""
+    convex piece of M summed with every component of N, a disc as eps times
+    its chain at eps = 1 (`mixedvol._unit_chains`)."""
     parts = []
     for piece in geom2d.convex_parts(M):
         for comp in N.components:
@@ -92,9 +94,8 @@ def _convex_decomposition(M, N, eps):
                 a = (eps * comp.a[0], eps * comp.a[1])
                 parts += geom2d.minkowski_segment(piece, a, (eps * comp.b[0], eps * comp.b[1])).parts
             elif isinstance(comp, Disc):
-                disc = geom2d.regular_disc(structuring.DISC_RESOLUTION, eps * comp.radius)
-                disc = geom2d.translate(disc, (eps * comp.center[0], eps * comp.center[1]))
-                parts.append(geom2d.minkowski_convex(piece, disc))
+                disc = eps * (comp.radius * structuring._unit_disc() + comp.center)
+                parts.append(geom2d.minkowski_convex(piece, ConvexPolygon(disc)))
             else:
                 parts += [geom2d.minkowski_convex(piece, q)
                           for q in geom2d.convex_parts(geom2d.scale_polygon(comp, eps))]
@@ -209,7 +210,9 @@ def test_sum_volume_is_the_union_area_of_sum_region_near_collinear(verts, eps):
 
 def _chains_reference(comp, eps):
     """The chains of one component of N at eps > 0, each from its lex-min
-    vertex, as `_sum_parts` built them when it took one epsilon."""
+    vertex, as the dilation built them at eps before it scaled them from
+    eps = 1: a disc its own vertices at eps, a segment a point where it is
+    at most TAU long at eps."""
     if isinstance(comp, Points):
         return list(eps * np.array(comp.pts)[:, None])
     if isinstance(comp, Segment):
@@ -235,9 +238,9 @@ def _every_edge_part(A, C):
     return parts
 
 
-def _sum_parts_reference(M, N, eps):
-    """The parts of M + eps*N as `mixedvol._sum_parts` made them when it took
-    one epsilon and made no cycles: for nonconvex M, M + C[0] and the parts
+def _edge_parts_reference(M, N, eps):
+    """The parts of M + eps*N as the dilation made them when it took one
+    epsilon and made no cycles: for nonconvex M, M + C[0] and the parts
     e + C of every edge e, as before it kept only the front edges."""
     if eps == 0.0:
         return [M.array]
@@ -304,7 +307,7 @@ def test_cycles_match_every_edge_parts(case, data):
     """The convolution cycles give the area and the normal-ray probe of
     M + C[0] and the parts e + C of every edge e."""
     M, N, eps = case
-    want = _sum_parts_reference(M, N, eps)
+    want = _edge_parts_reference(M, N, eps)
     assert mixedvol.sum_volume(M, N, eps) == pytest.approx(geom2d._union_area(want), rel=1e-12)
     edge, ray = _probe_ray(M, data)
     assert mixedvol.local_expansion_probe(M, edge, N, eps) == \
@@ -331,8 +334,8 @@ def test_cycles_wind_positively_exactly_on_the_dilation(case, data):
     never negative, and some part or cycle covers a point exactly where a
     part of every edge reference does."""
     M, N, eps = case
-    parts, cycles = next(mixedvol._sum_parts(M, N, (eps,)))
-    want = _sum_parts_reference(M, N, eps)
+    parts, cycles = mixedvol._dilation(M, N)(eps)
+    want = _edge_parts_reference(M, N, eps)
     box = np.concatenate(want)
     rng = np.random.default_rng(data.draw(st.integers(0, 2 ** 32 - 1)))
     pts = rng.uniform(box.min(0) - 0.05, box.max(0) + 0.05, size=(300, 2))
@@ -356,7 +359,7 @@ _U_SHAPE = Polygon(((0, 0), (3, 0), (3, 2), (2, 2), (2, 1), (1, 1), (1, 2), (0, 
 
 def test_a_cycle_that_winds_twice_is_swept():
     N = StructuringSet((Segment((0, 0), (1.5, 0)),))
-    parts, (cycle,) = next(mixedvol._sum_parts(_U_SHAPE, N, (1.0,)))
+    parts, (cycle,) = mixedvol._dilation(_U_SHAPE, N)(1.0)
     assert parts == []
     assert geom2d._signed_area(cycle) == pytest.approx(9.5, rel=1e-12)  # the overlap twice
     assert _points_in_reference(np.array([[2.25, 1.5], [0.5, 0.5]]), cycle).tolist() == [2, 1]
@@ -369,16 +372,16 @@ def test_a_cycle_that_winds_twice_is_swept():
 @settings(derandomize=True, max_examples=80, deadline=None)
 @given(st.one_of(star_dilations(), polygon_dilations()), st.data())
 def test_schedule_parts_match_one_eps_at_a_time(case, data):
-    """`_sum_parts` on a schedule, in any order, with eps = 0 and an eps at
-    which every segment is a point (its scaled length is below TAU), gives
-    each eps the parts and cycles of a schedule of that eps alone, bit for
-    bit and in order, though it makes each cycle's indices once."""
+    """One `_dilation`, asked for a schedule in any order, with eps = 0 and
+    an eps at which every segment is shorter than TAU, gives each eps the
+    parts and cycles of a fresh `_dilation` asked for that eps alone, bit
+    for bit and in order, though it makes each cycle's indices once."""
     M, N, eps = case
     schedule = data.draw(st.permutations((eps, 0.0, 1e-13, eps / 3, 0.5)))
-    got = list(mixedvol._sum_parts(M, N, schedule))
-    assert len(got) == len(schedule)
-    for (parts, cycles), e in zip(got, schedule):
-        want_parts, want_cycles = next(mixedvol._sum_parts(M, N, (e,)))
+    at = mixedvol._dilation(M, N)
+    for e in schedule:
+        parts, cycles = at(e)
+        want_parts, want_cycles = mixedvol._dilation(M, N)(e)
         for arrays, want in ((parts, want_parts), (cycles, want_cycles)):
             assert len(arrays) == len(want)
             assert all(a.shape == b.shape and a.tobytes() == b.tobytes()
@@ -520,22 +523,76 @@ def test_fd_accepts_precomputed_volumes(unit_square, plus_set):
 @pytest.mark.parametrize("M", [_L_SHAPE, ConvexPolygon(((0.0, 0.0), (1.0, 0.0), (1.0, 1.0)))],
                          ids=["L", "triangle"])
 def test_schedule_volumes_go_through_sum_volume(M, plus_set, monkeypatch):
-    # one `_sum_parts` call per schedule, and every volume still from `sum_volume`
+    # one `_dilation` per schedule, and every volume still from `sum_volume`
     sched = (0.2, 0.1, 0.05, 0.025)
     want = [mixedvol.sum_volume(M, plus_set, e) for e in sched]
-    real_parts, real_volume = mixedvol._sum_parts, mixedvol.sum_volume
-    schedules, seen = [], []
-    monkeypatch.setattr(mixedvol, "_sum_parts",
-                        lambda M, N, s: (schedules.append(tuple(s)), real_parts(M, N, s))[1])
+    real_volume = mixedvol.sum_volume
+    seen = []
     monkeypatch.setattr(mixedvol, "sum_volume",
                         lambda M, N, e: (seen.append(e), real_volume(M, N, e) + 1.0)[1])
+    built = _count_dilations(monkeypatch)
     est = mixedvol.d_finite_difference(M, plus_set, sched)
     ref = mixedvol.d_finite_difference(M, plus_set, sched, volumes=[v + 1.0 for v in want])
-    assert schedules == [sched] and seen == list(sched)
+    assert built == [(M, plus_set)] and seen == list(sched)
     assert est.raw_quotients == ref.raw_quotients
-    schedules.clear(), seen.clear()
+    built = _count_dilations(monkeypatch)
+    seen.clear()
     mixedvol.series_fit(M, plus_set, (0.01, 0.02, 0.05, 0.1), 1)
-    assert schedules == [(0.01, 0.02, 0.05, 0.1)] and seen == [0.01, 0.02, 0.05, 0.1]
+    assert built == [(M, plus_set)] and seen == [0.01, 0.02, 0.05, 0.1]
+
+
+def _count_dilations(monkeypatch) -> list:
+    """Forget the remembered dilation, and list the pairs that
+    `mixedvol._dilation` is called on from here on."""
+    real, built = mixedvol._dilation, []
+    monkeypatch.setattr(mixedvol, "_last_dilation", (None, None, None))
+    monkeypatch.setattr(mixedvol, "_dilation", lambda M, N: (built.append((M, N)), real(M, N))[1])
+    return built
+
+
+def test_calls_on_one_pair_share_one_dilation(monkeypatch):
+    """Seven stand-alone `sum_volume` calls on one pair build one
+    `_dilation`, which makes the convolution indices of each chain of two or
+    more vertices once; so do seven probes, and the CLI's worker threads
+    build at most one each."""
+    real_convolution, convolved = geom2d._convolution, []
+    monkeypatch.setattr(geom2d, "_convolution",
+                        lambda V, C: (convolved.append(len(C)), real_convolution(V, C))[1])
+    built = _count_dilations(monkeypatch)
+    vols = [mixedvol.sum_volume(_STAR4, _MIXED_N, e) for e in mixedvol.DEFAULT_SCHEDULE]
+    assert built == [(_STAR4, _MIXED_N)]
+    assert len(convolved) == sum(len(U) > 1 for U in mixedvol._unit_chains(_MIXED_N)) == 5
+    built = _count_dilations(monkeypatch)
+    for e in mixedvol.DEFAULT_SCHEDULE:
+        mixedvol.local_expansion_probe(_STAR4, (0, 0.5), _MIXED_N, e)
+    assert built == [(_STAR4, _MIXED_N)]
+    built = _count_dilations(monkeypatch)
+    assert cli._volumes(_STAR4, _MIXED_N, mixedvol.DEFAULT_SCHEDULE) == vols
+    assert 1 <= len(built) <= cli._workers()
+
+
+def test_threads_that_alternate_pairs_get_their_own_volumes(unit_square):
+    """More threads than cores, switching often, each alternate between two
+    pairs, which keep replacing each other in the one remembered slot: each
+    volume is still that of the pair asked for (a translate of M here, so
+    cheap that the calls spend their time at the slot)."""
+    N = StructuringSet((Points(((0.5, 0.25),)),))
+    pairs = [(unit_square, N), (_L_SHAPE, N)]
+    want = [mixedvol.sum_volume(M, N, 0.1) for M, N in pairs]
+    assert want == pytest.approx([1.0, 3.0])
+
+    def volumes(t):
+        return [mixedvol.sum_volume(*pairs[(t + i) % 2], 0.1) for i in range(400)]
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        with ThreadPoolExecutor(max_workers=2 * min(os.cpu_count() or 1, 8)) as pool:
+            futures = [pool.submit(volumes, t) for t in range(32)]
+            got = [f.result(timeout=120) for f in futures]
+    finally:
+        sys.setswitchinterval(interval)
+    assert got == [[want[(t + i) % 2] for i in range(400)] for t in range(32)]
 
 
 def test_default_schedule_shape():
