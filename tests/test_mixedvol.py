@@ -520,6 +520,15 @@ def test_fd_accepts_precomputed_volumes(unit_square, plus_set):
     assert est.raw_quotients == ref.raw_quotients
 
 
+def _count_dilations(monkeypatch) -> list:
+    """Forget the remembered dilation, and list the pairs that
+    `mixedvol._dilation` is called on from here on."""
+    real, built = mixedvol._dilation, []
+    monkeypatch.setattr(mixedvol, "_last_dilation", (None, None, None))
+    monkeypatch.setattr(mixedvol, "_dilation", lambda M, N: (built.append((M, N)), real(M, N))[1])
+    return built
+
+
 @pytest.mark.parametrize("M", [_L_SHAPE, ConvexPolygon(((0.0, 0.0), (1.0, 0.0), (1.0, 1.0)))],
                          ids=["L", "triangle"])
 def test_schedule_volumes_go_through_sum_volume(M, plus_set, monkeypatch):
@@ -539,15 +548,6 @@ def test_schedule_volumes_go_through_sum_volume(M, plus_set, monkeypatch):
     seen.clear()
     mixedvol.series_fit(M, plus_set, (0.01, 0.02, 0.05, 0.1), 1)
     assert built == [(M, plus_set)] and seen == [0.01, 0.02, 0.05, 0.1]
-
-
-def _count_dilations(monkeypatch) -> list:
-    """Forget the remembered dilation, and list the pairs that
-    `mixedvol._dilation` is called on from here on."""
-    real, built = mixedvol._dilation, []
-    monkeypatch.setattr(mixedvol, "_last_dilation", (None, None, None))
-    monkeypatch.setattr(mixedvol, "_dilation", lambda M, N: (built.append((M, N)), real(M, N))[1])
-    return built
 
 
 def test_calls_on_one_pair_share_one_dilation(monkeypatch):
