@@ -382,6 +382,48 @@ def test_lattice_exact_artifact_digests(tmp_path, files, edges, mode, ns, want):
     assert got == want
 
 
+Z2_EDGE_HEURISTIC_DIGESTS = {
+    "convergence_edge.csv":
+        "28103f6b12b000f1d1fb7d5635e3aa30b39428b64b3a7614ab469758bca9d3db",
+    "opt_edge_n16.json":
+        "6d30033d06a0e5ba7de917d9e94b129d2cf1d59a2667d43eebcc489ded0b1b33",
+    "opt_edge_n36.json":
+        "59521ade7c413e6a3ce80b2cd379789a2495e3a22d636ba9579dd31852753fb9",
+    "witness_edge_n16.svg":
+        "b0e73358ddab424549e8ddc5d8ea409a7ca2d551ecb29bc3819b2d8557f9f5e0",
+    "witness_edge_n36.svg":
+        "9994f873212a5a2a8a1375c854c9fd5744767b03efd70f49164a545bb30e69bd",
+}
+KING_VERTEX_HEURISTIC_DIGESTS = {
+    "convergence_vertex.csv":
+        "e8c3b97100fc27688809603c2d9faa0727561e4433433a3172cf747e4a33c082",
+    "opt_vertex_n16.json":
+        "1c943bbf8dd4e27f8b24502c64ca03e85a0fe4b360fe50db5dcae1bdb33cb94c",
+    "opt_vertex_n36.json":
+        "8d41cc0030790463e9459f71fed39f03b3c7b976844aeffc810ce440e50d6132",
+    "witness_vertex_n16.svg":
+        "3b1879a2f152a2b06f80fb48fe824c1a4f39494b5a94286866ae067b9ca05677",
+    "witness_vertex_n36.svg":
+        "959327710d55476f92eb6849262c5dcd701346624d46639e01198f2a85d80bb9",
+}
+
+
+@pytest.mark.parametrize("edges, mode, want", [
+    ([[1, 0], [0, 1]], "edge", Z2_EDGE_HEURISTIC_DIGESTS),
+    ([[1, 0], [0, 1], [1, 1], [1, -1]], "vertex", KING_VERTEX_HEURISTIC_DIGESTS),
+], ids=["z2-edge", "king-vertex"])
+def test_lattice_heuristic_artifact_digests(tmp_path, files, edges, mode, want):
+    # The annealer's draws follow from the seed alone, so every byte is pinned,
+    # nodes_explored (the step count) included.
+    out = tmp_path / "out"
+    rc = cli.main(["lattice", "--graph", files("g.json", {"edges": edges}),
+                   "--mode", mode, "--n", "16,36", "--heuristic", "--seed", "1",
+                   "--out-dir", str(out)])
+    assert rc == 0
+    got = {p.name: hashlib.sha256(p.read_bytes()).hexdigest() for p in out.iterdir()}
+    assert got == want
+
+
 # ---------------------------------------------------------------------------
 # shapes
 

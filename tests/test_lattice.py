@@ -1,4 +1,5 @@
 import math
+import random
 from itertools import combinations
 
 import numpy as np
@@ -435,18 +436,20 @@ def test_heuristic_small_matches_exact():
 
 
 def test_heuristic_never_beats_exact_and_mostly_ties():
-    hits = 0
-    runs = 0
-    for n in (2, 4, 5, 7, 9, 10):
-        for mode in ("edge", "vertex"):
-            ex = lattice.solve_exact(GRID, n, mode)
-            for seed in (0, 1):
-                h = lattice.solve_heuristic(GRID, n, mode, seed=seed,
-                                            iterations=5000)
-                assert h.minimum >= ex.minimum
-                hits += h.minimum == ex.minimum
-                runs += 1
-    assert hits >= 0.9 * runs
+    for G, ns in ((GRID, (2, 4, 5, 7, 9, 10)), (KING, range(2, 9)),
+                  (TRIANGULAR, range(2, 9))):
+        hits = 0
+        runs = 0
+        for n in ns:
+            for mode in ("edge", "vertex"):
+                ex = lattice.solve_exact(G, n, mode)
+                for seed in (0, 1):
+                    h = lattice.solve_heuristic(G, n, mode, seed=seed,
+                                                iterations=5000)
+                    assert h.minimum >= ex.minimum
+                    hits += h.minimum == ex.minimum
+                    runs += 1
+        assert hits >= 0.9 * runs
 
 
 def test_heuristic_large_square():
@@ -482,6 +485,58 @@ def test_heuristic_off_z2(G, mode):
         assert lattice._boundary(res.witness, G, mode) == res.minimum
         if n == 7:
             assert res.minimum >= lattice.solve_exact(G, n, mode).minimum
+
+
+def reference_solve_heuristic(G, n, mode, seed=0, iterations=100_000,
+                              t_start=2.0, t_end=0.01):
+    """solve_heuristic as it drew each move with two `rng.randrange` calls and
+    scored it with `state.delta(rem, add, mode)`."""
+    rng = random.Random(seed)
+    steps = max(iterations, 0) if n > 1 else 0
+    bound = math.ceil(math.sqrt(n)) + (steps + 2) * _reach(G)
+    state = lattice._BoundaryState(G, bound, lattice._greedy_init(n, mode))
+    current = best = state.boundary(mode)
+    cell_list = sorted(state.cells)
+    best_cells = tuple(cell_list)
+    cool = (t_end / t_start) ** (1.0 / max(1, steps - 1)) if steps else 1.0
+    T = t_start
+    for _ in range(steps):
+        add = state.layer[rng.randrange(len(state.layer))]
+        j = rng.randrange(n)
+        rem = cell_list[j]
+        T *= cool
+        delta = state.delta(rem, add, mode)
+        if delta <= 0 or rng.random() < math.exp(-delta / T):
+            state.remove(rem)
+            state.add(add)
+            current += delta
+            cell_list[j] = add
+            if current < best:
+                best = current
+                best_cells = tuple(cell_list)
+    return OptResult(n, mode, int(best),
+                     _canonical(map(state.decode, best_cells)), False, steps)
+
+
+def _power_of_two_layer_n(G, mode):
+    """Least n >= 3 whose greedy start has an outside layer of 2^k cells, the
+    size at which a draw below it is rejected most often."""
+    for n in range(3, 30):
+        m = len(lattice._BoundaryState(G, 50, lattice._greedy_init(n, mode)).layer)
+        if m & (m - 1) == 0:
+            return n
+    raise AssertionError("no greedy start with a power-of-two layer")
+
+
+@pytest.mark.parametrize("G", [GRID, KING, TRIANGULAR], ids=["z2", "king", "triangular"])
+@pytest.mark.parametrize("mode", ["edge", "vertex"])
+def test_heuristic_draws_match_randrange_reference(G, mode):
+    for n in (1, 2, _power_of_two_layer_n(G, mode), 40, 140):
+        for seed in (0, 1):
+            got = lattice.solve_heuristic(G, n, mode, seed=seed, iterations=3000)
+            want = reference_solve_heuristic(G, n, mode, seed=seed, iterations=3000)
+            assert got.to_dict() == want.to_dict()
+            assert got.nodes_explored == (3000 if n > 1 else 0)
 
 
 def _layer_oracle(cells, G):
