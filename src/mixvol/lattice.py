@@ -244,14 +244,18 @@ class _BoundaryState:
 
     def delta(self, rem: int, add: int, mode: str) -> int:
         """Boundary change of moving ``rem`` (in S) to ``add`` (in the layer),
-        read from the counts without changing the state.  In vertex mode add
-        leaves the layer, rem joins it if it keeps a neighbour, and another
-        cell changes only where it touches exactly one of rem and add."""
+        read from the counts without changing the state."""
+        return self.edge_delta(rem, add) if mode == EDGE else self.vertex_delta(rem, add)
+
+    def edge_delta(self, rem: int, add: int) -> int:
+        cnt = self.cnt
+        return 2 * (cnt[rem] - cnt[add] + ((add - rem) in self.adjacent))
+
+    def vertex_delta(self, rem: int, add: int) -> int:
+        """add leaves the layer, rem joins it if it keeps a neighbour, and
+        another cell changes only where it touches exactly one of rem and add."""
         cells, cnt, adjacent = self.cells, self.cnt, self.adjacent
-        adj = (add - rem) in adjacent
-        if mode == EDGE:
-            return 2 * (cnt[rem] - cnt[add] + adj)
-        d = -1 + (cnt[rem] + adj > 0)
+        d = -1 + (cnt[rem] + ((add - rem) in adjacent) > 0)
         for o in self.offsets:
             w = rem + o
             if cnt.get(w) == 1 and w != add and w not in cells \
@@ -492,7 +496,10 @@ def solve_heuristic(G: PLGGraph, n: int, mode: str, seed: int = 0,
     neighbour counts, applies it only if the Metropolis rule under geometric
     cooling accepts it, and returns the best configuration seen.  The reported
     minimum can therefore never undercut an exact optimum, and for sizes
-    where the greedy start is already optimal it matches it.
+    where the greedy start is already optimal it matches it.  The uniform
+    draws are `rng.randrange`'s, taken through `rng.getrandbits` directly, so
+    for a seed the witnesses equal those of the version that called
+    `randrange`.
     """
     if G.dimension != 2:
         raise ValueError("heuristic solver is implemented for dimension 2")
@@ -509,12 +516,26 @@ def solve_heuristic(G: PLGGraph, n: int, mode: str, seed: int = 0,
     best_cells = tuple(cell_list)
     cool = (t_end / t_start) ** (1.0 / max(1, steps - 1)) if steps else 1.0
     T = t_start
+    score = state.edge_delta if mode == EDGE else state.vertex_delta
+    layer, getrandbits, kn = state.layer, rng.getrandbits, n.bit_length()
     for _ in range(steps):
-        add = state.layer[rng.randrange(len(state.layer))]
-        j = rng.randrange(n)
+        # Two rng.randrange draws, inlined as CPython makes them: getrandbits
+        # of the bound's bit length until the result falls below the bound.
+        # The layer is never empty for n >= 1 on an infinite lattice; on an
+        # empty one getrandbits(0) returns 0, so this would spin forever where
+        # randrange raised.
+        m = len(layer)
+        k = m.bit_length()
+        i = getrandbits(k)
+        while i >= m:
+            i = getrandbits(k)
+        add = layer[i]
+        j = getrandbits(kn)
+        while j >= n:
+            j = getrandbits(kn)
         rem = cell_list[j]
         T *= cool
-        delta = state.delta(rem, add, mode)
+        delta = score(rem, add)
         if delta <= 0 or rng.random() < math.exp(-delta / T):
             state.remove(rem)
             state.add(add)
