@@ -917,6 +917,65 @@ def _convex_union_area_reference(parts):
     return float(np.dot(acc, widths))
 
 
+def _slab_sweep_reference(parts, cycles):
+    """The slab sweep `geom2d._union_area` ran before its chain sweep: every
+    vertex and crossing is an event, and each edge is evaluated on the
+    midline of every slab it spans."""
+    arrays = [*parts, *cycles]
+    P = np.concatenate(arrays)
+    n = np.array([len(part) for part in arrays])
+    start = np.cumsum(n) - n
+    nxt = np.arange(1, len(P) + 1)
+    nxt[start + n - 1] = start
+    Q = P[nxt]
+    owner = np.repeat(np.arange(len(n)), n)
+    first_cycle = int(n[:len(parts)].sum())
+    owner[first_cycle:] = len(n) + np.arange(len(P) - first_cycle)
+    xs = np.unique(np.concatenate((P[:, 0], geom2d._crossings(P, Q, owner))))
+    mids = 0.5 * (xs[:-1] + xs[1:])
+    # a slab too narrow for a midline strictly inside it is measured at its
+    # left end: where parts share vertices up to an ulp such slabs are many,
+    # and together they hold about 1e-13 of the area
+    mids = np.where((xs[:-1] < mids) & (mids < xs[1:]), mids, xs[:-1])
+    widths = np.diff(xs)
+    dx, dy = Q[:, 0] - P[:, 0], Q[:, 1] - P[:, 1]
+    sign = np.where(dx > 0.0, 1, -1)
+    # edge e spans slabs first[e] .. last[e] - 1, those whose midline has
+    # x0 <= mid < x1 for the edge's ends x0 < x1: at a left end that takes
+    # the edges that start there and not those that end there, so every part
+    # is still entered as often as it is left
+    first = np.searchsorted(mids, np.minimum(P[:, 0], Q[:, 0]))
+    last = np.searchsorted(mids, np.maximum(P[:, 0], Q[:, 0]))
+    spans = np.cumsum(np.bincount(first, minlength=len(mids) + 1)
+                      - np.bincount(last, minlength=len(mids) + 1))
+    done = np.concatenate(([0], np.cumsum(spans[:-1])))
+    budget = max(len(P), geom2d._PAIR_BLOCK)
+    total = 0.0
+    s0 = 0
+    while s0 < len(mids):
+        # one slab at least, and at most 2**16, so that ordering the spans by
+        # slab is a radix sort of 16-bit keys
+        s1 = int(np.searchsorted(done, done[s0] + budget, side="right")) - 1
+        s1 = min(max(s1, s0 + 1), s0 + (1 << 16))
+        e = np.flatnonzero((first < s1) & (last > s0))
+        a = np.maximum(first[e], s0)
+        k = np.minimum(last[e], s1) - a
+        e = np.repeat(e, k)
+        s = np.arange(len(e)) + np.repeat(a - np.cumsum(k) + k, k)
+        # (mid - x0) / dx lies in [0, 1) even where dx is subnormal
+        y = P[e, 1] + (mids[s] - P[e, 0]) / dx[e] * dy[e]
+        s -= s0
+        order = np.argsort(y)
+        order = order[np.argsort(s.astype(np.uint16)[order], kind="stable")]
+        y, s, count = y[order], s[order], np.cumsum(sign[e[order]])
+        # a slab's covered length is summed before its width weighs it, so
+        # the total rounds once per slab, not once per span
+        covered = np.bincount(s[:-1], np.where(count[:-1] > 0, y[1:] - y[:-1], 0.0), s1 - s0)
+        total += float(np.sum(covered * widths[s0:s1]))
+        s0 = s1
+    return total
+
+
 @st.composite
 def bulged_box(draw):
     """A box whose vertical edges bulge out through one to four extra
@@ -1057,10 +1116,36 @@ _NEAR_PARALLEL_SEGMENTS = structuring.StructuringSet((structuring.Segment((-0.2,
                                                       structuring.Segment((-0.1, 1e-9), (-0.2, 0.0))))
 
 
+#: Four parts that share vertices: one vertex of each lies on another's
+#: edge, where chains meet with no proper crossing between them.  Their
+#: exact union area is 1.0435606115602487.
+_SHARED_VERTEX_PARTS = [ConvexPolygon(V) for V in (
+    ((0.20000000000000007, -0.34641016151377546), (0.20250000000000007, -0.34641016151377546),
+     (1.0025, 0), (0.20250000000000007, 0.34641016151377546),
+     (0.20000000000000007, 0.34641016151377546)),
+    ((-0.4999999999999998, 0.8660254037844387), (0.20000000000000007, -0.34641016151377546),
+     (0.20250000000000007, -0.34641016151377546), (0.20250000000000007, 0.34641016151377546),
+     (-0.4974999999999998, 0.8660254037844387)),
+    ((-0.4999999999999998, 0.8660254037844387), (-0.4, 4.898587196589413e-17),
+     (0.20000000000000007, -0.34641016151377546), (0.20250000000000007, -0.34641016151377546),
+     (-0.4974999999999998, 0.8660254037844387)),
+    ((-0.5000000000000004, -0.8660254037844384), (-0.49750000000000044, -0.8660254037844384),
+     (0.20250000000000007, -0.34641016151377546), (-0.3975, 4.898587196589413e-17),
+     (-0.4, 4.898587196589413e-17)))]
+
+#: A nonconvex ring that starts inside the run (0, 0) -> (1, -0.5) -> (2, 0)
+#: of edges that all run right, so its first and last edges run the same
+#: way; and a box on its right edge, x = 2.
+_MID_RUN_START = [Polygon(((1, -0.5), (2, 0), (2, 1), (1, 0.5), (0, 1), (0, 0))),
+                  ConvexPolygon(((2, 0), (3, 0), (3, 1), (2, 1)))]
+
+
 @settings(derandomize=True, max_examples=100, deadline=None)
 @given(union_parts())
 @example(_NUDGED_TRIANGLES)
 @example(list(mixedvol.sum_region(Polygon(tuple(_star(6, 0.4))), _NEAR_PARALLEL_SEGMENTS, 0.5).parts))
+@example(_SHARED_VERTEX_PARTS)
+@example(_MID_RUN_START)
 def test_union_area_matches_pair_loop(parts):
     """Against the exact area of up to four convex pieces, else the pair loop.
     The pair loop merges vertices within TAU of each other in x, so a
@@ -1129,18 +1214,30 @@ _SQUARE = ConvexPolygon(((0, 0), (1, 0), (1, 1), (0, 1)))
 @settings(derandomize=True, max_examples=200, deadline=None)
 @given(convex_part(), convex_part())
 @example(_SQUARE, geom2d.translate(_SQUARE, (0.5, 0.0)))  # edges on edges or parallel
+# B's middle vertex lies on A's bottom edge, 8.4e-107 above it: B's right
+# chain goes from below that edge to above it with no proper crossing
+@example(_SQUARE, ConvexPolygon(((0, -0.5), (0.5, 8.409940216282044e-107), (1, 1))))
 def test_union_of_two_convex_parts_is_inclusion_exclusion(A, B):
     want = geom2d.area(A) + geom2d.area(B) - _clip_area(list(A.vertices), list(B.vertices))
     assert geom2d.union_area(RegionUnion((A, B))) == pytest.approx(want, rel=1e-12)
 
 
+#: Three points and a segment, the components of `dilate-convex`'s
+#: points_segment ops, which sum with a 4096-gon to four long parts.
+POINTS_SEGMENT = structuring.StructuringSet((
+    structuring.Points(((0.1, 0.2), (-0.3, 0.1), (0.25, -0.35))),
+    structuring.Segment((-0.4, 0.1), (0.3, -0.2))))
+
+
 @pytest.mark.parametrize("shape, parts, limit_mb", [
     ("disc", 2, 3.0),
     ("star24", 92, 8.0),  # the 46 triangles of M, each swept along each segment
+    ("disc_points_segment", 4, 3.12),  # the slab sweep's peak: 3.11 MiB
 ])
 def test_union_area_peak_memory(disc_4096, plus_set, shape, parts, limit_mb):
-    M = disc_4096 if shape == "disc" else Polygon(tuple(_star(24, 0.4)))
-    region = mixedvol.sum_region(M, plus_set, 0.1)
+    M = Polygon(tuple(_star(24, 0.4))) if shape == "star24" else disc_4096
+    N = POINTS_SEGMENT if shape == "disc_points_segment" else plus_set
+    region = mixedvol.sum_region(M, N, 0.1)
     assert len(region.parts) == parts
     geom2d.union_area(region)  # first call outside the trace
     tracemalloc.start()

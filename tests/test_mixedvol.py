@@ -12,8 +12,8 @@ from hypothesis import strategies as st
 
 from conftest import (NEAR_STRAIGHT_RUN, closed_form_plus_dilation, minkowski_walk,
                       near_collinear_convex)
-from test_geom2d import (_convex_union_area_reference, _points_in_reference, polar_polygon,
-                         segment_along)
+from test_geom2d import (_convex_union_area_reference, _points_in_reference,
+                         _slab_sweep_reference, polar_polygon, segment_along, union_parts)
 from mixvol import cli, geom2d, mixedvol, structuring
 from mixvol.errors import (DegenerateHull, DegenerateInput, IllConditioned, NonDecreasingSchedule,
                            NumericalDegeneracy, SingularPoint)
@@ -312,6 +312,35 @@ def test_cycles_match_every_edge_parts(case, data):
     edge, ray = _probe_ray(M, data)
     assert mixedvol.local_expansion_probe(M, edge, N, eps) == \
         pytest.approx(geom2d._ray_exit(*ray, want), rel=1e-12)
+
+
+def _arrays(parts):
+    return [p.array for p in parts], []
+
+
+def _dilated(case):
+    M, N, eps = case
+    return mixedvol._dilation(M, N)(eps)
+
+
+@settings(derandomize=True, max_examples=100, deadline=None)
+@given(st.one_of(union_parts().map(_arrays), star_dilations().map(_dilated),
+                 polygon_dilations().map(_dilated)))
+def test_union_area_matches_slab_sweep(arrays):
+    """The union area agrees with the slab sweep it replaced, on parts and
+    on convolution cycles."""
+    parts, cycles = arrays
+    assert geom2d._union_area(parts, cycles) == \
+        pytest.approx(_slab_sweep_reference(parts, cycles), rel=1e-13)
+
+
+@pytest.mark.parametrize("eps", mixedvol.DEFAULT_SCHEDULE)
+def test_union_area_matches_slab_sweep_on_a_dilated_4096_gon(disc_4096, eps):
+    """Long chains and few events: the parts of a `dilate-convex` op."""
+    N = StructuringSet((Points(((0.1, 0.2), (-0.3, 0.1))), Segment((-0.4, 0.1), (0.3, -0.2))))
+    parts, cycles = mixedvol._dilation(disc_4096, N)(eps)
+    assert geom2d._union_area(parts, cycles) == \
+        pytest.approx(_slab_sweep_reference(parts, cycles), rel=1e-14)
 
 
 def _far_from_edges(pts, arrays, tol):
