@@ -117,50 +117,68 @@ def _signed_area(verts) -> float:
 
 
 def _straddles(d1, d2):
-    return ((d1 > TAU) & (d2 < -TAU)) | ((d1 < -TAU) & (d2 > TAU))
+    return (np.maximum(d1, d2) > TAU) & (np.minimum(d1, d2) < -TAU)
 
 
-#: Edge pairs `_crossings` tests at a time, and the fewest edge spans
-#: `union_area` orders, or (edge, point) pairs `_points_in` tests, at a
-#: time: a block's temporaries stay under 1 MB
+#: Edge pairs `_crossings` tests at a time, and the fewest (edge, super-slab)
+#: pairs `_union_area` integrates, or (edge, point) pairs `_points_in` tests,
+#: at a time: a block's temporaries stay under 1 MB
 #: (2**14 raised the union peak of a 4096-gon disc's dilation by a sixth).
 _PAIR_BLOCK = 1 << 13
 
 
-def _crossings(P: np.ndarray, Q: np.ndarray, owner: np.ndarray) -> np.ndarray:
+def _crossings(P: np.ndarray, Q: np.ndarray, owner: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """x of every proper crossing between edges P[i] -> Q[i] of different
-    owners: TAU sign tests on all four orientations.
+    owners, TAU sign tests on all four orientations, and x of every touch:
+    an end of one edge that the same tests put within TAU of the other
+    edge, inside its box grown by TAU.
 
     One sort-and-sweep over x-extents, with no ordered active set as in
     Shamos and Hoey's sweep: with the edges ordered by their x minimum, the
     candidates of an edge are the later edges that start before it ends, and
     those whose y-extents meet too are all tested, `_PAIR_BLOCK` at a time.
-    Edges that share an endpoint never cross: its cross product is exactly 0.
+    Edges that share an endpoint never cross: its cross product is exactly
+    0, so they touch there.
     """
-    lo, hi = np.minimum(P, Q), np.maximum(P, Q)
-    order = np.argsort(lo[:, 0], kind="stable")
-    P, Q, owner, lo, hi = P[order], Q[order], owner[order], lo[order], hi[order]
-    # edge i meets the x-extents of edges i + 1 .. i + count[i]
-    count = np.searchsorted(lo[:, 0], hi[:, 0], side="right") - np.arange(1, len(P) + 1)
-    last = np.cumsum(count)
-    out = [np.empty(0)]
-    for start in range(0, int(count.sum()), _PAIR_BLOCK):
+    x0, x1 = np.minimum(P[:, 0], Q[:, 0]), np.maximum(P[:, 0], Q[:, 0])
+    order = x0.argsort(kind="stable")
+    ybox = np.stack((np.minimum(P[:, 1], Q[:, 1]), np.maximum(P[:, 1], Q[:, 1]),
+                     owner)).take(order, 1)
+    # in x0 order, edge i meets the x-extents of edges i + 1 .. i + count[i],
+    # which are its candidate pairs last[i] - count[i] .. last[i] - 1
+    skip = x0[order].searchsorted(x1[order], side="right") - np.arange(1, len(P) + 1)
+    last = skip.cumsum()
+    skip += np.arange(1, len(P) + 1) - last
+    crossings, touches = [np.empty(0)], [np.empty(0)]
+    for start in range(0, int(last[-1]), _PAIR_BLOCK):
         k = np.arange(start, min(start + _PAIR_BLOCK, last[-1]))
-        i = np.searchsorted(last, k, side="right")
-        j = k - last[i] + count[i] + i + 1
-        near = (owner[i] != owner[j]) & (lo[j, 1] <= hi[i, 1]) & (lo[i, 1] <= hi[j, 1])
-        a, b, c, d = P[i[near]], Q[i[near]], P[j[near]], Q[j[near]]
-        d1, d2 = _cross(c, d, a), _cross(c, d, b)
-        hit = _straddles(d1, d2) & _straddles(_cross(a, b, c), _cross(a, b, d))
-        a, b, d1, d2 = a[hit, 0], b[hit, 0], d1[hit], d2[hit]
-        out.append(a + d1 / (d1 - d2) * (b - a))
-    return np.concatenate(out)
+        i = last.searchsorted(k, side="right")
+        j = k + skip[i]
+        (ilo, ihi, iown), (jlo, jhi, jown) = ybox.take(i, 1), ybox.take(j, 1)
+        near = (iown != jown) & (jlo <= ihi) & (ilo <= jhi)
+        i, j = order[i[near]], order[j[near]]
+        # the turns of the ends (P, Q) of edge i off edge j, then of edge j
+        # off edge i: turn[:K] is (d1, d2), turn[K:] is (d3, d4)
+        ij, ji = np.concatenate((i, j)), np.concatenate((j, i))
+        ends = np.concatenate((P.take(ij, 0), Q.take(ij, 0)), 1).reshape(-1, 2, 2)
+        o = P.take(ji, 0)
+        L, W = Q.take(ji, 0) - o, ends - o[:, None]
+        turn = L[:, 0, None] * W[..., 1] - L[:, 1, None] * W[..., 0]
+        d = turn.reshape(2, -1, 2)
+        hit = np.logical_and(*_straddles(d[..., 0], d[..., 1]))
+        a, d1, d2 = i[hit], d[0, hit, 0], d[0, hit, 1]
+        crossings.append(P[a, 0] + d1 / (d1 - d2) * (Q[a, 0] - P[a, 0]))
+        r, c = (np.abs(turn) <= TAU).nonzero()
+        pt, p, q = ends[r, c], P.take(ji[r], 0), Q.take(ji[r], 0)
+        inside = (np.minimum(p, q) - TAU <= pt) & (pt <= np.maximum(p, q) + TAU)
+        touches.append(pt[inside[:, 0] & inside[:, 1], 0])
+    return np.concatenate(crossings), np.concatenate(touches)
 
 
 def _is_simple(verts) -> bool:
     """No two edges cross properly: `_crossings` with every edge its own owner."""
     a = np.asarray(verts, dtype=float)
-    return not _crossings(a, _shift(a, 1), np.arange(len(a))).size
+    return not _crossings(a, _shift(a, 1), np.arange(len(a)))[0].size
 
 
 @dataclass(frozen=True)
@@ -507,7 +525,7 @@ def minkowski_segment(P: Polygon, a, b) -> RegionUnion:
 
 
 # ---------------------------------------------------------------------------
-# Exact union area by a slab sweep over the edges of all parts
+# Exact union area by a sweep over the x-monotone chains of all parts
 
 
 def union_area(region: RegionUnion) -> float:
@@ -521,21 +539,24 @@ def _union_area(parts: Sequence[np.ndarray], cycles: Sequence[np.ndarray] = ()) 
     the sets of positive winding of closed `cycles` (`_convolution`'s),
     given as vertex arrays, which are read, never validated.
 
-    The events are the x of every vertex and of every crossing between
-    edges of different owners, from one sweep (`_crossings`): a simple
-    part owns its edges, and each edge of a cycle is its own owner, since
-    a cycle crosses itself.  Between two events no edges cross, so the
-    edges that span a slab keep their order in y and the length the union
-    covers is linear in x: its value on the slab's midline times the
-    slab's width is the slab's area.  On the midline an edge that runs
-    right adds 1 and one that runs left takes 1 away (a counterclockwise
-    part lies left of its edges), so a running sum of these signs in y
-    order is, over each stretch, the number of parts plus the winding
-    numbers of the cycles; the stretches with a positive sum are covered.
-    A lone part is measured by the shoelace formula, a cycle never is.
-    Slabs are taken in blocks of at most max(edges, `_PAIR_BLOCK`) edge
-    spans, so memory grows with the edges, not with slabs x parts.  Raises
-    NumericalDegeneracy where the area is not finite.
+    Every ring is cut into x-monotone chains, runs of edges that all run
+    right or none of which does, and at its start.  The events are the x of
+    the chains' ends and of every proper crossing and touch between edges of
+    different chains (`_crossings`; two edges of one chain meet at most at
+    an end): a touch, a vertex on another chain's edge, is where chains can
+    swap places with no proper crossing.  So between two events the active
+    chains keep their order in y, which is the order of their integrals over
+    that super-slab, sums of their edges' trapezoids clipped to it (chains
+    that tie coincide, and either order gives the same area).  A chain that
+    runs right adds 1 and one that runs left takes 1 away (a counterclockwise
+    part lies left of its edges), so a running sum of these signs in that
+    order is, over each stretch, the number of parts plus the winding numbers
+    of the cycles; a stretch with a positive sum is covered, and its area is
+    the upper chain's integral less the lower's.  A lone part is measured by
+    the shoelace formula, a cycle never is.  Super-slabs are taken in blocks
+    of at most max(edges, `_PAIR_BLOCK`) (edge, super-slab) pairs, so memory
+    grows with the edges.  Raises NumericalDegeneracy where the area is not
+    finite.
     """
     one = len(parts) == 1 and not len(cycles)
     total = _signed_area(parts[0]) if one else _sweep_area(parts, cycles)
@@ -545,58 +566,57 @@ def _union_area(parts: Sequence[np.ndarray], cycles: Sequence[np.ndarray] = ()) 
 
 
 def _sweep_area(parts: Sequence[np.ndarray], cycles: Sequence[np.ndarray]) -> float:
-    """The slab sweep of `_union_area`."""
+    """The chain sweep of `_union_area`."""
     arrays = [*parts, *cycles]
     P = np.concatenate(arrays)
     n = np.array([len(part) for part in arrays])
-    start = np.cumsum(n) - n
+    start = n.cumsum() - n
     nxt = np.arange(1, len(P) + 1)
     nxt[start + n - 1] = start
-    Q = P[nxt]
-    owner = np.repeat(np.arange(len(n)), n)
-    first_cycle = int(n[:len(parts)].sum())
-    owner[first_cycle:] = len(n) + np.arange(len(P) - first_cycle)
-    xs = np.unique(np.concatenate((P[:, 0], _crossings(P, Q, owner))))
-    mids = 0.5 * (xs[:-1] + xs[1:])
-    # a slab too narrow for a midline strictly inside it is measured at its
-    # left end: where parts share vertices up to an ulp such slabs are many,
-    # and together they hold about 1e-13 of the area
-    mids = np.where((xs[:-1] < mids) & (mids < xs[1:]), mids, xs[:-1])
-    widths = np.diff(xs)
-    dx, dy = Q[:, 0] - P[:, 0], Q[:, 1] - P[:, 1]
-    sign = np.where(dx > 0.0, 1, -1)
-    # edge e spans slabs first[e] .. last[e] - 1, those whose midline has
-    # x0 <= mid < x1 for the edge's ends x0 < x1: at a left end that takes
-    # the edges that start there and not those that end there, so every part
-    # is still entered as often as it is left
-    first = np.searchsorted(mids, np.minimum(P[:, 0], Q[:, 0]))
-    last = np.searchsorted(mids, np.maximum(P[:, 0], Q[:, 0]))
-    spans = np.cumsum(np.bincount(first, minlength=len(mids) + 1)
-                      - np.bincount(last, minlength=len(mids) + 1))
-    done = np.concatenate(([0], np.cumsum(spans[:-1])))
-    budget = max(len(P), _PAIR_BLOCK)
-    total = 0.0
-    s0 = 0
-    while s0 < len(mids):
-        # one slab at least, and at most 2**16, so that ordering the spans by
-        # slab is a radix sort of 16-bit keys
-        s1 = int(np.searchsorted(done, done[s0] + budget, side="right")) - 1
+    Q = P.take(nxt, 0)
+    right = Q[:, 0] > P[:, 0]
+    head = np.concatenate(([True], right[1:] != right[:-1]))
+    head[start] = True
+    heads, chain = head.nonzero()[0], head.cumsum() - 1
+    xs = np.sort(np.concatenate((P[heads, 0], *_crossings(P, Q, chain))))
+    xs = xs[np.concatenate(([True], xs[1:] != xs[:-1]))]
+    D, xl, xr = Q - P, np.minimum(P[:, 0], Q[:, 0]), np.maximum(P[:, 0], Q[:, 0])
+    # edge e overlaps super-slabs first[e] .. last[e] - 1; a chain's ends are
+    # events, so it spans whole super-slabs
+    first, last = xs.searchsorted(xl, side="right") - 1, xs.searchsorted(xr)
+    cfirst, clast = np.minimum.reduceat(first, heads), np.maximum.reduceat(last, heads)
+    sign = right[heads] * 2 - 1
+    # the area under each edge, its trapezoid where it overlaps one
+    # super-slab; a vertical edge overlaps one at most, and adds 0
+    whole, cut = (xr - xl) * (P[:, 1] + Q[:, 1]) * 0.5, last - first > 1
+    spans = (np.bincount(first, minlength=len(xs)) - np.bincount(last, minlength=len(xs))).cumsum()
+    done = np.concatenate(([0], spans[:-1].cumsum()))
+    budget, total, s0 = max(len(P), _PAIR_BLOCK), 0.0, 0
+    while s0 < len(xs) - 1:
+        # one super-slab at least, and at most 2**16, so that ordering the
+        # integrals by super-slab is a radix sort of 16-bit keys
+        s1 = int(done.searchsorted(done[s0] + budget, side="right")) - 1
         s1 = min(max(s1, s0 + 1), s0 + (1 << 16))
-        e = np.flatnonzero((first < s1) & (last > s0))
-        a = np.maximum(first[e], s0)
-        k = np.minimum(last[e], s1) - a
-        e = np.repeat(e, k)
-        s = np.arange(len(e)) + np.repeat(a - np.cumsum(k) + k, k)
-        # (mid - x0) / dx lies in [0, 1) even where dx is subnormal
-        y = P[e, 1] + (mids[s] - P[e, 0]) / dx[e] * dy[e]
-        s -= s0
-        order = np.argsort(y)
-        order = order[np.argsort(s.astype(np.uint16)[order], kind="stable")]
-        y, s, count = y[order], s[order], np.cumsum(sign[e[order]])
-        # a slab's covered length is summed before its width weighs it, so
-        # the total rounds once per slab, not once per span
-        covered = np.bincount(s[:-1], np.where(count[:-1] > 0, y[1:] - y[:-1], 0.0), s1 - s0)
-        total += float(np.sum(covered * widths[s0:s1]))
+        a = np.maximum(first, s0)
+        k = np.maximum(np.minimum(last, s1) - a, 0)
+        e = np.arange(len(P)).repeat(k)
+        s = np.arange(len(e)) + (a - k.cumsum() + k).repeat(k)
+        ca = np.maximum(cfirst, s0)
+        ck = np.maximum(np.minimum(clast, s1) - ca, 0)
+        base = ck.cumsum() - ck - ca  # chain c's integral over super-slab s is I[base[c] + s]
+        w, c = whole[e], cut[e].nonzero()[0]
+        # a cut edge's piece of a super-slab: its width times the edge's y at
+        # its middle x, where (x - px) / dx lies in [0, 1] even for a subnormal dx
+        ec, sc = e[c], s[c]
+        x0, x1 = np.maximum(xs[sc], xl[ec]), np.minimum(xs[sc + 1], xr[ec])
+        p, d = P.take(ec, 0), D.take(ec, 0)
+        w[c] = (x1 - x0) * (p[:, 1] + ((x0 + x1) * 0.5 - p[:, 0]) / d[:, 0] * d[:, 1])
+        I = np.bincount(base[chain[e]] + s, w, ck.sum())
+        slab = (np.arange(len(I)) - s0 - base.repeat(ck)).astype(np.uint16)
+        order = I.argsort()
+        order = order[slab[order].argsort(kind="stable")]
+        I, count = I[order], sign.repeat(ck)[order].cumsum()
+        total += float(np.where(count[:-1] > 0, I[1:] - I[:-1], 0.0).sum())
         s0 = s1
     return total
 

@@ -931,7 +931,7 @@ def _slab_sweep_reference(parts, cycles):
     owner = np.repeat(np.arange(len(n)), n)
     first_cycle = int(n[:len(parts)].sum())
     owner[first_cycle:] = len(n) + np.arange(len(P) - first_cycle)
-    xs = np.unique(np.concatenate((P[:, 0], geom2d._crossings(P, Q, owner))))
+    xs = np.unique(np.concatenate((P[:, 0], geom2d._crossings(P, Q, owner)[0])))
     mids = 0.5 * (xs[:-1] + xs[1:])
     # a slab too narrow for a midline strictly inside it is measured at its
     # left end: where parts share vertices up to an ulp such slabs are many,
