@@ -144,16 +144,19 @@ def _crossings(P: np.ndarray, Q: np.ndarray, owner: np.ndarray) -> tuple[np.ndar
     order = x0.argsort(kind="stable")
     ybox = np.stack((np.minimum(P[:, 1], Q[:, 1]), np.maximum(P[:, 1], Q[:, 1]),
                      owner)).take(order, 1)
-    # in x0 order, edge i meets the x-extents of edges i + 1 .. i + count[i],
-    # which are its candidate pairs last[i] - count[i] .. last[i] - 1
-    skip = x0[order].searchsorted(x1[order], side="right") - np.arange(1, len(P) + 1)
-    last = skip.cumsum()
-    skip += np.arange(1, len(P) + 1) - last
+    # in x0 order, edge i's candidate pairs last[i] - count[i] .. last[i] - 1
+    # are the edges i + 1 .. i + count[i], those that start before it ends
+    count = x0[order].searchsorted(x1[order], side="right") - np.arange(1, len(P) + 1)
+    last = count.cumsum()
+    skip = count - last + np.arange(1, len(P) + 1)
     crossings, touches = [np.empty(0)], [np.empty(0)]
     for start in range(0, int(last[-1]), _PAIR_BLOCK):
-        k = np.arange(start, min(start + _PAIR_BLOCK, last[-1]))
-        i = last.searchsorted(k, side="right")
-        j = k + skip[i]
+        stop = min(start + _PAIR_BLOCK, int(last[-1]))
+        # the edges with pairs in the block, and how many each has there
+        e0, e1 = last.searchsorted((start, stop - 1), side="right") + (0, 1)
+        i = np.arange(e0, e1).repeat(np.minimum(last[e0:e1], stop)
+                                     - np.maximum(last[e0:e1] - count[e0:e1], start))
+        j = np.arange(start, stop) + skip[i]
         (ilo, ihi, iown), (jlo, jhi, jown) = ybox.take(i, 1), ybox.take(j, 1)
         near = (iown != jown) & (jlo <= ihi) & (ilo <= jhi)
         i, j = order[i[near]], order[j[near]]
@@ -580,14 +583,13 @@ def _sweep_area(parts: Sequence[np.ndarray], cycles: Sequence[np.ndarray]) -> fl
     heads, chain = head.nonzero()[0], head.cumsum() - 1
     xs = np.sort(np.concatenate((P[heads, 0], *_crossings(P, Q, chain))))
     xs = xs[np.concatenate(([True], xs[1:] != xs[:-1]))]
-    D, xl, xr = Q - P, np.minimum(P[:, 0], Q[:, 0]), np.maximum(P[:, 0], Q[:, 0])
-    # edge e overlaps super-slabs first[e] .. last[e] - 1; a chain's ends are
-    # events, so it spans whole super-slabs
+    xl, xr = np.minimum(P[:, 0], Q[:, 0]), np.maximum(P[:, 0], Q[:, 0])
+    # edge e overlaps super-slabs first[e] .. last[e] - 1 (a vertical edge one
+    # at most); a chain's ends are events, so it spans whole super-slabs
     first, last = xs.searchsorted(xl, side="right") - 1, xs.searchsorted(xr)
     cfirst, clast = np.minimum.reduceat(first, heads), np.maximum.reduceat(last, heads)
     sign = right[heads] * 2 - 1
-    # the area under each edge, its trapezoid where it overlaps one
-    # super-slab; a vertical edge overlaps one at most, and adds 0
+    # the area under each edge, its trapezoid where it overlaps one super-slab
     whole, cut = (xr - xl) * (P[:, 1] + Q[:, 1]) * 0.5, last - first > 1
     spans = (np.bincount(first, minlength=len(xs)) - np.bincount(last, minlength=len(xs))).cumsum()
     done = np.concatenate(([0], spans[:-1].cumsum()))
@@ -609,7 +611,8 @@ def _sweep_area(parts: Sequence[np.ndarray], cycles: Sequence[np.ndarray]) -> fl
         # its middle x, where (x - px) / dx lies in [0, 1] even for a subnormal dx
         ec, sc = e[c], s[c]
         x0, x1 = np.maximum(xs[sc], xl[ec]), np.minimum(xs[sc + 1], xr[ec])
-        p, d = P.take(ec, 0), D.take(ec, 0)
+        p = P.take(ec, 0)
+        d = Q.take(ec, 0) - p
         w[c] = (x1 - x0) * (p[:, 1] + ((x0 + x1) * 0.5 - p[:, 0]) / d[:, 0] * d[:, 1])
         I = np.bincount(base[chain[e]] + s, w, ck.sum())
         slab = (np.arange(len(I)) - s0 - base.repeat(ck)).astype(np.uint16)
