@@ -14,8 +14,9 @@ check nothing, so a chain of them, such as `mixedvol.sum_volume`, builds no
 polygon: `_convolution` (the indices of the convolution cycle of a polygon
 and a convex chain, which winds positively exactly on their sum and bounds
 it where the polygon is convex; `_minkowski` gathers it), `_union_area` (of
-simple parts and such cycles), `_ray_exit` and `_points_in` (by winding
-number).  The public names of the last three read a polygon's `array` and call them.
+simple parts and such cycles, over their x-monotone chains), `_ray_exit` and
+`_points_in` (by winding number).  The public names of the last three read
+a polygon's `array` and call them.
 `_convex_array` is the check of `ConvexPolygon` on a bare array.
 
 Conventions: polygons are simple, wound counterclockwise, with positive area.

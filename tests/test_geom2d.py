@@ -1224,7 +1224,7 @@ def test_union_of_two_convex_parts_is_inclusion_exclusion(A, B):
 
 #: Three points and a segment, the components of `dilate-convex`'s
 #: points_segment ops, which sum with a 4096-gon to four long parts.
-POINTS_SEGMENT = structuring.StructuringSet((
+_POINTS_SEGMENT = structuring.StructuringSet((
     structuring.Points(((0.1, 0.2), (-0.3, 0.1), (0.25, -0.35))),
     structuring.Segment((-0.4, 0.1), (0.3, -0.2))))
 
@@ -1236,7 +1236,7 @@ POINTS_SEGMENT = structuring.StructuringSet((
 ])
 def test_union_area_peak_memory(disc_4096, plus_set, shape, parts, limit_mb):
     M = Polygon(tuple(_star(24, 0.4))) if shape == "star24" else disc_4096
-    N = POINTS_SEGMENT if shape == "disc_points_segment" else plus_set
+    N = _POINTS_SEGMENT if shape == "disc_points_segment" else plus_set
     region = mixedvol.sum_region(M, N, 0.1)
     assert len(region.parts) == parts
     geom2d.union_area(region)  # first call outside the trace
