@@ -4,6 +4,7 @@ import pickle
 import tracemalloc
 import warnings
 from fractions import Fraction
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -976,6 +977,79 @@ def _slab_sweep_reference(parts, cycles):
     return total
 
 
+def _crossings_reference(P, Q, owner):
+    """The crossing kernel `geom2d._crossings` ran before it read coordinate
+    columns: strided (n, 2) rows, a stacked box array, (2K, 2, 2) end arrays
+    and 2-D fancy indexes."""
+    x0, x1 = np.minimum(P[:, 0], Q[:, 0]), np.maximum(P[:, 0], Q[:, 0])
+    order = x0.argsort(kind="stable")
+    ybox = np.stack((np.minimum(P[:, 1], Q[:, 1]), np.maximum(P[:, 1], Q[:, 1]),
+                     owner)).take(order, 1)
+    # in x0 order, edge i's candidate pairs last[i] - count[i] .. last[i] - 1
+    # are the edges i + 1 .. i + count[i], those that start before it ends
+    count = x0[order].searchsorted(x1[order], side="right") - np.arange(1, len(P) + 1)
+    last = count.cumsum()
+    skip = count - last + np.arange(1, len(P) + 1)
+    crossings, touches = [np.empty(0)], [np.empty(0)]
+    for start in range(0, int(last[-1]), geom2d._PAIR_BLOCK):
+        stop = min(start + geom2d._PAIR_BLOCK, int(last[-1]))
+        # the edges with pairs in the block, and how many each has there
+        e0, e1 = last.searchsorted((start, stop - 1), side="right") + (0, 1)
+        i = np.arange(e0, e1).repeat(np.minimum(last[e0:e1], stop)
+                                     - np.maximum(last[e0:e1] - count[e0:e1], start))
+        j = np.arange(start, stop) + skip[i]
+        (ilo, ihi, iown), (jlo, jhi, jown) = ybox.take(i, 1), ybox.take(j, 1)
+        near = (iown != jown) & (jlo <= ihi) & (ilo <= jhi)
+        i, j = order[i[near]], order[j[near]]
+        # the turns of the ends (P, Q) of edge i off edge j, then of edge j
+        # off edge i: turn[:K] is (d1, d2), turn[K:] is (d3, d4)
+        ij, ji = np.concatenate((i, j)), np.concatenate((j, i))
+        ends = np.concatenate((P.take(ij, 0), Q.take(ij, 0)), 1).reshape(-1, 2, 2)
+        o = P.take(ji, 0)
+        L, W = Q.take(ji, 0) - o, ends - o[:, None]
+        turn = L[:, 0, None] * W[..., 1] - L[:, 1, None] * W[..., 0]
+        d = turn.reshape(2, -1, 2)
+        hit = np.logical_and(*geom2d._straddles(d[..., 0], d[..., 1]))
+        a, d1, d2 = i[hit], d[0, hit, 0], d[0, hit, 1]
+        crossings.append(P[a, 0] + d1 / (d1 - d2) * (Q[a, 0] - P[a, 0]))
+        r, c = (np.abs(turn) <= geom2d.TAU).nonzero()
+        pt, p, q = ends[r, c], P.take(ji[r], 0), Q.take(ji[r], 0)
+        inside = (np.minimum(p, q) - geom2d.TAU <= pt) & (pt <= np.maximum(p, q) + geom2d.TAU)
+        touches.append(pt[inside[:, 0] & inside[:, 1], 0])
+    return np.concatenate(crossings), np.concatenate(touches)
+
+
+def _chain_edges(parts, cycles):
+    """The edges P[e] -> Q[e] of the rings of `parts` and `cycles` and the
+    x-monotone chain of each, as `geom2d._sweep_area` hands them to
+    `geom2d._crossings`."""
+    arrays = [*parts, *cycles]
+    P = np.concatenate(arrays)
+    n = np.array([len(part) for part in arrays])
+    start = np.cumsum(n) - n
+    nxt = np.arange(1, len(P) + 1)
+    nxt[start + n - 1] = start
+    Q = P[nxt]
+    right = Q[:, 0] > P[:, 0]
+    head = np.concatenate(([True], right[1:] != right[:-1]))
+    head[start] = True
+    return P, Q, np.cumsum(head) - 1
+
+
+def assert_crossings_match_reference(parts, cycles=()):
+    """`geom2d._crossings` gives the reference's crossings and touches, as
+    sorted arrays with their multiplicity, with chain owners as the union
+    sweep takes them and with every edge its own owner as `_is_simple`
+    takes them; and the union area is the reference's bit for bit."""
+    P, Q, chain = _chain_edges(parts, cycles)
+    for owner in (chain, np.arange(len(P))):
+        for got, want in zip(geom2d._crossings(P, Q, owner), _crossings_reference(P, Q, owner)):
+            assert np.array_equal(np.sort(got), np.sort(want))
+    area = geom2d._sweep_area(parts, cycles)
+    with mock.patch.object(geom2d, "_crossings", _crossings_reference):
+        assert geom2d._sweep_area(parts, cycles) == area
+
+
 @st.composite
 def bulged_box(draw):
     """A box whose vertical edges bulge out through one to four extra
@@ -1156,6 +1230,16 @@ def test_union_area_matches_pair_loop(parts):
     assert geom2d.union_area(RegionUnion(tuple(parts))) == pytest.approx(want, rel=1e-12)
 
 
+@settings(derandomize=True, max_examples=100, deadline=None)
+@given(union_parts())
+def test_crossings_match_reference_on_union_parts(parts):
+    assert_crossings_match_reference([p.array for p in parts])
+
+
+def test_crossings_match_reference_on_a_4096_vertex_star():
+    assert_crossings_match_reference([np.array(_star(2048))])
+
+
 def _clip(A, B):
     """A clipped by each edge of the convex CCW polygon B (Sutherland and
     Hodgman, 1974); exact when the coordinates are Fractions."""
@@ -1229,10 +1313,12 @@ _POINTS_SEGMENT = structuring.StructuringSet((
     structuring.Segment((-0.4, 0.1), (0.3, -0.2))))
 
 
+# Each bound is the traced peak of the crossing kernel on (n, 2) rows,
+# rounded up to the next 0.01 MiB: 1.85, 2.19 and 2.82 MiB.
 @pytest.mark.parametrize("shape, parts, limit_mb", [
-    ("disc", 2, 3.0),
-    ("star24", 92, 8.0),  # the 46 triangles of M, each swept along each segment
-    ("disc_points_segment", 4, 3.12),  # the slab sweep's peak: 3.11 MiB
+    ("disc", 2, 1.86),
+    ("star24", 92, 2.20),  # the 46 triangles of M, each swept along each segment
+    ("disc_points_segment", 4, 2.83),
 ])
 def test_union_area_peak_memory(disc_4096, plus_set, shape, parts, limit_mb):
     M = Polygon(tuple(_star(24, 0.4))) if shape == "star24" else disc_4096

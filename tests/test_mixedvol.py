@@ -13,7 +13,8 @@ from hypothesis import strategies as st
 from conftest import (NEAR_STRAIGHT_RUN, closed_form_plus_dilation, minkowski_walk,
                       near_collinear_convex)
 from test_geom2d import (_convex_union_area_reference, _points_in_reference,
-                         _slab_sweep_reference, polar_polygon, segment_along, union_parts)
+                         _slab_sweep_reference, assert_crossings_match_reference, polar_polygon,
+                         segment_along, union_parts)
 from mixvol import cli, geom2d, mixedvol, structuring
 from mixvol.errors import (DegenerateHull, DegenerateInput, IllConditioned, NonDecreasingSchedule,
                            NumericalDegeneracy, SingularPoint)
@@ -341,6 +342,18 @@ def test_union_area_matches_slab_sweep_on_a_dilated_4096_gon(disc_4096, eps):
     parts, cycles = mixedvol._dilation(disc_4096, N)(eps)
     assert geom2d._union_area(parts, cycles) == \
         pytest.approx(_slab_sweep_reference(parts, cycles), rel=1e-14)
+
+
+@settings(derandomize=True, max_examples=100, deadline=None)
+@given(st.one_of(star_dilations().map(_dilated), polygon_dilations().map(_dilated)))
+def test_crossings_match_reference_on_dilations(arrays):
+    assert_crossings_match_reference(*arrays)
+
+
+@pytest.mark.parametrize("eps", mixedvol.DEFAULT_SCHEDULE)
+def test_crossings_match_reference_on_a_dilated_4096_gon(disc_4096, eps):
+    N = StructuringSet((Points(((0.1, 0.2), (-0.3, 0.1))), Segment((-0.4, 0.1), (0.3, -0.2))))
+    assert_crossings_match_reference(*mixedvol._dilation(disc_4096, N)(eps))
 
 
 def _far_from_edges(pts, arrays, tol):
