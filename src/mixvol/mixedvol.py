@@ -125,8 +125,8 @@ def _dilation(M: Polygon, N: StructuringSet) -> Callable:
     never negative and is positive exactly on M + eps * U
     (`geom2d._convolution` has the proof).  Its indices (a, b) depend on
     directions only, so M is probed and they are made here, once, and each
-    eps gathers A[a] + (eps * U)[b], with no running sum: the arrays of an
-    eps do not depend on the eps asked for before.  eps = 0 gives M alone.
+    eps gathers `A.take(a, 0) + (eps * U).take(b, 0)`, with no running sum:
+    the arrays of an eps do not depend on the eps asked for before.  eps = 0 gives M alone.
     Nothing is validated as a polygon at scale eps, so a component too small
     for `ConvexPolygon`'s absolute floors (a disc with eps * r below about
     6e-7) still adds.
@@ -145,7 +145,7 @@ def _dilation(M: Polygon, N: StructuringSet) -> Callable:
             if a is None:
                 parts.append(A + eps * U[0])
             else:
-                (parts if convex else cycles).append(A[a] + (eps * U)[b])
+                (parts if convex else cycles).append(A.take(a, 0) + (eps * U).take(b, 0))
         return parts, cycles
 
     return at
