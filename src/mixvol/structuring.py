@@ -107,10 +107,16 @@ def support(N: StructuringSet, u):
     if U.shape[-1:] != (2,) or U.ndim > 2 or not np.isfinite(U).all():
         raise ValueError(f"directions must be finite (x, y) pairs: {u!r}")
     D = U.reshape(-1, 2)
-    # math.hypot, not np.hypot: the two differ in the last bit on some inputs
-    norm = np.array([math.hypot(x, y) for x, y in D.tolist()])
-    if (norm <= geom2d.TAU).any():
+    # np.hypot and math.hypot differ in the last bit on some inputs: np.hypot
+    # screens the directions, and math.hypot decides those near TAU
+    norm = np.hypot(D[:, 0], D[:, 1])
+    near = np.abs(norm - geom2d.TAU) <= 4.0 * np.spacing(geom2d.TAU)
+    if (np.count_nonzero((norm <= geom2d.TAU) & ~near)
+            or any(math.hypot(x, y) <= geom2d.TAU for x, y in D[near].tolist())):
         raise ZeroDirection("support direction must be nonzero")
+    if any(isinstance(c, Disc) for c in N.components):
+        # a disc's values take math.hypot's norms
+        norm = np.array([math.hypot(x, y) for x, y in D.tolist()])
     best = np.full(len(D), -math.inf)
     for c in N.components:
         if isinstance(c, Disc):

@@ -78,6 +78,34 @@ def test_support_over_directions_in_blocks():
     assert structuring.support(N, U).tolist() == [_support_reference(N, u) for u in U.tolist()]
 
 
+def test_support_of_discs_matches_scalar_loop():
+    """A disc's values use math.hypot's norms, bit for bit."""
+    rng = np.random.default_rng(6)
+    N = StructuringSet((Disc((0.1, -0.2), 0.7), Points(((0.3, 0.9), (-1.0, 0.2))),
+                        Disc((-0.3, 0.05), 0.25)))
+    U = rng.normal(size=(4096, 2)) * 10.0 ** rng.integers(-11, 12, size=(4096, 1))
+    assert structuring.support(N, U).tolist() == [_support_reference(N, u) for u in U.tolist()]
+
+
+def test_support_zero_direction_is_math_hypots_verdict(plus_set):
+    """Directions within a few ulps of TAU in norm are refused exactly where
+    math.hypot puts them at TAU or below, also where np.hypot disagrees."""
+    rng = np.random.default_rng(5)
+    t = rng.uniform(0.0, 2.0 * math.pi, 4000)
+    r = geom2d.TAU * (1.0 + rng.integers(-3, 4, 4000) * 2.0 ** -52)
+    U = np.stack((r * np.cos(t), r * np.sin(t)), 1)
+    zero = [math.hypot(x, y) <= geom2d.TAU for x, y in U.tolist()]
+    assert zero != (np.hypot(U[:, 0], U[:, 1]) <= geom2d.TAU).tolist()
+    for u, z in zip(U, zero):
+        if z:
+            with pytest.raises(ZeroDirection):
+                structuring.support(plus_set, u)
+        else:
+            assert structuring.support(plus_set, u) > 0.0
+    with pytest.raises(ZeroDirection):
+        structuring.support(plus_set, U)
+
+
 def test_support_rejects_bad_directions(plus_set):
     with pytest.raises(ZeroDirection):
         structuring.support(plus_set, [[1.0, 0.0], [0.0, 0.0]])
