@@ -126,10 +126,10 @@ def _dilation(M: Polygon, N: StructuringSet) -> Callable:
     (`geom2d._convolution` has the proof).  Its indices (a, b) depend on
     directions only, so M is probed and they are made here, once, and each
     eps gathers `A.take(a, 0) + (eps * U).take(b, 0)`, with no running sum:
-    the arrays of an eps do not depend on the eps asked for before.  eps = 0 gives M alone.
-    Nothing is validated as a polygon at scale eps, so a component too small
-    for `ConvexPolygon`'s absolute floors (a disc with eps * r below about
-    6e-7) still adds.
+    the arrays of an eps do not depend on the eps asked for before.  eps = 0
+    gives M alone.  Nothing is validated as a polygon at scale eps, so a
+    component too small for `ConvexPolygon`'s absolute floors (a disc with
+    eps * r below about 6e-7) still adds.
     """
     A, convex = geom2d._convex_probe(M)
     index = [(U, *geom2d._convolution(A, U)) if len(U) > 1 else (U, None, None)
