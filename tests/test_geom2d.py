@@ -1313,26 +1313,42 @@ _POINTS_SEGMENT = structuring.StructuringSet((
     structuring.Segment((-0.4, 0.1), (0.3, -0.2))))
 
 
-# Each bound is the traced peak of the crossing kernel on (n, 2) rows,
-# rounded up to the next 0.01 MiB: 1.85, 2.19 and 2.82 MiB.
-@pytest.mark.parametrize("shape, parts, limit_mb", [
-    ("disc", 2, 1.86),
-    ("star24", 92, 2.20),  # the 46 triangles of M, each swept along each segment
-    ("disc_points_segment", 4, 2.83),
-])
-def test_union_area_peak_memory(disc_4096, plus_set, shape, parts, limit_mb):
+def _union_area_peak(disc_4096, plus_set, shape):
+    """Part count and traced peak bytes of a second `union_area` call on the
+    eps 0.1 sum region of `shape`."""
     M = Polygon(tuple(_star(24, 0.4))) if shape == "star24" else disc_4096
     N = _POINTS_SEGMENT if shape == "disc_points_segment" else plus_set
     region = mixedvol.sum_region(M, N, 0.1)
-    assert len(region.parts) == parts
     geom2d.union_area(region)  # first call outside the trace
     tracemalloc.start()
     try:
         geom2d.union_area(region)
-        peak = tracemalloc.get_traced_memory()[1]
+        return len(region.parts), tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
+
+
+# The bounds of the slab sweep with the pair-block crossing search.
+@pytest.mark.parametrize("shape, parts, limit_mb", [
+    ("disc", 2, 3.0),
+    ("star24", 92, 8.0),  # the 46 triangles of M, each swept along each segment
+    ("disc_points_segment", 4, 3.12),  # the slab sweep's peak: 3.11 MiB
+])
+def test_union_area_peak_memory(disc_4096, plus_set, shape, parts, limit_mb):
+    n_parts, peak = _union_area_peak(disc_4096, plus_set, shape)
+    assert n_parts == parts
     assert peak <= limit_mb * 2 ** 20
+
+
+# Each bound is the traced peak of the crossing kernel on (n, 2) rows,
+# rounded up to the next 0.01 MiB: 1.85, 2.19 and 2.82 MiB.
+@pytest.mark.parametrize("shape, limit_mb", [
+    ("disc", 1.86),
+    ("star24", 2.20),
+    ("disc_points_segment", 2.83),
+])
+def test_union_area_crossing_kernel_peak_memory(disc_4096, plus_set, shape, limit_mb):
+    assert _union_area_peak(disc_4096, plus_set, shape)[1] <= limit_mb * 2 ** 20
 
 
 # ---------------------------------------------------------------------------
