@@ -387,6 +387,148 @@ def test_exact_matches_tuple_reference(G, mode, n_max):
         assert got.nodes_explored <= want.nodes_explored
 
 
+class _CountState(lattice._BoundaryState):
+    """`_BoundaryState` whose outside layer is a plain count, `outside`: the
+    exact search reads only its size and never samples it.  A cell outside S
+    has a count only while it is in the layer, so `add` reads `c in cnt`."""
+
+    def __init__(self, G: PLGGraph, bound: int):
+        self.outside = 0
+        super().__init__(G, bound)
+
+    def boundary(self, mode: str) -> int:
+        return self.outside if mode == lattice.VERTEX else super().boundary(mode)
+
+    def add(self, c: int) -> None:
+        cells, cnt = self.cells, self.cnt
+        outside = self.outside - (c in cnt)
+        cells.add(c)
+        own = 0
+        for o in self.offsets:
+            w = c + o
+            if w in cells:
+                own += 1
+                cnt[w] += 1
+            else:
+                k = cnt.get(w, 0)
+                outside += k == 0
+                cnt[w] = k + 1
+        cnt[c] = own
+        self.internal += 2 * own
+        self.outside = outside
+
+    def remove(self, c: int) -> None:
+        cells, cnt = self.cells, self.cnt
+        own = cnt.pop(c)
+        cells.discard(c)
+        outside = self.outside
+        for o in self.offsets:
+            w = c + o
+            if w in cells:
+                cnt[w] -= 1
+            else:
+                k = cnt[w] - 1
+                if k == 0:
+                    del cnt[w]
+                    outside -= 1
+                else:
+                    cnt[w] = k
+        self.internal -= 2 * own
+        if own > 0:
+            cnt[c] = own
+            outside += 1
+        self.outside = outside
+
+
+def _count_state_solve_exact_reference(G, n, mode, cap=10):
+    """solve_exact as it was on the dict-keyed `_CountState`, which it
+    mutated on the way down and undid on the way back; kept as the
+    reference for every field of the result, `nodes_explored` included."""
+    if G.dimension != 2:
+        raise ValueError("exact solver is implemented for dimension 2")
+    if n < 1:
+        raise ValueError("n must be positive")
+    if n > cap:
+        raise CapExceeded(f"n = {n} exceeds the exact enumeration cap {cap}")
+
+    best = _boundary(lattice._greedy_init(n, mode), G, mode)
+    best_witness = None
+    state = _CountState(G, n * _reach(G))
+    origin = state.encode((0, 0))
+    max_drop = state.deg if mode == EDGE else 1
+    nodes = 0
+    gens = [v for v in G.edge_vectors if v > (0, 0)] if mode == EDGE else []
+    lines = [{} for _ in gens]
+    ids = {}
+    bounds = {}
+
+    def enter_lines(cell):
+        t = ids.get(cell)
+        if t is None:
+            x, y = state.decode(cell)
+            t = ids[cell] = tuple(x * vb - y * va for va, vb in gens)
+        for on, i in zip(lines, t):
+            on[i] = on.get(i, 0) + 1
+
+    def leave_lines(cell):
+        for on, i in zip(lines, ids[cell]):
+            k = on[i] - 1
+            if k:
+                on[i] = k
+            else:
+                del on[i]
+
+    def line_bound():
+        L = tuple(map(len, lines))
+        lb = bounds.get(L)
+        if lb is None:
+            lb = bounds[L] = 2 * lattice._line_bound(L, n)
+        return lb
+
+    def grow(frontier, reached):
+        nonlocal best, best_witness, nodes
+        while frontier:
+            cell = frontier.pop()
+            state.add(cell)
+            if gens:
+                enter_lines(cell)
+            nodes += 1
+            size = len(state.cells)
+            b = state.boundary(mode)
+            if size == n:
+                if b < best or (b == best and (
+                        best_witness is None
+                        or tuple(sorted(state.cells)) < best_witness)):
+                    best = b
+                    best_witness = tuple(sorted(state.cells))
+            elif b - (n - size) * max_drop <= best and (
+                    not gens or line_bound() <= best):
+                fresh = [w for w in (cell + o for o in state.offsets)
+                         if w >= origin and w not in reached]  # lex-nonnegative
+                grow(frontier + fresh, reached | set(fresh))
+            state.remove(cell)
+            if gens:
+                leave_lines(cell)
+
+    grow([origin], {origin})
+    assert best_witness is not None
+    return OptResult(n, mode, int(best),
+                     _canonical(map(state.decode, best_witness)), True, nodes)
+
+
+@pytest.mark.parametrize("G, mode, n_max", [
+    (GRID, "edge", 9), (GRID, "vertex", 9), (KING, "edge", 7), (KING, "vertex", 7),
+    (TRIANGULAR, "edge", 8), (TRIANGULAR, "vertex", 8), (SKEW, "edge", 6),
+    (SKEW, "vertex", 6)],
+    ids=["z2-edge", "z2-vertex", "king-edge", "king-vertex", "triangular-edge",
+         "triangular-vertex", "skew-edge", "skew-vertex"])
+def test_exact_matches_count_state_reference(G, mode, n_max):
+    """The whole result, nodes_explored included: the same search."""
+    for n in range(1, n_max + 1):
+        assert lattice.solve_exact(G, n, mode) == \
+            _count_state_solve_exact_reference(G, n, mode)
+
+
 def _line_counts(cells, G):
     """L_v: the lines parallel to v that meet the cells, one v per +-v pair."""
     return tuple(len({x * b - y * a for x, y in cells})
@@ -636,20 +778,25 @@ def _dense_convergence_diagnostic(results, predicted):
     return rows
 
 
-@pytest.mark.parametrize("G, mode, ns, exact", [
-    (GRID, "edge", range(1, 11), True),
-    (KING, "vertex", range(1, 8), True),
-    (GRID, "edge", (16, 64, 144), False),  # the results of test_criterion_11
-    (GRID, "vertex", (13, 41, 85), False),
-], ids=["z2-edge-exact", "king-vertex-exact", "z2-edge-heuristic",
-        "z2-vertex-heuristic"])
-def test_convergence_far_side_matches_dense_reference(G, mode, ns, exact):
+@pytest.mark.parametrize("G, mode, ns, exact, wulff", [
+    (GRID, "edge", range(1, 11), True, False),
+    (KING, "vertex", range(1, 8), True, False),
+    (KING, "vertex", range(1, 8), True, True),  # the shape cmd_lattice passes
+    (GRID, "edge", (16, 64, 144), False, False),  # the results of test_criterion_11
+    (GRID, "vertex", (13, 41, 85), False, False),
+], ids=["z2-edge-exact", "king-vertex-exact", "king-vertex-exact-wulff",
+        "z2-edge-heuristic", "z2-vertex-heuristic"])
+def test_convergence_far_side_matches_dense_reference(G, mode, ns, exact, wulff):
     results = [lattice.solve_exact(G, n, mode) if exact
                else lattice.solve_heuristic(G, n, mode, seed=1) for n in ns]
     family = isoperimetric.SegmentFamily(tuple(
         ((-a, -b), (a, b)) for a, b in G.edge_vectors if (a, b) > (0, 0)))
-    predicted = isoperimetric.zonotope(family) if mode == "edge" \
-        else structuring.hull(family.as_structuring_set())
+    if mode == "edge":
+        predicted = isoperimetric.zonotope(family)
+    elif wulff:
+        predicted = isoperimetric.wulff_shape(family.as_structuring_set(), 360)
+    else:
+        predicted = structuring.hull(family.as_structuring_set())
     assert lattice.convergence_diagnostic(results, predicted) == \
         _dense_convergence_diagnostic(results, predicted)
 
