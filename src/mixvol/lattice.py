@@ -161,7 +161,8 @@ class _BoundaryState:
     adjacent cell carries its number of occupied neighbors, so exiting edges
     = deg * #S - (internal count sum).  The vertex boundary is the outside
     layer (positive-count cells outside S): a list plus a key -> position
-    index, which samples and swap-removes in O(1).
+    index, which samples and swap-removes in O(1).  The counts and the layer
+    serve the annealer alone; `solve_exact` borrows only the keys.
     """
 
     def __init__(self, G: PLGGraph, bound: int, cells: Iterable[Cell] = ()):
@@ -267,59 +268,6 @@ class _BoundaryState:
         return d
 
 
-class _CountState(_BoundaryState):
-    """`_BoundaryState` whose outside layer is a plain count, `outside`: the
-    exact search reads only its size and never samples it.  A cell outside S
-    has a count only while it is in the layer, so `add` reads `c in cnt`."""
-
-    def __init__(self, G: PLGGraph, bound: int):
-        self.outside = 0
-        super().__init__(G, bound)
-
-    def boundary(self, mode: str) -> int:
-        return self.outside if mode == VERTEX else super().boundary(mode)
-
-    def add(self, c: int) -> None:
-        cells, cnt = self.cells, self.cnt
-        outside = self.outside - (c in cnt)
-        cells.add(c)
-        own = 0
-        for o in self.offsets:
-            w = c + o
-            if w in cells:
-                own += 1
-                cnt[w] += 1
-            else:
-                k = cnt.get(w, 0)
-                outside += k == 0
-                cnt[w] = k + 1
-        cnt[c] = own
-        self.internal += 2 * own
-        self.outside = outside
-
-    def remove(self, c: int) -> None:
-        cells, cnt = self.cells, self.cnt
-        own = cnt.pop(c)
-        cells.discard(c)
-        outside = self.outside
-        for o in self.offsets:
-            w = c + o
-            if w in cells:
-                cnt[w] -= 1
-            else:
-                k = cnt[w] - 1
-                if k == 0:
-                    del cnt[w]
-                    outside -= 1
-                else:
-                    cnt[w] = k
-        self.internal -= 2 * own
-        if own > 0:
-            cnt[c] = own
-            outside += 1
-        self.outside = outside
-
-
 def _reach(G: PLGGraph) -> int:
     """Largest coordinate step of any edge vector."""
     return max(abs(c) for v in G.edge_vectors for c in v)
@@ -377,6 +325,12 @@ def solve_exact(G: PLGGraph, n: int, mode: str, cap: int = 10) -> OptResult:
       bounds every completion T of S.  On Z^2 with S empty it is
       Harary–Harborth's 2 * ceil(2 * sqrt(n)).
 
+    The search state is immutable ints passed down the recursion: cells are
+    `_BoundaryState` keys, and S, the reached cells, the neighbour cells
+    and each generator's lines are bit masks, so boundaries and line counts
+    are `bit_count()`s.  Backtracking pops the cell path and undoes nothing
+    else.
+
     Raises CapExceeded beyond the configured size cap.
     """
     if G.dimension != 2:
@@ -390,74 +344,82 @@ def solve_exact(G: PLGGraph, n: int, mode: str, cap: int = 10) -> OptResult:
     best_witness: tuple[int, ...] | None = None
     # A connected n-set grown from the origin stays within (n - 1) * reach of
     # it, and its neighbours within n * reach.
-    state = _CountState(G, n * _reach(G))
-    origin = state.encode((0, 0))
+    keys = _BoundaryState(G, n * _reach(G))
+    origin, offsets, deg = keys.encode((0, 0)), keys.offsets, keys.deg
     # Steepest possible single-cell decrease of the running boundary: a cell
     # with k occupied neighbors changes the exiting-edge count by deg - 2k,
     # at worst -deg; the vertex boundary loses at most the added cell itself.
-    max_drop = state.deg if mode == EDGE else 1
+    max_drop = deg if mode == EDGE else 1
     nodes = 0
-    # Edge mode only: per generator (a, b), the cells of S on each line
-    # parallel to it, keyed by x*b - y*a (equal exactly for the cells of one
-    # such line).  ids caches a cell's line ids, bounds the line-count bound
-    # per tuple of line counts.
+    # Edge mode only: per generator (a, b), one bit per line parallel to it,
+    # at x*b - y*a + span (equal exactly for the cells of one such line), so
+    # L_v is the bit count of the OR over S.  bounds caches the line-count
+    # bound per tuple of line counts.
     gens = [v for v in G.edge_vectors if v > (0, 0)] if mode == EDGE else []
-    lines: list[dict[int, int]] = [{} for _ in gens]
-    ids: dict[int, tuple[int, ...]] = {}
+    span = 2 * _reach(G) * keys.H
     bounds: dict[tuple[int, ...], int] = {}
+    # Per cell, built on its first visit: its neighbour mask, its
+    # lex-nonnegative neighbours in offset order and their mask, its line bits.
+    tables: dict[int, tuple[int, list[int], int, tuple[int, ...]]] = {}
+    path: list[int] = []  # the cells of S above the current one
 
-    def enter_lines(cell: int) -> None:
-        t = ids.get(cell)
-        if t is None:
-            x, y = state.decode(cell)
-            t = ids[cell] = tuple(x * vb - y * va for va, vb in gens)
-        for on, i in zip(lines, t):
-            on[i] = on.get(i, 0) + 1
+    def table(cell: int) -> tuple[int, list[int], int, tuple[int, ...]]:
+        x, y = keys.decode(cell)
+        near = [cell + o for o in offsets]
+        fwd = [w for w in near if w >= origin]
+        t = tables[cell] = (sum(1 << w for w in near), fwd,
+                            sum(1 << w for w in fwd),
+                            tuple(1 << (x * b - y * a + span) for a, b in gens))
+        return t
 
-    def leave_lines(cell: int) -> None:
-        for on, i in zip(lines, ids[cell]):
-            k = on[i] - 1
-            if k:
-                on[i] = k
-            else:
-                del on[i]
-
-    def line_bound() -> int:
-        L = tuple(map(len, lines))
-        lb = bounds.get(L)
-        if lb is None:
-            lb = bounds[L] = 2 * _line_bound(L, n)
-        return lb
-
-    def grow(frontier: list[int], reached: set[int]) -> None:
+    def grow(frontier: list[int], reached: int, mask: int, internal: int,
+             dil: int, lines: tuple[int, ...]) -> None:
+        """Try each frontier cell on top of S = mask; internal (edge mode)
+        is twice S's internal edges, dil (vertex mode) the OR of its cells'
+        neighbour masks."""
         nonlocal best, best_witness, nodes
+        size = len(path) + 1
         while frontier:
             cell = frontier.pop()
-            state.add(cell)
-            if gens:
-                enter_lines(cell)
+            nb, fwd, fwd_mask, bits = tables.get(cell) or table(cell)
             nodes += 1
-            size = len(state.cells)
-            b = state.boundary(mode)
+            grown = mask | 1 << cell
+            if mode == EDGE:
+                inner = internal + 2 * (mask & nb).bit_count()
+                b = size * deg - inner
+            else:
+                near = dil | nb
+                b = (near & ~grown).bit_count()
             if size == n:
-                if b < best or (b == best and (
-                        best_witness is None
-                        or tuple(sorted(state.cells)) < best_witness)):
-                    best = b
-                    best_witness = tuple(sorted(state.cells))
-            elif b - (n - size) * max_drop <= best and (
-                    not gens or line_bound() <= best):
-                fresh = [w for w in (cell + o for o in state.offsets)
-                         if w >= origin and w not in reached]  # lex-nonnegative
-                grow(frontier + fresh, reached | set(fresh))
-            state.remove(cell)
+                if b <= best:
+                    w = tuple(sorted([*path, cell]))
+                    if b < best or best_witness is None or w < best_witness:
+                        best, best_witness = b, w
+                continue
+            if b - (n - size) * max_drop > best:
+                continue
             if gens:
-                leave_lines(cell)
+                on = tuple(l | t for l, t in zip(lines, bits))
+                L = tuple(l.bit_count() for l in on)
+                lb = bounds.get(L)
+                if lb is None:
+                    lb = bounds[L] = 2 * _line_bound(L, n)
+                if lb > best:
+                    continue
+            else:
+                on = lines
+            fresh = [w for w in fwd if not reached >> w & 1]
+            path.append(cell)
+            if mode == EDGE:
+                grow(frontier + fresh, reached | fwd_mask, grown, inner, 0, on)
+            else:
+                grow(frontier + fresh, reached | fwd_mask, grown, 0, near, on)
+            path.pop()
 
-    grow([origin], {origin})
+    grow([origin], 1 << origin, 0, 0, 0, (0,) * len(gens))
     assert best_witness is not None
     return OptResult(n, mode, int(best),
-                     _canonical(map(state.decode, best_witness)), True, nodes)
+                     _canonical(map(keys.decode, best_witness)), True, nodes)
 
 
 # ---------------------------------------------------------------------------
@@ -574,17 +536,23 @@ def convergence_diagnostic(results: Sequence[OptResult],
         raise ValueError("need at least two results for a convergence trend")
     shape = geom2d.unit_area_centered(predicted)
     samples = _region_samples(shape, spacing=0.01)
+    sx, sy = samples[:, 0].copy(), samples[:, 1].copy()
     rows = []
     for res in results:
         pts = np.array(sorted(res.witness.points), dtype=float) / math.sqrt(res.n)
         pts = pts - pts.mean(axis=0)
         d1 = max(geom2d.polygon_distance(tuple(p), shape) for p in pts)
         # Bit-identical to the norm of a (samples, pts, 2) difference array:
-        # its sum over an axis of length 2 is one `+`, and a correctly
-        # rounded sqrt is monotone, so it may follow the min.
-        dx = samples[:, 0, None] - pts[None, :, 0]
-        dy = samples[:, 1, None] - pts[None, :, 1]
-        d2 = float(np.sqrt((dx * dx + dy * dy).min(axis=1)).max())
+        # each squared distance is the same dx * dx + dy * dy (a sum over an
+        # axis of length 2 is one `+`), a running minimum is exact in any
+        # order, and a correctly rounded sqrt is monotone, so it may follow
+        # the minimum.
+        near = np.full(len(sx), np.inf)
+        for px, py in pts:
+            dx = sx - px
+            dy = sy - py
+            np.minimum(near, dx * dx + dy * dy, out=near)
+        d2 = float(np.sqrt(near).max())
         rows.append(DiagnosticRow(res.n, max(d1, d2), res.minimum / math.sqrt(res.n)))
     return rows
 
