@@ -349,13 +349,15 @@ def solve_exact(G: PLGGraph, n: int, mode: str, cap: int = 10) -> OptResult:
     # Steepest possible single-cell decrease of the running boundary: a cell
     # with k occupied neighbors changes the exiting-edge count by deg - 2k,
     # at worst -deg; the vertex boundary loses at most the added cell itself.
-    max_drop = deg if mode == EDGE else 1
+    edge = mode == EDGE
+    max_drop = deg if edge else 1
     nodes = 0
     # Edge mode only: per generator (a, b), one bit per line parallel to it,
-    # at x*b - y*a + span (equal exactly for the cells of one such line), so
-    # L_v is the bit count of the OR over S.  bounds caches the line-count
-    # bound per tuple of line counts.
-    gens = [v for v in G.edge_vectors if v > (0, 0)] if mode == EDGE else []
+    # at x*b - y*a + span (equal exactly for the cells of one such line;
+    # keyed cells have |x|, |y| <= H, so the index is nonnegative), so L_v is
+    # the bit count of the OR over S.  bounds caches the line-count bound per
+    # tuple of line counts.
+    gens = [v for v in G.edge_vectors if v > (0, 0)] if edge else []
     span = 2 * _reach(G) * keys.H
     bounds: dict[tuple[int, ...], int] = {}
     # Per cell, built on its first visit: its neighbour mask, its
@@ -372,11 +374,11 @@ def solve_exact(G: PLGGraph, n: int, mode: str, cap: int = 10) -> OptResult:
                             tuple(1 << (x * b - y * a + span) for a, b in gens))
         return t
 
-    def grow(frontier: list[int], reached: int, mask: int, internal: int,
-             dil: int, lines: tuple[int, ...]) -> None:
-        """Try each frontier cell on top of S = mask; internal (edge mode)
-        is twice S's internal edges, dil (vertex mode) the OR of its cells'
-        neighbour masks."""
+    def grow(frontier: list[int], reached: int, mask: int, tally: int,
+             lines: tuple[int, ...]) -> None:
+        """Try each frontier cell on top of S = mask.  tally is twice the
+        internal edges of S in edge mode, and the OR of its cells'
+        neighbour masks in vertex mode."""
         nonlocal best, best_witness, nodes
         size = len(path) + 1
         while frontier:
@@ -384,12 +386,12 @@ def solve_exact(G: PLGGraph, n: int, mode: str, cap: int = 10) -> OptResult:
             nb, fwd, fwd_mask, bits = tables.get(cell) or table(cell)
             nodes += 1
             grown = mask | 1 << cell
-            if mode == EDGE:
-                inner = internal + 2 * (mask & nb).bit_count()
-                b = size * deg - inner
+            if edge:
+                t = tally + 2 * (mask & nb).bit_count()
+                b = size * deg - t
             else:
-                near = dil | nb
-                b = (near & ~grown).bit_count()
+                t = tally | nb
+                b = (t & ~grown).bit_count()
             if size == n:
                 if b <= best:
                     w = tuple(sorted([*path, cell]))
@@ -398,25 +400,21 @@ def solve_exact(G: PLGGraph, n: int, mode: str, cap: int = 10) -> OptResult:
                 continue
             if b - (n - size) * max_drop > best:
                 continue
+            on = lines
             if gens:
-                on = tuple(l | t for l, t in zip(lines, bits))
+                on = tuple(l | m for l, m in zip(lines, bits))
                 L = tuple(l.bit_count() for l in on)
                 lb = bounds.get(L)
                 if lb is None:
                     lb = bounds[L] = 2 * _line_bound(L, n)
                 if lb > best:
                     continue
-            else:
-                on = lines
             fresh = [w for w in fwd if not reached >> w & 1]
             path.append(cell)
-            if mode == EDGE:
-                grow(frontier + fresh, reached | fwd_mask, grown, inner, 0, on)
-            else:
-                grow(frontier + fresh, reached | fwd_mask, grown, 0, near, on)
+            grow(frontier + fresh, reached | fwd_mask, grown, t, on)
             path.pop()
 
-    grow([origin], 1 << origin, 0, 0, 0, (0,) * len(gens))
+    grow([origin], 1 << origin, 0, 0, (0,) * len(gens))
     assert best_witness is not None
     return OptResult(n, mode, int(best),
                      _canonical(map(keys.decode, best_witness)), True, nodes)
