@@ -491,6 +491,72 @@ def test_probe_at_vertex(tmp_path, files):
     assert rc == 2
 
 
+# SHA-256 of every artifact of the disc commands on an off-centre disc: the
+# disc's vertices, and so every volume, quotient and fit, must keep their bytes
+# however the disc is built.
+DISC_COMMAND_DIGESTS = {
+    None: {
+        "estimate": {
+            "estimate_boundary_integral.json":
+                "770a6de244a5683c4279186345efcd9d3a3ef1f85498e8fe94d38f538dbe88bb",
+            "estimate_finite_difference.json":
+                "8b791c746680c983492b3e71c463acf305fd885ba6b69d934ee3c0828161d016",
+            "quotients.csv":
+                "2d6cdfca87a156d339b9b7243362db58d945193aacba56cdeb3357d5900cb204",
+        },
+        "series": {
+            "series.csv":
+                "fe0b1cd8cfd80b7aa32e8404e60fc3976b66a05f4d185db29801aa5e4b632008",
+            "series.json":
+                "1749dff881ee6659e6a87433e03cce2ca498ca2dbb336f32fdc623529f23ef81",
+        },
+        "probe": {
+            "probe.csv":
+                "fc0cb17d0360852b47cf7851e64aff95373772e93b9cd2dae93024789392297c",
+            "probe.json":
+                "1a47e596d56837ce3173a49c1cfe6c16d6a22d224997f56f5c2fc69d8cdaa698",
+        },
+    },
+    256: {
+        "estimate": {
+            "estimate_boundary_integral.json":
+                "05deb5c96b72311f1a21493478bebfe940b37bb841a72c211942354099048af2",
+            "estimate_finite_difference.json":
+                "2e704aa8eaa9e000db43079c79cf772847cda5a55d245d053da983cde247a238",
+            "quotients.csv":
+                "111e69edc9dfe46b90fe2a44773f4a0e5bb8c462aceef93f674854bc6645cac0",
+        },
+        "series": {
+            "series.csv":
+                "ac5029b004a6a23964273e84c519308c1926a3fe543084e325c5811ed2c12656",
+            "series.json":
+                "b2a5745f64871695a080433aaed3899679b4dfb1be3ea6252bfa5cebcd68eb86",
+        },
+        "probe": {
+            "probe.csv":
+                "9c01e069d6b2981aee44e134e1a53f3f6afed948e74d8c4122e40ec927b2bb93",
+            "probe.json":
+                "c5547fad03bed3f5381ed5c95ff69c5dc8b526043c36194dd105456bc02683c0",
+        },
+    },
+}
+
+
+@pytest.mark.parametrize("resolution", [None, 256], ids=["default", "256"])
+def test_disc_command_artifact_digests(tmp_path, files, resolution):
+    m = files("m.json", {"disc": {"r": 1.37, "c": [0.41, -0.73]}})
+    n = files("n.json", PLUS)
+    extra = {"estimate": [], "series": [], "probe": ["--edge", "100", "--t", "0.37"]}
+    res = [] if resolution is None else ["--resolution", str(resolution)]
+    for command, want in DISC_COMMAND_DIGESTS[resolution].items():
+        out = tmp_path / command
+        rc = cli.main([command, "--m", m, "--n", n, *extra[command], *res,
+                       "--out-dir", str(out)])
+        assert rc == 0
+        got = {p.name: hashlib.sha256(p.read_bytes()).hexdigest() for p in out.iterdir()}
+        assert got == want, command
+
+
 # ---------------------------------------------------------------------------
 # determinism and configuration
 

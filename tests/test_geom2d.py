@@ -1426,6 +1426,26 @@ def test_regular_disc_rejects_bad_args():
         geom2d.regular_disc(16, 0.0)
 
 
+def _regular_disc_reference(n, r):
+    """The disc as `regular_disc` built it from `math.cos` / `math.sin`, one
+    vertex at a time."""
+    return ConvexPolygon(tuple(
+        (r * math.cos(2.0 * math.pi * k / n), r * math.sin(2.0 * math.pi * k / n))
+        for k in range(n)))
+
+
+_DISC_SIZES = [*range(3, 65), 255, 256, 1000, 4095, 4096, 8192]
+
+
+@pytest.mark.parametrize("r", [1e-3, 0.3, 1.0, 1.37, 10.0])
+def test_regular_disc_matches_reference_bit_for_bit(r):
+    # Artifacts of disc commands follow these bytes: a platform where the
+    # vectorized cos/sin round differently from math's fails here first.
+    for n in _DISC_SIZES:
+        assert np.array_equal(geom2d.regular_disc(n, r).array,
+                              _regular_disc_reference(n, r).array), n
+
+
 # ---------------------------------------------------------------------------
 # queries
 
