@@ -111,8 +111,8 @@ def _load_region(path: str, resolution: int):
         return geom2d.polygon_from_dict(d)
     if "disc" in d:
         params = d["disc"]
-        P = geom2d.regular_disc(resolution, float(params["r"]))
-        return geom2d.translate(P, tuple(float(c) for c in params.get("c", (0.0, 0.0))))
+        return geom2d.regular_disc(resolution, float(params["r"]),
+                                   params.get("c", (0.0, 0.0)))
     raise ValueError(f"{path}: expected 'vertices' or 'disc'")
 
 

@@ -703,17 +703,21 @@ def grid_volume(indicator: Callable, bounds: Sequence[tuple[float, float]],
     return n_occ * cellvol, n_bnd * cellvol
 
 
-def regular_disc(n: int, r: float) -> ConvexPolygon:
-    """Inscribed regular n-gon model of the disc of radius r (area (n/2) r^2 sin(2pi/n))."""
+def regular_disc(n: int, r: float, center=(0.0, 0.0)) -> ConvexPolygon:
+    """Inscribed regular n-gon model of the disc of radius r about `center`
+    (area (n/2) r^2 sin(2pi/n)).
+
+    Vertex k is `center + r (cos t, sin t)` at `t = 2 pi k / n`, from numpy's
+    cos and sin; the tests hold them bit-equal to `math`'s.  The centre is
+    added before the one validation, so the disc is built and checked once,
+    with the vertices of `translate(regular_disc(n, r), center)`."""
     if n < 3:
         raise ValueError("need at least 3 vertices")
     if r <= 0:
         raise ValueError("radius must be positive")
-    verts = tuple(
-        (r * math.cos(2.0 * math.pi * k / n), r * math.sin(2.0 * math.pi * k / n))
-        for k in range(n)
-    )
-    return ConvexPolygon(verts)
+    cx, cy = _as_vec2(center)
+    t = 2.0 * math.pi * np.arange(n) / n
+    return ConvexPolygon(np.column_stack((r * np.cos(t) + cx, r * np.sin(t) + cy)))
 
 
 # ---------------------------------------------------------------------------

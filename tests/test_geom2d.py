@@ -1437,13 +1437,37 @@ def _regular_disc_reference(n, r):
 _DISC_SIZES = [*range(3, 65), 255, 256, 1000, 4095, 4096, 8192]
 
 
+def _same_bits(A, B):
+    return A.shape == B.shape and A.tobytes() == B.tobytes()
+
+
 @pytest.mark.parametrize("r", [1e-3, 0.3, 1.0, 1.37, 10.0])
 def test_regular_disc_matches_reference_bit_for_bit(r):
     # Artifacts of disc commands follow these bytes: a platform where the
     # vectorized cos/sin round differently from math's fails here first.
     for n in _DISC_SIZES:
-        assert np.array_equal(geom2d.regular_disc(n, r).array,
-                              _regular_disc_reference(n, r).array), n
+        assert _same_bits(geom2d.regular_disc(n, r).array,
+                          _regular_disc_reference(n, r).array), n
+
+
+@pytest.mark.parametrize("r", [1e-3, 0.3, 1.0, 1.37, 10.0])
+def test_centred_regular_disc_matches_translated_reference(r):
+    # Centres as cli-pipeline draws them, in [-1, 1]^2, and far ones.
+    rng = np.random.default_rng(round(1000 * r))
+    centres = [*rng.uniform(-1.0, 1.0, size=(4, 2)).tolist(),
+               *rng.uniform(-1e3, 1e3, size=(2, 2)).tolist(),
+               (0.41, -0.73), (-1e3, 1e3)]
+    for n in _DISC_SIZES:
+        for c in centres:
+            want = geom2d.translate(_regular_disc_reference(n, r), c).array
+            assert _same_bits(geom2d.regular_disc(n, r, c).array, want), (n, c)
+
+
+@pytest.mark.parametrize("c", [(0.0, 0.0, 0.0), (0.0,), (math.nan, 0.0),
+                               (0.0, math.inf), (-math.inf, 1.0)])
+def test_regular_disc_rejects_bad_centre(c):
+    with pytest.raises(ValueError):
+        geom2d.regular_disc(16, 1.0, c)
 
 
 # ---------------------------------------------------------------------------
