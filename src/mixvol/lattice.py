@@ -262,8 +262,9 @@ class _BoundaryState:
             if cnt.get(w) == 1 and w != add and w not in cells \
                     and (w - add) not in adjacent:
                 d -= 1
-            # a neighbour of rem, which is in S, has a count: so w is none
             w = add + o
+            # an uncounted w is no neighbour of rem: rem is in S, so each of
+            # its neighbours has a count
             if w not in cnt:
                 d += 1
         return d

@@ -1435,13 +1435,14 @@ def _regular_disc_reference(n, r):
 
 
 _DISC_SIZES = [*range(3, 65), 255, 256, 1000, 4095, 4096, 8192]
+_DISC_RADII = [1e-3, 0.3, 1.0, 1.37, 10.0]
 
 
 def _same_bits(A, B):
     return A.shape == B.shape and A.tobytes() == B.tobytes()
 
 
-@pytest.mark.parametrize("r", [1e-3, 0.3, 1.0, 1.37, 10.0])
+@pytest.mark.parametrize("r", _DISC_RADII)
 def test_regular_disc_matches_reference_bit_for_bit(r):
     # Artifacts of disc commands follow these bytes: a platform where the
     # vectorized cos/sin round differently from math's fails here first.
@@ -1450,7 +1451,7 @@ def test_regular_disc_matches_reference_bit_for_bit(r):
                           _regular_disc_reference(n, r).array), n
 
 
-@pytest.mark.parametrize("r", [1e-3, 0.3, 1.0, 1.37, 10.0])
+@pytest.mark.parametrize("r", _DISC_RADII)
 def test_centred_regular_disc_matches_translated_reference(r):
     # Centres as cli-pipeline draws them, in [-1, 1]^2, and far ones.
     rng = np.random.default_rng(round(1000 * r))
