@@ -557,6 +557,72 @@ def test_disc_command_artifact_digests(tmp_path, files, resolution):
         assert got == want, command
 
 
+#: A nonconvex pentagon M and a set N of two segments, a triangle and two
+#: points, all off the integer grid.
+POLY_M = {"vertices": [[0.13, -0.41], [1.21, -0.37], [1.33, 0.52], [0.71, 0.18],
+                       [0.24, 0.93]]}
+MIXED_N = {"components": [
+    {"type": "segment", "a": [-0.61, 0.17], "b": [0.48, -0.29]},
+    {"type": "segment", "a": [0.05, -0.52], "b": [-0.11, 0.47]},
+    {"type": "polygon", "vertices": [[0.02, -0.13], [0.31, 0.07], [-0.09, 0.22]]},
+    {"type": "points", "pts": [[0.41, 0.38], [-0.27, -0.33]]},
+]}
+SEGMENT_DISC_N = {"components": [
+    {"type": "segment", "a": [-0.61, 0.17], "b": [0.48, -0.29]},
+    {"type": "segment", "a": [0.05, -0.52], "b": [-0.11, 0.47]},
+    {"type": "disc", "c": [0.21, -0.13], "r": 0.35},
+]}
+
+POLYGON_COMMAND_DIGESTS = {
+    "estimate": (["--m", POLY_M, "--n", MIXED_N], {
+        "estimate_boundary_integral.json":
+            "5527f2c41f5833c34ce9e8c0edf0459d6d188c235f9ecac330100ab4beae1ab3",
+        "estimate_finite_difference.json":
+            "71564962da1986f0b005f64140ebe5f9f048635a5baa7fc29c99239d8126d2b9",
+        "quotients.csv":
+            "4b64a123ebfced8d051523f9ff3d851f98683386d5eeba25858b7a74bfefaef5",
+    }),
+    "series": (["--m", POLY_M, "--n", MIXED_N], {
+        "series.csv":
+            "9a6dcf985ff3b2acafa0af273f88b0d7277340aa2f3b2e7fe5668a68c5bebaee",
+        "series.json":
+            "acf8a5cdd3c90b54cd3e00227d29483fd9d8439fd6e67422e65a3497dad8256d",
+    }),
+    "probe": (["--m", POLY_M, "--n", MIXED_N, "--edge", "2", "--t", "0.37"], {
+        "probe.csv":
+            "15e54ca46dcc1f101393bdd44147bc730501c49cd9a4b35e659ca34a784111b3",
+        "probe.json":
+            "ae037ced8a0941b4030c4f0958b568ace57b6ad5a6eaf0498f6e5e9db7bbc83f",
+    }),
+    "shapes": (["--n", MIXED_N], {
+        "shapes.svg":
+            "355714ef86a9db24b57aaf5d2a6290f825f785995092e160091bdef9edc0380c",
+        "wulff.json":
+            "e3358df6edac1c8cfe9ba4254128a0045cc1f9424a53127634a7fc44d65cc7c2",
+        "zonotope.json":
+            "7a0d1d57f37e7a979db1cda36a97407ed3bc59137e2b6471ed12671f0bfdfa5e",
+    }),
+    "shapes-disc": (["--n", SEGMENT_DISC_N, "--n-dirs", "720"], {
+        "shapes.svg":
+            "af338553e78340320ffbe7bb0adb1fd9bbb373023f24e2ba84f2c5316293e1cd",
+        "wulff.json":
+            "2118f85b8c1672269ea6d56d0b26724f871cc6b04a1e5928ad5232c150da4065",
+        "zonotope.json":
+            "7a0d1d57f37e7a979db1cda36a97407ed3bc59137e2b6471ed12671f0bfdfa5e",
+    }),
+}
+
+
+@pytest.mark.parametrize("case", list(POLYGON_COMMAND_DIGESTS))
+def test_polygon_command_artifact_digests(tmp_path, files, case):
+    args, want = POLYGON_COMMAND_DIGESTS[case]
+    argv = [files(f"in{i}.json", a) if isinstance(a, dict) else a for i, a in enumerate(args)]
+    out = tmp_path / "out"
+    assert cli.main([case.split("-")[0], *argv, "--out-dir", str(out)]) == 0
+    got = {p.name: hashlib.sha256(p.read_bytes()).hexdigest() for p in out.iterdir()}
+    assert got == want
+
+
 # ---------------------------------------------------------------------------
 # determinism and configuration
 

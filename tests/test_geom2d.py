@@ -13,7 +13,7 @@ from hypothesis import strategies as st
 
 from conftest import (NEAR_STRAIGHT_RUN, closed_form_plus_dilation, minkowski_walk,
                       near_collinear_convex)
-from mixvol import geom2d, mixedvol, structuring
+from mixvol import geom2d, isoperimetric, lattice, mixedvol, structuring
 from mixvol.errors import DegenerateInput, ResolutionTooCoarse
 from mixvol.geom2d import ConvexPolygon, Polygon, RegionUnion
 
@@ -1581,6 +1581,100 @@ def test_hausdorff_convex(unit_square):
     other = ConvexPolygon(geom2d.translate(unit_square, (0.5, 0)).vertices)
     assert geom2d.hausdorff_convex(unit_square, unit_square) == 0.0
     assert geom2d.hausdorff_convex(unit_square, other) == pytest.approx(0.5)
+
+
+def _point_segment_distance_reference(p: tuple, a: tuple, b: tuple) -> float:
+    ax, ay = a
+    bx, by = b
+    px, py = p
+    dx, dy = bx - ax, by - ay
+    L2 = dx * dx + dy * dy
+    if L2 <= geom2d.TAU * geom2d.TAU:
+        return math.hypot(px - ax, py - ay)
+    t = max(0.0, min(1.0, ((px - ax) * dx + (py - ay) * dy) / L2))
+    return math.hypot(px - ax - t * dx, py - ay - t * dy)
+
+
+def _polygon_distance_reference(p, P):
+    """The per-edge loop polygon_distance replaced: 0 where the even-odd
+    reference with its on-edge test holds, else the least point-segment
+    distance over the edges."""
+    p = (float(p[0]), float(p[1]))
+    if _point_in_polygon_reference(p, P):
+        return 0.0
+    verts = P.vertices
+    n = len(verts)
+    return min(
+        _point_segment_distance_reference(p, verts[i], verts[(i + 1) % n]) for i in range(n)
+    )
+
+
+def _hausdorff_convex_reference(P, Q):
+    d1 = max(_polygon_distance_reference(v, Q) for v in P.vertices)
+    d2 = max(_polygon_distance_reference(v, P) for v in Q.vertices)
+    return max(d1, d2)
+
+
+def _lattice_shapes():
+    """The unit-area shapes `cmd_lattice` hands `convergence_diagnostic` on
+    Z^2 and king: zonotopes for edge mode, Wulff shapes for vertex mode."""
+    shapes = []
+    for G in (lattice.grid_graph(2), lattice.validate_plg([(1, 0), (0, 1), (1, 1), (1, -1)])):
+        family = isoperimetric.SegmentFamily(tuple(
+            ((-float(a), -float(b)), (float(a), float(b))) for a, b in G.edge_vectors
+            if (a, b) > (0, 0)))
+        shapes += [geom2d.unit_area_centered(isoperimetric.zonotope(family)),
+                   geom2d.unit_area_centered(
+                       isoperimetric.wulff_shape(family.as_structuring_set(), 360))]
+    return shapes
+
+
+def _distance_probes(V, rng, k=48):
+    """Points inside and around the polygon V: uniform in its grown box, on
+    k of its edges, at k of its vertices, within TAU outside those edges
+    and vertices, and far away."""
+    W = geom2d._shift(V, 1)
+    pick = rng.choice(len(V), min(len(V), k), replace=False)
+    A, E = V[pick], (W - V)[pick]
+    on = A + rng.uniform(0, 1, (len(A), 1)) * E
+    out = np.stack((E[:, 1], -E[:, 0]), 1) / np.hypot(E[:, 0], E[:, 1])[:, None]
+    lo, hi = V.min(0), V.max(0)
+    box = rng.uniform(lo - 0.2 * (hi - lo), hi + 0.2 * (hi - lo), (200, 2))
+    return np.concatenate([box, on, A, on + rng.uniform(0, geom2d.TAU, (len(A), 1)) * out,
+                           A + rng.uniform(-geom2d.TAU, geom2d.TAU, A.shape),
+                           rng.uniform(-1e3, 1e3, (20, 2))])
+
+
+_DISTANCE_POLYGONS = [
+    pytest.param(lambda rng: random_convex(rng, 9), id="convex9"),
+    pytest.param(lambda rng: random_convex(rng, 40, 30.0), id="convex40"),
+    pytest.param(lambda rng: Polygon(tuple(_star(7, 0.45))), id="star7"),
+    pytest.param(lambda rng: Polygon(tuple(_star(24, 0.4))), id="star24"),
+    pytest.param(lambda rng: Polygon(NEAR_STRAIGHT_RUN), id="near-straight"),
+    pytest.param(lambda rng: geom2d.regular_disc(4096, 1.0), id="disc4096"),
+    *(pytest.param(lambda rng, i=i: _lattice_shapes()[i], id=name) for i, name in
+      enumerate(("z2-zonotope", "z2-wulff", "king-zonotope", "king-wulff"))),
+]
+
+
+@pytest.mark.parametrize("make", _DISTANCE_POLYGONS)
+def test_polygon_distance_matches_per_edge_loop_bit_for_bit(make):
+    rng = np.random.default_rng(29)
+    P = make(rng)
+    for p in _distance_probes(P.array, rng).tolist():
+        assert geom2d.polygon_distance(p, P) == _polygon_distance_reference(p, P)
+
+
+def test_hausdorff_convex_matches_per_edge_loop_bit_for_bit():
+    rng = np.random.default_rng(31)
+    shapes = _lattice_shapes()
+    disc = geom2d.regular_disc(4096, 1.0)
+    pairs = [(random_convex(rng, 9), random_convex(rng, 12)) for _ in range(20)]
+    pairs += [(P, Q) for P in shapes for Q in shapes]
+    pairs += [(disc, random_convex(rng, 8)), (geom2d.regular_disc(4096, 0.5, (0.1, 0.2)),
+                                               ConvexPolygon(shapes[3].array * 1.3))]
+    for P, Q in pairs:
+        assert geom2d.hausdorff_convex(P, Q) == _hausdorff_convex_reference(P, Q)
 
 
 def test_ray_exit(unit_square):
