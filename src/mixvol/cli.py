@@ -245,9 +245,9 @@ def cmd_lattice(cfg: RunConfig) -> int:
         root = math.sqrt(res.n)
         pts = [((x - mx) / root, (y - my) / root) for x, y in cells]
         svg = svgout.document(
-            [svgout.polygon_element(shape.vertices),
+            [svgout.polygon_element(shape.array),
              svgout.points_element(pts, radius=max(0.006, 0.3 / math.sqrt(res.n)))],
-            svgout.fit_bounds([shape.vertices, pts]))
+            svgout.fit_bounds([shape.array, pts]))
         (out / f"witness_{cfg.mode}_n{res.n}.svg").write_text(svg)
         print(f"n={res.n} {cfg.mode}: minimum {res.minimum} "
               f"({'exact' if res.exact else 'heuristic'})")
@@ -273,12 +273,12 @@ def cmd_shapes(cfg: RunConfig) -> int:
     write_json(out / "zonotope.json", geom2d.polygon_to_dict(Z))
     write_json(out / "wulff.json", geom2d.polygon_to_dict(W))
     svg = svgout.document(
-        [svgout.polygon_element(Z.vertices, stroke="#1f77b4"),
-         svgout.polygon_element(W.vertices, stroke="#d62728")],
-        svgout.fit_bounds([Z.vertices, W.vertices]))
+        [svgout.polygon_element(Z.array, stroke="#1f77b4"),
+         svgout.polygon_element(W.array, stroke="#d62728")],
+        svgout.fit_bounds([Z.array, W.array]))
     (out / "shapes.svg").write_text(svg)
-    print(f"zonotope: {len(Z.vertices)} vertices, area {geom2d.area(Z):.12g}")
-    print(f"wulff shape: {len(W.vertices)} vertices, area {geom2d.area(W):.12g}")
+    print(f"zonotope: {len(Z.array)} vertices, area {geom2d.area(Z):.12g}")
+    print(f"wulff shape: {len(W.array)} vertices, area {geom2d.area(W):.12g}")
     return EXIT_OK
 
 

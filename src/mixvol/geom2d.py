@@ -4,9 +4,9 @@ All coordinates are double-precision floats; orientation and intersection
 predicates use the absolute tolerance TAU (scaled by operand magnitude where
 the quantity is not scale-free).  Every public type is immutable and every
 operation is pure, so values can be shared freely across threads.  A
-polygon keeps the vertex array it was validated on, read-only, as `array`
-next to its `vertices` tuple; the kernels read that array and never
-rebuild one from the tuple.
+polygon stores only the vertex array it was validated on, read-only, as
+`array`, which the kernels and every other module read; `vertices` builds
+a tuple from it.
 
 Polygons are validated once, where they enter: by their constructors.  The
 private kernels take `(n, 2)` vertex arrays, return arrays or numbers, and
@@ -14,9 +14,9 @@ check nothing, so a chain of them, such as `mixedvol.sum_volume`, builds no
 polygon: `_convolution` (the indices of the convolution cycle of a polygon
 and a convex chain, which winds positively exactly on their sum and bounds
 it where the polygon is convex; `_minkowski` gathers it), `_union_area` (of
-simple parts and such cycles, over their x-monotone chains), `_ray_exit` and
-`_points_in` (by winding number).  The public names of the last three read
-a polygon's `array` and call them.
+simple parts and such cycles, over their x-monotone chains), `_ray_exit`,
+`_points_in` (by winding number) and `_distances`.  The public names of the
+last four read a polygon's `array` and call them.
 `_convex_array` is the check of `ConvexPolygon` on a bare array.
 
 Conventions: polygons are simple, wound counterclockwise, with positive area.
@@ -103,10 +103,8 @@ def _vertex_tuple(V: np.ndarray) -> tuple[Vec2, ...]:
 
 
 def _keep(P: Polygon, V: np.ndarray) -> None:
-    """Store the checked vertices V on P: as its `vertices` tuple and, read-only,
-    as its `array`.  V must be an array of P's own, not the caller's."""
+    """Store the checked vertices V, an array of P's own, read-only as P's `array`."""
     V.flags.writeable = False
-    object.__setattr__(P, "vertices", _vertex_tuple(V))
     object.__setattr__(P, "array", V)
 
 
@@ -122,11 +120,11 @@ def _straddles(d1, d2):
 
 
 #: Edge pairs `_crossings` tests at a time, and the fewest (edge, super-slab)
-#: pairs `_union_area` integrates, or (edge, point) pairs `_points_in` tests,
-#: at a time.  A crossing block's traced temporaries peak at 0.36 MiB on the
-#: unions of a seed-1 `dilate-convex` pass, and at 1.5 MiB where all of its
-#: pairs are near (2**14 raised the union peak of a 4096-gon disc's dilation
-#: by a sixth).
+#: pairs `_union_area` integrates, or (edge, point) pairs `_points_in` or
+#: `_distances` tests, at a time.  A crossing block's traced temporaries peak
+#: at 0.36 MiB on the unions of a seed-1 `dilate-convex` pass, and at 1.5 MiB
+#: where all of its pairs are near (2**14 raised the union peak of a 4096-gon
+#: disc's dilation by a sixth).
 _PAIR_BLOCK = 1 << 13
 
 
@@ -204,19 +202,19 @@ def _is_simple(verts) -> bool:
     return not _crossings(a, _shift(a, 1), np.arange(len(a)))[0].size
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Polygon:
     """Simple polygon with counterclockwise boundary and positive area.
 
-    `array` holds the vertices as a read-only (n, 2) float array, equal to
-    `np.array(vertices)`.  It is no field: equality, hashing and pickles see
-    `vertices` only, and unpickling rebuilds the array from them.
+    Its one field, `array`, is a checked copy of its vertices, read-only,
+    (n, 2).  `vertices`, (x, y) tuples built when read, keeps equality,
+    hashing and pickles as they were when it was the field.
     """
 
-    vertices: tuple[Vec2, ...]
+    array: np.ndarray
 
     def __post_init__(self):
-        V = _vertex_array(self.vertices)
+        V = _vertex_array(self.array)
         gap = np.abs(_shift(V, 1) - V)
         if ((gap[:, 0] <= TAU) & (gap[:, 1] <= TAU)).any():
             raise ValueError("consecutive duplicate vertices")
@@ -225,6 +223,18 @@ class Polygon:
         if not _is_simple(V):
             raise ValueError("boundary is self-intersecting")
         _keep(self, V.copy())
+
+    @property
+    def vertices(self) -> tuple[Vec2, ...]:
+        # asarray: perfbench counts them on polygons __post_init__ refused too
+        return _vertex_tuple(np.asarray(self.array, dtype=float))
+
+    def __eq__(self, other):
+        same = type(other) is type(self)
+        return np.array_equal(self.array, other.array) if same else NotImplemented
+
+    def __hash__(self):
+        return hash((self.vertices,))
 
     def __getstate__(self):
         return {"vertices": self.vertices}
@@ -287,12 +297,11 @@ def _convex_array(V: np.ndarray) -> np.ndarray:
     return R
 
 
-@dataclass(frozen=True)
 class ConvexPolygon(Polygon):
     """Polygon with every vertex extreme; canonical start at the lex-min vertex."""
 
     def __post_init__(self):
-        _keep(self, _convex_array(_vertex_array(self.vertices)))
+        _keep(self, _convex_array(_vertex_array(self.array)))
 
 
 @dataclass(frozen=True)
@@ -726,15 +735,9 @@ def regular_disc(n: int, r: float, center=(0.0, 0.0)) -> ConvexPolygon:
 
 def point_in_polygon(p, P: Polygon) -> bool:
     """Nonzero-winding test, which is the even-odd test on a simple polygon;
-    boundary points count as inside."""
-    p = np.array(_as_vec2(p))
-    V = P.array
-    W = _shift(V, 1)
-    E = W - V
-    near = ((np.minimum(V, W) - TAU <= p) & (p <= np.maximum(V, W) + TAU)).all(1)
-    on_edge = near & (np.abs(_cross(V, W, p))
-                      <= TAU * np.maximum(1.0, np.hypot(E[:, 0], E[:, 1])))
-    return bool(on_edge.any() or _points_in(p[None], V)[0])
+    boundary points (`_on_edges`) count as inside."""
+    p = np.array([_as_vec2(p)])
+    return bool(_on_edges(p, P.array).any() or _points_in(p, P.array)[0])
 
 
 def points_in_polygon(pts: np.ndarray, P: Polygon) -> np.ndarray:
@@ -778,35 +781,49 @@ def _points_in(pts: np.ndarray, V: np.ndarray) -> np.ndarray:
     return winding != 0.0
 
 
-def _point_segment_distance(p: Vec2, a: Vec2, b: Vec2) -> float:
-    ax, ay = a
-    bx, by = b
-    px, py = p
-    dx, dy = bx - ax, by - ay
-    L2 = dx * dx + dy * dy
-    if L2 <= TAU * TAU:
-        return math.hypot(px - ax, py - ay)
-    t = max(0.0, min(1.0, ((px - ax) * dx + (py - ay) * dy) / L2))
-    return math.hypot(px - ax - t * dx, py - ay - t * dy)
+def _on_edges(pts: np.ndarray, V: np.ndarray) -> np.ndarray:
+    """(m, n) whether point k of pts lies on edge i of V: in the edge's box
+    grown by TAU, and within TAU (times its length, if over 1) of its line."""
+    W = _shift(V, 1)
+    E = W - V
+    p = pts[:, None]
+    near = ((np.minimum(V, W) - TAU <= p) & (p <= np.maximum(V, W) + TAU)).all(2)
+    return near & (np.abs(_cross(V, W, p)) <= TAU * np.maximum(1.0, np.hypot(E[:, 0], E[:, 1])))
+
+
+def _distances(pts: np.ndarray, V: np.ndarray) -> np.ndarray:
+    """Distance from each point of pts, (m, 2), to the filled polygon V: 0
+    where `point_in_polygon` holds, else the least over edges a -> b of
+    |p - a - t (b - a)|, t in [0, 1] nearest p, rounded as the per-edge loop
+    did (np.hypot screens, math.hypot, which can differ in the last bit,
+    decides near the least), for max(1, `_PAIR_BLOCK` // edges) points at once."""
+    out = np.zeros(len(pts))
+    rest = (~_points_in(pts, V)).nonzero()[0]
+    E = _shift(V, 1) - V
+    L2 = E[:, 0] * E[:, 0] + E[:, 1] * E[:, 1]
+    step = max(1, _PAIR_BLOCK // len(V))
+    for s in range(0, len(rest), step):
+        k = rest[s:s + step]
+        dx, dy = pts[k, :1] - V[:, 0], pts[k, 1:] - V[:, 1]
+        t = np.where(L2 > TAU * TAU, np.clip((dx * E[:, 0] + dy * E[:, 1]) / L2, 0.0, 1.0), 0.0)
+        ex, ey = dx - t * E[:, 0], dy - t * E[:, 1]
+        h = np.hypot(ex, ey)
+        m = h.min(1, keepdims=True)
+        i, j = (h <= m + 8 * np.spacing(m)).nonzero()
+        d = [math.hypot(x, y) for x, y in zip(ex[i, j].tolist(), ey[i, j].tolist())]
+        best = np.minimum.reduceat(d, np.searchsorted(i, np.arange(len(k))))
+        out[k] = np.where(_on_edges(pts[k], V).any(1), 0.0, best)
+    return out
 
 
 def polygon_distance(p, P: Polygon) -> float:
     """Distance from a point to the (filled) polygon; 0 inside."""
-    p = _as_vec2(p)
-    if point_in_polygon(p, P):
-        return 0.0
-    verts = P.vertices
-    n = len(verts)
-    return min(
-        _point_segment_distance(p, verts[i], verts[(i + 1) % n]) for i in range(n)
-    )
+    return float(_distances(np.array([_as_vec2(p)]), P.array)[0])
 
 
 def hausdorff_convex(P: ConvexPolygon, Q: ConvexPolygon) -> float:
     """Exact Hausdorff distance between convex polygons (attained at vertices)."""
-    d1 = max(polygon_distance(v, Q) for v in P.vertices)
-    d2 = max(polygon_distance(v, P) for v in Q.vertices)
-    return max(d1, d2)
+    return float(max(_distances(P.array, Q.array).max(), _distances(Q.array, P.array).max()))
 
 
 def ray_exit(origin, direction, region: RegionUnion) -> float:
@@ -838,7 +855,7 @@ def _ray_exit(origin, direction, parts: Sequence[np.ndarray]) -> float:
 
 
 def polygon_to_dict(P: Polygon) -> dict:
-    return {"vertices": [[x, y] for x, y in P.vertices]}
+    return {"vertices": P.array.tolist()}
 
 
 def _polygon(V) -> Polygon:

@@ -110,8 +110,8 @@ def wulff_shape(N: StructuringSet, n_dirs: int = 360) -> ConvexPolygon:
     """
     if n_dirs < 16:
         raise ValueError("need at least 16 directions")
-    angles = [2.0 * math.pi * j / n_dirs for j in range(n_dirs)]
-    U = np.array([(math.cos(th), math.sin(th)) for th in angles])
+    t = 2.0 * math.pi * np.arange(n_dirs) / n_dirs
+    U = np.column_stack((np.cos(t), np.sin(t)))
     h = structuring.support(N, U)
     V, g = np.roll(U, -1, axis=0), np.roll(h, -1)
     # crossing of line j, x.U[j] = h[j], with line j + 1 by Cramer's rule

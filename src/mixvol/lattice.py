@@ -541,7 +541,7 @@ def convergence_diagnostic(results: Sequence[OptResult],
     for res in results:
         pts = np.array(sorted(res.witness.points), dtype=float) / math.sqrt(res.n)
         pts = pts - pts.mean(axis=0)
-        d1 = max(geom2d.polygon_distance(tuple(p), shape) for p in pts)
+        d1 = float(geom2d._distances(pts, shape.array).max())
         # Bit-identical to the norm of a (samples, pts, 2) difference array:
         # each squared distance is the same dx * dx + dy * dy (a sum over an
         # axis of length 2 is one `+`), a running minimum is exact in any
@@ -558,22 +558,16 @@ def convergence_diagnostic(results: Sequence[OptResult],
 
 
 def _region_samples(P: Polygon, spacing: float) -> np.ndarray:
-    xs = [v[0] for v in P.vertices]
-    ys = [v[1] for v in P.vertices]
-    gx = np.arange(min(xs), max(xs) + spacing, spacing)
-    gy = np.arange(min(ys), max(ys) + spacing, spacing)
-    mesh = np.meshgrid(gx, gy, indexing="ij")
+    """Grid points inside P and points along its edges, `spacing` apart."""
+    V, W = P.array, geom2d._shift(P.array, 1)
+    lo, hi = V.min(0), V.max(0)
+    mesh = np.meshgrid(*(np.arange(lo[a], hi[a] + spacing, spacing) for a in (0, 1)), indexing="ij")
     pts = np.stack([m.ravel() for m in mesh], axis=1)
-    interior = pts[geom2d._points_in(pts, P.array)]
-    edges = []
-    verts = P.vertices
-    for i in range(len(verts)):
-        a = np.array(verts[i])
-        b = np.array(verts[(i + 1) % len(verts)])
-        k = max(2, int(math.ceil(float(np.hypot(*(b - a))) / spacing)))
-        t = np.linspace(0.0, 1.0, k)[:, None]
-        edges.append(a[None, :] * (1 - t) + b[None, :] * t)
-    return np.concatenate([interior] + edges, axis=0)
+    E = W - V
+    counts = np.maximum(2, np.ceil(np.hypot(E[:, 0], E[:, 1]) / spacing)).astype(int)
+    ts = (np.linspace(0.0, 1.0, k)[:, None] for k in counts.tolist())
+    return np.concatenate([pts[geom2d._points_in(pts, V)]]
+                          + [a * (1 - t) + b * t for a, b, t in zip(V, W, ts)])
 
 
 # ---------------------------------------------------------------------------

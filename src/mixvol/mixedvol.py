@@ -275,15 +275,13 @@ def local_expansion_probe(M: Polygon, edge_param: tuple[int, float],
     normal as eps decreases.  Ties (multiple exits) resolve to the farthest.
     """
     i, t = edge_param
-    verts = M.vertices
-    if not 0 <= i < len(verts):
+    if not 0 <= i < len(M.array):
         raise ValueError("edge index out of range")
     if not geom2d.TAU < t < 1.0 - geom2d.TAU:
         raise SingularPoint("edge parameter addresses a vertex")
     if eps <= 0:
         raise ValueError("epsilon must be positive")
-    x0, y0 = verts[i]
-    x1, y1 = verts[(i + 1) % len(verts)]
+    (x0, y0), (x1, y1) = M.array[[i, (i + 1) % len(M.array)]].tolist()
     y = (x0 + t * (x1 - x0), y0 + t * (y1 - y0))
     L = math.hypot(x1 - x0, y1 - y0)
     normal = ((y1 - y0) / L, -(x1 - x0) / L)

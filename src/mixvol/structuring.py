@@ -10,6 +10,7 @@ documented resolution) only where a polygon output is required.
 from __future__ import annotations
 
 import functools
+import itertools
 import math
 from dataclasses import dataclass
 from typing import Union
@@ -89,14 +90,14 @@ class StructuringSet:
         object.__setattr__(self, "components", comps)
 
 
-def _component_points(c: Component) -> list[Vec2]:
-    """Generator points of a component (disc handled separately by callers)."""
+def _component_points(c: Component) -> np.ndarray:
+    """Generator points of a component, (n, 2) (disc handled separately by callers)."""
     if isinstance(c, Points):
-        return list(c.pts)
+        return np.array(c.pts)
     if isinstance(c, Segment):
-        return [c.a, c.b]
+        return np.array((c.a, c.b))
     if isinstance(c, Polygon):
-        return list(c.vertices)
+        return c.array
     raise TypeError(type(c).__name__)
 
 
@@ -122,7 +123,7 @@ def support(N: StructuringSet, u):
         if isinstance(c, Disc):
             val = c.center[0] * D[:, 0] + c.center[1] * D[:, 1] + c.radius * norm
         else:  # directions in blocks that keep each product near 2**18 entries
-            P = np.array(_component_points(c))
+            P = _component_points(c)
             rows = max(1, (1 << 18) // len(P))
             val = np.concatenate([(P[:, 0] * D[k:k + rows, :1] + P[:, 1] * D[k:k + rows, 1:])
                                   .max(axis=1) for k in range(0, len(D), rows)])
@@ -137,14 +138,10 @@ def hull(N: StructuringSet) -> ConvexPolygon:
     result underestimates curved hulls by O(r / DISC_RESOLUTION^2).  Raises
     DegenerateHull when the set spans less than two dimensions.
     """
-    pts: list[Vec2] = []
-    for c in N.components:
-        if isinstance(c, Disc):
-            pts.extend(geom2d._vertex_tuple(c.radius * _unit_disc() + c.center))
-        else:
-            pts.extend(_component_points(c))
+    pts = [c.radius * _unit_disc() + c.center if isinstance(c, Disc) else _component_points(c)
+           for c in N.components]
     try:
-        return geom2d.convex_hull(pts)
+        return geom2d.convex_hull(np.concatenate(pts).tolist())
     except DegenerateInput as exc:
         raise DegenerateHull(str(exc)) from exc
 
@@ -156,16 +153,9 @@ def diameter(N: StructuringSet) -> float:
         if isinstance(c, Disc):
             gens.append((c.center, c.radius))
         else:
-            gens.extend((p, 0.0) for p in _component_points(c))
-    best = 0.0
-    for i in range(len(gens)):
-        (p, rp) = gens[i]
-        for j in range(i, len(gens)):
-            (q, rq) = gens[j]
-            d = math.hypot(p[0] - q[0], p[1] - q[1]) + rp + rq
-            if d > best:
-                best = d
-    return best
+            gens.extend((p, 0.0) for p in _component_points(c).tolist())
+    return max(math.hypot(p[0] - q[0], p[1] - q[1]) + rp + rq
+               for (p, rp), (q, rq) in itertools.combinations_with_replacement(gens, 2))
 
 
 def scale(N: StructuringSet, factor: float) -> StructuringSet:
@@ -248,7 +238,7 @@ def to_dict(N: StructuringSet) -> dict:
         elif isinstance(c, Disc):
             comps.append({"type": "disc", "c": list(c.center), "r": c.radius})
         else:
-            comps.append({"type": "polygon", "vertices": [[x, y] for x, y in c.vertices]})
+            comps.append({"type": "polygon", "vertices": c.array.tolist()})
     return {"components": comps}
 
 

@@ -1,9 +1,11 @@
+import ast
 import itertools
 import math
 import pickle
 import tracemalloc
 import warnings
 from fractions import Fraction
+from pathlib import Path
 from unittest import mock
 
 import numpy as np
@@ -226,6 +228,20 @@ def test_kept_array_leaves_equality_hashing_and_pickles_alone(cls):
     R = pickle.loads(pickle.dumps(P))
     assert R == P and hash(R) == hash(P) and R.array.tobytes() == P.array.tobytes()
     assert not R.array.flags.writeable
+    assert hash(P) == hash((P.vertices,))  # the hash of the dataclass with a `vertices` field
+    other = ConvexPolygon if cls is Polygon else Polygon
+    assert P != other(verts) and other(verts) != P
+
+
+def test_only_geom2d_reads_vertices():
+    """A polygon stores one array: outside geom2d, mixvol reads `array`,
+    never the `vertices` tuple built from it."""
+    readers = [f"{path.name}:{node.lineno}"
+               for path in sorted(Path(geom2d.__file__).parent.glob("*.py"))
+               if path.name != "geom2d.py"
+               for node in ast.walk(ast.parse(path.read_text()))
+               if isinstance(node, ast.Attribute) and node.attr == "vertices"]
+    assert readers == []
 
 
 def _regular_star(p, q, r=1.0):
@@ -1663,6 +1679,20 @@ def test_polygon_distance_matches_per_edge_loop_bit_for_bit(make):
     P = make(rng)
     for p in _distance_probes(P.array, rng).tolist():
         assert geom2d.polygon_distance(p, P) == _polygon_distance_reference(p, P)
+
+
+def test_hausdorff_convex_memory_stays_in_blocks():
+    """Two 4096-gons apart: every vertex of each is outside the other, so all
+    2 x 4096 x 4096 (point, edge) pairs are measured, a block at a time."""
+    P, Q = geom2d.regular_disc(4096, 1.0), geom2d.regular_disc(4096, 1.0, (3.0, 0.0))
+    tracemalloc.start()
+    try:
+        d = geom2d.hausdorff_convex(P, Q)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert d == pytest.approx(3.0)
+    assert peak <= 2 * 2 ** 20  # 1.05 MiB; one dense (4096, 4096) float array is 128 MiB
 
 
 def test_hausdorff_convex_matches_per_edge_loop_bit_for_bit():

@@ -7,7 +7,10 @@ import importlib.util
 import json
 from pathlib import Path
 
+import pytest
+
 from mixvol import cli, geom2d
+from mixvol.errors import DegenerateInput
 
 TRACING = Path(__file__).resolve().parent.parent / "perfbench" / "tracing.py"
 
@@ -75,3 +78,19 @@ def test_tracer_sees_the_cli_pool_and_its_callers(tmp_path):
     spans("mixedvol.local_expansion_probe")
     assert not [sid for sid in spans("geom2d.validate")
                 if "mixedvol.local_expansion_probe" in ancestors(sid)]
+
+
+def test_tracer_counts_the_vertices_of_refused_polygons():
+    """The validate span counts `len(polygon.vertices)` after `__post_init__`
+    returns or raises; a refused argument, here the list `convex_hull` passes
+    for collinear points, still gives a count, and the refusal its own error."""
+    tracing = _tracing()
+    tracer = tracing.Tracer()
+    saved = tracer.install()
+    try:
+        with pytest.raises(DegenerateInput):
+            geom2d.convex_hull([(0, 0), (1, 1), (2, 2), (3, 3.000000000001)])
+    finally:
+        tracing.Tracer.uninstall(saved)
+    assert [(name, n, err) for _, name, *_, n, err in tracer.spans] == \
+        [("geom2d.validate", 2, "ValueError"), ("geom2d.convex_hull", 0, "DegenerateInput")]

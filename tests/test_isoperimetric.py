@@ -151,6 +151,19 @@ def test_wulff_square_vertices():
     assert geom2d.hausdorff_convex(W, H) <= 1e-6
 
 
+def test_wulff_directions_match_math_cos_sin(plus_set, monkeypatch):
+    """wulff_shape takes numpy's cos and sin of 2 pi j / n_dirs as columns;
+    they are bit-equal to the `math.cos` / `math.sin` list it once built."""
+    seen = []
+    support = structuring.support
+    monkeypatch.setattr(structuring, "support", lambda N, U: seen.append(U) or support(N, U))
+    for n_dirs in range(16, 721):
+        isoperimetric.wulff_shape(plus_set, n_dirs)
+        angles = [2.0 * math.pi * j / n_dirs for j in range(n_dirs)]
+        want = np.array([(math.cos(th), math.sin(th)) for th in angles])
+        assert seen.pop().tobytes() == want.tobytes(), n_dirs
+
+
 def test_wulff_needs_enough_directions(plus_set):
     with pytest.raises(ValueError):
         isoperimetric.wulff_shape(plus_set, 8)
