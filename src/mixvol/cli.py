@@ -107,13 +107,12 @@ def _load_json(path: str) -> dict:
 def _load_region(path: str, resolution: int):
     """Shape JSON: a polygon or a disc to polygonalize."""
     d = _load_json(path)
-    if "vertices" in d:
+    if isinstance(d, dict) and "vertices" in d:
         return geom2d.polygon_from_dict(d)
-    if "disc" in d:
-        params = d["disc"]
-        return geom2d.regular_disc(resolution, float(params["r"]),
-                                   params.get("c", (0.0, 0.0)))
-    raise ValueError(f"{path}: expected 'vertices' or 'disc'")
+    if isinstance(d, dict) and isinstance(d.get("disc"), dict):
+        disc = structuring.Disc(d["disc"].get("c", (0.0, 0.0)), d["disc"]["r"])
+        return geom2d.regular_disc(resolution, disc.radius, disc.center)
+    raise ValueError(f"{path}: expected 'vertices' or 'disc' (an object with 'r' and 'c')")
 
 
 def _dilation_inputs(cfg: RunConfig):
@@ -377,8 +376,12 @@ def _resolve(args: argparse.Namespace) -> RunConfig:
         overrides = _load_json(args.config)
         if not isinstance(overrides, dict):
             raise ValueError("config file must hold a JSON object")
+    settings = fields(RunConfig)[1:]  # the settings after `command`
+    unknown = sorted(set(overrides) - {f.name for f in settings})
+    if unknown:
+        raise ValueError(f"unknown config key(s): {', '.join(map(repr, unknown))}")
     values = {}
-    for f in fields(RunConfig)[1:]:  # the settings after `command`
+    for f in settings:
         name, flag = f.name, getattr(args, f.name, None)
         if flag is not None:
             values[name] = flag

@@ -30,10 +30,6 @@ class DegenerateHull(MixvolError):
     """Structuring set spans less than two dimensions."""
 
 
-class NegativeScale(MixvolError):
-    """Scaling factor must be nonnegative."""
-
-
 class NonDecreasingSchedule(MixvolError):
     """Epsilon schedules must be strictly decreasing and positive."""
 

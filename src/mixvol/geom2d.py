@@ -15,8 +15,8 @@ polygon: `_convolution` (the indices of the convolution cycle of a polygon
 and a convex chain, which winds positively exactly on their sum and bounds
 it where the polygon is convex; `_minkowski` gathers it), `_union_area` (of
 simple parts and such cycles, over their x-monotone chains), `_ray_exit`,
-`_points_in` (by winding number) and `_distances`.  The public names of the
-last four read a polygon's `array` and call them.
+`_points_in` (by winding number) and `_distances`.  `union_area`,
+`ray_exit` and `hausdorff_convex` read a polygon's `array` and call them.
 `_convex_array` is the check of `ConvexPolygon` on a bare array.
 
 Conventions: polygons are simple, wound counterclockwise, with positive area.
@@ -41,9 +41,12 @@ Vec2 = tuple[float, float]
 
 
 def _as_vec2(p) -> Vec2:
-    if len(p) != 2:
-        raise ValueError(f"a point needs exactly two coordinates: {p!r}")
-    x, y = float(p[0]), float(p[1])
+    try:
+        if len(p) != 2:
+            raise ValueError(f"a point needs exactly two coordinates: {p!r}")
+        x, y = float(p[0]), float(p[1])
+    except (TypeError, KeyError):  # p is no sequence, or a coordinate no number
+        raise ValueError(f"a point needs exactly two coordinates, each a number: {p!r}") from None
     if not (math.isfinite(x) and math.isfinite(y)):
         raise ValueError(f"non-finite coordinate: {p!r}")
     return (x, y)
@@ -90,7 +93,10 @@ def _corners(V: np.ndarray):
 
 def _vertex_array(vertices) -> np.ndarray:
     """Polygon vertices as an (n, 2) float array: finite, with n >= 3."""
-    V = np.asarray(vertices, dtype=float)
+    try:
+        V = np.asarray(vertices, dtype=float)
+    except TypeError:  # a coordinate is no number
+        V = np.empty(0)
     if V.ndim != 2 or V.shape[1] != 2 or len(V) < 3:
         raise ValueError("polygon needs at least 3 vertices, each an (x, y) pair")
     if np.count_nonzero(np.isfinite(V)) < V.size:
@@ -323,12 +329,6 @@ class RegionUnion:
 def area(P: Polygon) -> float:
     """Enclosed area by the shoelace formula (positive for CCW input)."""
     return _signed_area(P.array)
-
-
-def perimeter(P: Polygon) -> float:
-    V = P.array
-    E = _shift(V, 1) - V
-    return sum(np.hypot(E[:, 0], E[:, 1]).tolist())
 
 
 def centroid(P: Polygon) -> Vec2:
@@ -733,21 +733,10 @@ def regular_disc(n: int, r: float, center=(0.0, 0.0)) -> ConvexPolygon:
 # Point queries and distances
 
 
-def point_in_polygon(p, P: Polygon) -> bool:
-    """Nonzero-winding test, which is the even-odd test on a simple polygon;
-    boundary points (`_on_edges`) count as inside."""
-    p = np.array([_as_vec2(p)])
-    return bool(_on_edges(p, P.array).any() or _points_in(p, P.array)[0])
-
-
-def points_in_polygon(pts: np.ndarray, P: Polygon) -> np.ndarray:
-    """Vectorized nonzero-winding test for an (N, 2) array (boundary not
-    special-cased); on a simple polygon it is the even-odd test."""
-    return _points_in(pts, P.array)
-
-
 def _points_in(pts: np.ndarray, V: np.ndarray) -> np.ndarray:
-    """`points_in_polygon` for the polygon with vertex array V.
+    """Nonzero-winding test of the points pts, (m, 2), against the polygon
+    with vertex array V (boundary not special-cased); on a simple polygon
+    it is the even-odd test.
 
     A point (x, y) is inside when the edges (x0, y0) -> (x1, y1) that
     straddle its y, (y0 > y) != (y1 > y), and cross its row to its right,
@@ -793,7 +782,7 @@ def _on_edges(pts: np.ndarray, V: np.ndarray) -> np.ndarray:
 
 def _distances(pts: np.ndarray, V: np.ndarray) -> np.ndarray:
     """Distance from each point of pts, (m, 2), to the filled polygon V: 0
-    where `point_in_polygon` holds, else the least over edges a -> b of
+    where `_points_in` or `_on_edges` holds, else the least over edges a -> b of
     |p - a - t (b - a)|, t in [0, 1] nearest p, rounded as the per-edge loop
     did (np.hypot screens, math.hypot, which can differ in the last bit,
     decides near the least), for max(1, `_PAIR_BLOCK` // edges) points at once."""
@@ -814,11 +803,6 @@ def _distances(pts: np.ndarray, V: np.ndarray) -> np.ndarray:
         best = np.minimum.reduceat(d, np.searchsorted(i, np.arange(len(k))))
         out[k] = np.where(_on_edges(pts[k], V).any(1), 0.0, best)
     return out
-
-
-def polygon_distance(p, P: Polygon) -> float:
-    """Distance from a point to the (filled) polygon; 0 inside."""
-    return float(_distances(np.array([_as_vec2(p)]), P.array)[0])
 
 
 def hausdorff_convex(P: ConvexPolygon, Q: ConvexPolygon) -> float:

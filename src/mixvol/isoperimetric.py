@@ -143,11 +143,10 @@ def iso_ratio(S: Polygon, b: float) -> float:
     return b / math.sqrt(a)
 
 
-def random_convex_polygon(rng: np.random.Generator, n_lo: int = 5,
-                          n_hi: int = 12) -> ConvexPolygon:
-    """Convex hull of n uniform points in a disc, n drawn from [n_lo, n_hi]."""
+def random_convex_polygon(rng: np.random.Generator) -> ConvexPolygon:
+    """Convex hull of n uniform points in a disc, n drawn from [5, 12]."""
     while True:
-        n = int(rng.integers(n_lo, n_hi + 1))
+        n = int(rng.integers(5, 12 + 1))
         r = np.sqrt(rng.uniform(0.05, 1.0, size=n))
         th = rng.uniform(0.0, 2.0 * math.pi, size=n)
         pts = np.stack([r * np.cos(th), r * np.sin(th)], axis=1)
@@ -157,14 +156,13 @@ def random_convex_polygon(rng: np.random.Generator, n_lo: int = 5,
             continue  # collinear draw; extremely rare
 
 
-def shape_suite(seed: int = 2024, count: int = 50,
-                reference_area: float = 1.0) -> tuple[ConvexPolygon, ...]:
-    """Deterministic comparison suite: random convex hulls rescaled to one area."""
+def shape_suite(seed: int = 2024, count: int = 50) -> tuple[ConvexPolygon, ...]:
+    """Deterministic comparison suite: random convex hulls rescaled to unit area."""
     rng = np.random.default_rng(seed)
     shapes = []
     for _ in range(count):
         P = random_convex_polygon(rng)
-        s = math.sqrt(reference_area / geom2d.area(P))
+        s = math.sqrt(1.0 / geom2d.area(P))
         shapes.append(geom2d.scale_polygon(P, s))
     return tuple(shapes)
 

@@ -58,10 +58,6 @@ class LatticeSet:
     def __iter__(self):
         return iter(sorted(self.points))
 
-    def translate(self, u: Sequence[int]) -> "LatticeSet":
-        u = tuple(int(c) for c in u)
-        return LatticeSet(tuple(c + du for c, du in zip(p, u)) for p in self.points)
-
     def to_list(self) -> list[list[int]]:
         return [list(p) for p in sorted(self.points)]
 
@@ -242,11 +238,6 @@ class _BoundaryState:
         if own > 0:
             cnt[c] = own
             self._enter(c)
-
-    def delta(self, rem: int, add: int, mode: str) -> int:
-        """Boundary change of moving ``rem`` (in S) to ``add`` (in the layer),
-        read from the counts without changing the state."""
-        return self.edge_delta(rem, add) if mode == EDGE else self.vertex_delta(rem, add)
 
     def edge_delta(self, rem: int, add: int) -> int:
         cnt = self.cnt
@@ -449,8 +440,7 @@ def _greedy_init(n: int, mode: str) -> list[Cell]:
 
 
 def solve_heuristic(G: PLGGraph, n: int, mode: str, seed: int = 0,
-                    iterations: int = 100_000, t_start: float = 2.0,
-                    t_end: float = 0.01) -> OptResult:
+                    iterations: int = 100_000) -> OptResult:
     """Simulated annealing over single-cell relocations.
 
     Starts from a compact greedy configuration, relocates one cell per step
@@ -476,8 +466,9 @@ def solve_heuristic(G: PLGGraph, n: int, mode: str, seed: int = 0,
     current = best = state.boundary(mode)
     cell_list = sorted(state.cells)
     best_cells = tuple(cell_list)
-    cool = (t_end / t_start) ** (1.0 / max(1, steps - 1)) if steps else 1.0
-    T = t_start
+    # the temperature cools geometrically from 2.0 to 0.01 over the steps
+    cool = (0.01 / 2.0) ** (1.0 / max(1, steps - 1)) if steps else 1.0
+    T = 2.0
     score = state.edge_delta if mode == EDGE else state.vertex_delta
     layer, getrandbits, kn = state.layer, rng.getrandbits, n.bit_length()
     for _ in range(steps):
@@ -574,14 +565,12 @@ def _region_samples(P: Polygon, spacing: float) -> np.ndarray:
 # Serialization
 
 
-def plg_to_dict(G: PLGGraph) -> dict:
-    return {"dim": G.dimension, "edges": [list(v) for v in G.edge_vectors]}
-
-
 def plg_from_dict(d: dict) -> PLGGraph:
-    if "edges" not in d:
-        raise ValueError("missing 'edges'")
-    G = validate_plg([tuple(v) for v in d["edges"]])
-    if "dim" in d and int(d["dim"]) != G.dimension:
+    edges = d.get("edges") if isinstance(d, dict) else None
+    if not isinstance(edges, list) or not all(
+            isinstance(v, list) and all(isinstance(c, (int, float)) for c in v) for v in edges):
+        raise ValueError("a graph needs 'edges', a list of integer vectors")
+    G = validate_plg([tuple(v) for v in edges])
+    if "dim" in d and d["dim"] != G.dimension:
         raise ValueError("declared dimension does not match edge vectors")
     return G

@@ -336,7 +336,7 @@ def d_grid(M: Polygon, N: StructuringSet, schedule: Sequence[float],
     """Finite-difference estimate with volumes from grid sampling (d=2).
 
     Deliberately avoids union_area: each |M+eN| is a cell count, so this is a
-    coarse but independent check of the exact route (accuracy ~ h * perimeter).
+    coarse but independent check of the exact route (accuracy ~ h * boundary length).
     The grid is taken from the inputs: M's box, grown by 2h and along each
     axis by the support of eps[0] * N, where that is positive, so it holds
     M + e*N for every 0 <= e <= eps[0].
@@ -374,24 +374,21 @@ def box_distance(lo: Sequence[float], hi: Sequence[float]) -> Callable:
 
 def d_grid_distance_field(distance_fn: Callable,
                           bounds: Sequence[tuple[float, float]], h: float,
-                          schedule: Sequence[float],
-                          ball_radius: float = 1.0,
-                          fit_degree: int = 2) -> DEstimate:
-    """Dilation derivative for M + eps*(ball) from a distance field of M.
+                          schedule: Sequence[float]) -> DEstimate:
+    """Dilation derivative for M + eps*(unit ball) from a distance field of M.
 
     Works in any dimension the bounds describe (the d=3 sanity path): the
-    dilated indicator is distance(x) <= eps * ball_radius and volumes are
-    cell counts.  Grid quotients carry staircase noise that pointwise
-    extrapolation would amplify, so the limit is read off as the constant
-    term of a least-squares polynomial in eps (the quotient of a smooth
-    convex dilation is polynomial of degree d-1).  The error estimate is the
-    shift of that constant when the fit degree is raised by one.
+    dilated indicator is distance(x) <= eps and volumes are cell counts.
+    Grid quotients carry staircase noise that pointwise extrapolation would
+    amplify, so the limit is read off as the constant term of a least-squares
+    polynomial of degree 2 in eps (the quotient of a smooth convex dilation
+    is polynomial of degree d-1).  The error estimate is the shift of that
+    constant when the fit degree is raised by one.
     """
     eps = _check_schedule(schedule)
-    if len(eps) < fit_degree + 3:
+    if len(eps) < 5:
         raise NonDecreasingSchedule(
-            f"schedule needs at least {fit_degree + 3} epsilons for a "
-            f"degree-{fit_degree} fit")
+            "schedule needs at least 5 epsilons for a degree-2 fit")
     d = len(bounds)
     pts = geom2d._cell_centers(bounds, h)[1]
     dist = np.asarray(distance_fn(pts), dtype=float)
@@ -399,12 +396,12 @@ def d_grid_distance_field(distance_fn: Callable,
     base = float((dist <= 0.0).sum()) * cellvol
     quotients = []
     for e in eps:
-        v = float((dist <= e * ball_radius).sum()) * cellvol
+        v = float((dist <= e).sum()) * cellvol
         quotients.append((v - base) / e)
     x = np.array(eps)
     q = np.array(quotients)
-    value = float(np.polynomial.polynomial.polyfit(x, q, fit_degree)[0])
-    refined = float(np.polynomial.polynomial.polyfit(x, q, fit_degree + 1)[0])
+    value = float(np.polynomial.polynomial.polyfit(x, q, 2)[0])
+    refined = float(np.polynomial.polynomial.polyfit(x, q, 3)[0])
     return DEstimate(value, FINITE_DIFFERENCE, eps, tuple(quotients),
-                     extrapolation_order=fit_degree,
+                     extrapolation_order=2,
                      error_estimate=abs(value - refined), dimension=d)

@@ -1,16 +1,15 @@
 """Structuring sets: finite unions of points, segments, polygons, and discs.
 
 A structuring set is the nonconvex "probe" added in Minkowski dilations.  It
-is represented exactly by its generating components; support values, hulls,
-diameters, and scalings are all computed from the generators without any
-sampling.  Discs are the one curved component and get polygonalized (at a
-documented resolution) only where a polygon output is required.
+is represented exactly by its generating components; support values and
+hulls are computed from the generators without any sampling.  Discs are
+the one curved component and get polygonalized (at a documented
+resolution) only where a polygon output is required.
 """
 
 from __future__ import annotations
 
 import functools
-import itertools
 import math
 from dataclasses import dataclass
 from typing import Union
@@ -18,7 +17,7 @@ from typing import Union
 import numpy as np
 
 from . import geom2d
-from .errors import DegenerateHull, DegenerateInput, NegativeScale, ZeroDirection
+from .errors import DegenerateHull, DegenerateInput, ZeroDirection
 from .geom2d import ConvexPolygon, Polygon, Vec2, _as_vec2
 
 #: Polygonalization resolution for disc components when a polygon is required.
@@ -65,7 +64,10 @@ class Disc:
 
     def __post_init__(self):
         object.__setattr__(self, "center", _as_vec2(self.center))
-        r = float(self.radius)
+        try:
+            r = float(self.radius)
+        except TypeError:  # not a number: refused below, as a nan is
+            r = math.nan
         if not (math.isfinite(r) and r > 0):
             raise ValueError("disc radius must be positive and finite")
         object.__setattr__(self, "radius", r)
@@ -146,84 +148,6 @@ def hull(N: StructuringSet) -> ConvexPolygon:
         raise DegenerateHull(str(exc)) from exc
 
 
-def diameter(N: StructuringSet) -> float:
-    """Exact diameter: max pairwise distance between generators, discs as center+radius."""
-    gens: list[tuple[Vec2, float]] = []
-    for c in N.components:
-        if isinstance(c, Disc):
-            gens.append((c.center, c.radius))
-        else:
-            gens.extend((p, 0.0) for p in _component_points(c).tolist())
-    return max(math.hypot(p[0] - q[0], p[1] - q[1]) + rp + rq
-               for (p, rp), (q, rq) in itertools.combinations_with_replacement(gens, 2))
-
-
-def scale(N: StructuringSet, factor: float) -> StructuringSet:
-    """Homothety x -> factor*x.  factor == 0 collapses to the origin point set."""
-    factor = float(factor)
-    if factor < 0:
-        raise NegativeScale("scale factor must be nonnegative")
-    if factor == 0.0:
-        return StructuringSet((Points(((0.0, 0.0),)),))
-    out: list[Component] = []
-    for c in N.components:
-        if isinstance(c, Points):
-            out.append(Points(tuple((x * factor, y * factor) for x, y in c.pts)))
-        elif isinstance(c, Segment):
-            out.append(Segment((c.a[0] * factor, c.a[1] * factor),
-                               (c.b[0] * factor, c.b[1] * factor)))
-        elif isinstance(c, Disc):
-            out.append(Disc((c.center[0] * factor, c.center[1] * factor),
-                            c.radius * factor))
-        else:
-            out.append(geom2d.scale_polygon(c, factor))
-    return StructuringSet(tuple(out))
-
-
-def translate_set(N: StructuringSet, t) -> StructuringSet:
-    tx, ty = _as_vec2(t)
-    out: list[Component] = []
-    for c in N.components:
-        if isinstance(c, Points):
-            out.append(Points(tuple((x + tx, y + ty) for x, y in c.pts)))
-        elif isinstance(c, Segment):
-            out.append(Segment((c.a[0] + tx, c.a[1] + ty), (c.b[0] + tx, c.b[1] + ty)))
-        elif isinstance(c, Disc):
-            out.append(Disc((c.center[0] + tx, c.center[1] + ty), c.radius))
-        else:
-            out.append(geom2d.translate(c, (tx, ty)))
-    return StructuringSet(tuple(out))
-
-
-def recentered(N: StructuringSet) -> StructuringSet:
-    """Translate so the measure-weighted centroid sits at the origin.
-
-    Centroids are averaged over the components of the highest dimension
-    present (areas beat lengths beat point counts).  This is an explicit
-    opt-in; no operation recenters implicitly.
-    """
-    rows: list[tuple[int, float, Vec2]] = []  # (dim, weight, centroid)
-    for c in N.components:
-        if isinstance(c, Disc):
-            rows.append((2, math.pi * c.radius ** 2, c.center))
-        elif isinstance(c, Polygon):
-            rows.append((2, geom2d.area(c), geom2d.centroid(c)))
-        elif isinstance(c, Segment):
-            L = math.hypot(c.b[0] - c.a[0], c.b[1] - c.a[1])
-            mid = ((c.a[0] + c.b[0]) / 2, (c.a[1] + c.b[1]) / 2)
-            rows.append((1, L, mid) if L > geom2d.TAU else (0, 1.0, mid))
-        else:
-            k = len(c.pts)
-            cx = sum(p[0] for p in c.pts) / k
-            cy = sum(p[1] for p in c.pts) / k
-            rows.append((0, float(k), (cx, cy)))
-    top = max(dim for dim, _, _ in rows)
-    wsum = sum(w for dim, w, _ in rows if dim == top)
-    cx = sum(w * c[0] for dim, w, c in rows if dim == top) / wsum
-    cy = sum(w * c[1] for dim, w, c in rows if dim == top) / wsum
-    return translate_set(N, (-cx, -cy))
-
-
 # ---------------------------------------------------------------------------
 # Serialization
 
@@ -243,15 +167,22 @@ def to_dict(N: StructuringSet) -> dict:
 
 
 def from_dict(d: dict) -> StructuringSet:
+    """The set `to_dict` wrote; ValueError (or KeyError, for a missing key)
+    where `d` is not of that shape."""
+    items = d.get("components") if isinstance(d, dict) else None
+    if not isinstance(items, list) or not all(isinstance(item, dict) for item in items):
+        raise ValueError("a structuring set is {'components': [...]}, a list of objects")
     comps: list[Component] = []
-    for item in d["components"]:
+    for item in items:
         kind = item["type"]
         if kind == "points":
-            comps.append(Points(tuple(map(tuple, item["pts"]))))
+            if not isinstance(item["pts"], list):
+                raise ValueError(f"'pts' must be a list of points: {item['pts']!r}")
+            comps.append(Points(tuple(item["pts"])))
         elif kind == "segment":
-            comps.append(Segment(tuple(item["a"]), tuple(item["b"])))
+            comps.append(Segment(item["a"], item["b"]))
         elif kind == "disc":
-            comps.append(Disc(tuple(item["c"]), item["r"]))
+            comps.append(Disc(item["c"], item["r"]))
         elif kind == "polygon":
             comps.append(geom2d.polygon_from_dict(item))
         else:

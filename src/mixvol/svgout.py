@@ -16,23 +16,20 @@ def _fmt(x: float) -> str:
     return "%.17g" % float(x)
 
 
-def polygon_element(vertices: Sequence[Vec2], stroke: str = "#1f77b4",
-                    fill: str = "none", width: float = 0.01) -> str:
+def polygon_element(vertices: Sequence[Vec2], stroke: str = "#1f77b4") -> str:
     pts = " ".join(f"{_fmt(x)},{_fmt(y)}" for x, y in vertices)
-    return (f'<polygon points="{pts}" fill="{fill}" stroke="{stroke}" '
-            f'stroke-width="{_fmt(width)}" />')
+    return (f'<polygon points="{pts}" fill="none" stroke="{stroke}" '
+            f'stroke-width="{_fmt(0.01)}" />')
 
 
-def points_element(points: Iterable[Vec2], radius: float = 0.02,
-                   fill: str = "#d62728") -> str:
+def points_element(points: Iterable[Vec2], radius: float = 0.02) -> str:
     circles = [f'<circle cx="{_fmt(x)}" cy="{_fmt(y)}" r="{_fmt(radius)}" '
-               f'fill="{fill}" />' for x, y in points]
+               f'fill="#d62728" />' for x, y in points]
     return "\n".join(circles)
 
 
-def document(elements: Sequence[str], bounds: tuple[float, float, float, float],
-             size: int = 480) -> str:
-    """Wrap elements in an <svg> with a y-flipped viewBox around `bounds`.
+def document(elements: Sequence[str], bounds: tuple[float, float, float, float]) -> str:
+    """Wrap elements in an <svg>, 480 wide, with a y-flipped viewBox around `bounds`.
 
     `bounds` is (xmin, ymin, xmax, ymax) in math coordinates; a 5% margin is
     added.  The group transform flips y so inputs stay in math orientation.
@@ -44,6 +41,7 @@ def document(elements: Sequence[str], bounds: tuple[float, float, float, float],
         raise ValueError("bounds must have positive extent")
     m = 0.05 * max(w, h)
     vb = (xmin - m, -(ymax + m), w + 2 * m, h + 2 * m)
+    size = 480
     lines = ['<?xml version="1.0" encoding="UTF-8"?>',
              f'<svg xmlns="http://www.w3.org/2000/svg" version="1.1" '
              f'width="{size}" height="{math.ceil(size * vb[3] / vb[2])}" '

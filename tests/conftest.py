@@ -6,11 +6,12 @@ non-test modules it has loaded, `src/mixvol` among them, and draws some
 values from that pool.  So adding or removing a numeric literal in
 `src/mixvol` can hand a test new examples, though no test changed (short
 string literals join the pool too, but only string draws read them, and
-this suite makes none).  To check a change, compare
-`hypothesis.internal.constants_ast.constants_from_module(m)` over the loaded
-`mixvol` modules m, before and after it: where the numbers agree, so do the
-draws.  Writing a value as an int (1 for 1.0) keeps it out of the pool,
-which skips ints between -100 and 100.
+this suite makes none).  `test_surface.py` pins the numbers of
+`hypothesis.internal.constants_ast.constants_from_module(m)` over the
+`mixvol` modules m: where they agree, so do the draws, and a change that
+moves them fails there, naming the literal that came or went.  Writing a
+value as an int (1 for 1.0) keeps it out of the pool, which skips ints
+between -100 and 100.
 """
 
 import math

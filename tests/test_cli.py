@@ -168,6 +168,36 @@ def test_malformed_json(tmp_path, files, capsys):
     assert "error:" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("flag, bad", [
+    ("--n", [1, 2]),
+    ("--n", {"components": 5}),
+    ("--n", {"components": [5]}),
+    ("--n", {"components": [{"type": "points", "pts": 5}]}),
+    ("--n", {"components": [{"type": "points", "pts": [5]}]}),
+    ("--n", {"components": [{"type": "segment", "a": 5, "b": [1, 0]}]}),
+    ("--n", {"components": [{"type": "disc", "c": [0, 0], "r": [1]}]}),
+    ("--n", {"components": [{"type": "polygon", "vertices": [[0, {}], [1, 0], [1, 1]]}]}),
+    ("--m", 5),
+    ("--m", {"disc": 5}),
+    ("--m", {"disc": {"r": [1]}}),
+    ("--graph", 5),
+    ("--graph", {"edges": 5}),
+    ("--graph", {"edges": [5]}),
+    ("--graph", {"edges": [[1, [0]], [0, 1]]}),
+    ("--graph", {"dim": [2], "edges": [[1, 0], [0, 1]]}),
+], ids=lambda v: v if isinstance(v, str) else json.dumps(v))
+def test_json_of_wrong_shape_exits_2(tmp_path, files, capsys, flag, bad):
+    # valid JSON that is not a shape, set or graph is bad input, not a fault
+    if flag == "--graph":
+        argv = ["lattice", "--graph", files("g.json", bad), "--n", "3"]
+    else:
+        m, n = (bad, PLUS) if flag == "--m" else (SQUARE, bad)
+        argv = ["estimate", "--m", files("m.json", m), "--n", files("n.json", n)]
+    assert cli.main([*argv, "--out-dir", str(tmp_path)]) == 2
+    assert "error:" in capsys.readouterr().err
+    assert not list(tmp_path.glob("*.csv"))
+
+
 def test_unknown_shape_schema(tmp_path, files):
     rc = cli.main(["estimate", "--m", files("m.json", {"blob": 1}),
                    "--n", files("n.json", PLUS), "--out-dir", str(tmp_path)])
@@ -693,6 +723,33 @@ def test_config_value_of_wrong_json_type(tmp_path, files, capsys, command, confi
     assert rc == 2
     assert f"error: config {next(iter(config))!r} must be" in capsys.readouterr().err
     assert not list(tmp_path.glob("*.csv"))
+
+
+@pytest.mark.parametrize("config", [
+    {"eps_strat": 0.2},
+    {"eps-start": 0.2},
+    {"command": "series"},
+    {"eps_start": 0.2, "tolerence": 0.1, "a": 1},
+], ids=json.dumps)
+def test_config_key_that_names_no_setting(tmp_path, files, capsys, config):
+    # a misspelt key exits 2 and is named, rather than running with the default
+    cfg = files("config.json", config)
+    rc = cli.main(["estimate", "--m", files("m.json", SQUARE), "--n", files("n.json", PLUS),
+                   "--config", cfg, "--out-dir", str(tmp_path)])
+    assert rc == 2
+    unknown = ", ".join(repr(k) for k in sorted(config) if k != "eps_start")
+    assert f"error: unknown config key(s): {unknown}\n" in capsys.readouterr().err
+    assert not list(tmp_path.glob("*.csv"))
+
+
+def test_config_keys_of_other_commands_are_accepted(tmp_path, files):
+    # RunConfig is shared, so one config file can serve every command
+    cfg = files("config.json", {"eps_levels": 5, "seed": 3, "graph": "g.json", "degree": 4,
+                                "mode": "vertex", "edge": 1, "t": 0.25, "n_dirs": 720})
+    rc = cli.main(["estimate", "--m", files("m.json", SQUARE), "--n", files("n.json", PLUS),
+                   "--config", cfg, "--out-dir", str(tmp_path)])
+    assert rc == 0
+    assert len(csv_rows(tmp_path / "quotients.csv")[1]) == 5
 
 
 @pytest.mark.parametrize("config", [

@@ -387,11 +387,11 @@ def test_hull_random_points_extremality():
     pset = set(pts)
     assert set(H.vertices) <= pset
     # boundary-inclusive containment for every input point
-    assert all(geom2d.point_in_polygon(p, H) for p in pts)
+    assert all(_point_in_polygon_reference(p, H) for p in pts)
     # every hull vertex is genuinely extreme: dropping it shrinks the hull
     for v in H.vertices:
         H2 = geom2d.convex_hull([p for p in pts if p != v])
-        assert not geom2d.point_in_polygon(v, H2)
+        assert not _point_in_polygon_reference(v, H2)
 
 
 def test_hull_idempotent():
@@ -473,8 +473,7 @@ def test_area_disc_4096(disc_4096):
         2048 * math.sin(2 * math.pi / 4096), rel=1e-12)
 
 
-def test_perimeter_and_centroid(unit_square):
-    assert geom2d.perimeter(unit_square) == pytest.approx(4.0)
+def test_centroid(unit_square):
     assert geom2d.centroid(unit_square) == pytest.approx((0.5, 0.5))
 
 
@@ -1396,7 +1395,7 @@ def test_grid_volume_error_bound_holds():
     rng = np.random.default_rng(7)
     for _ in range(20):
         P = random_convex(rng, n=9)
-        f = lambda pts: geom2d.points_in_polygon(pts, P)
+        f = lambda pts: geom2d._points_in(pts, P.array)
         est, bound = geom2d.grid_volume(f, ((-1.1, 1.1), (-1.1, 1.1)), 0.02)
         assert abs(est - geom2d.area(P)) <= bound
 
@@ -1492,12 +1491,13 @@ def test_regular_disc_rejects_bad_centre(c):
 
 
 def test_point_in_polygon(unit_square):
-    assert geom2d.point_in_polygon((0.5, 0.5), unit_square)
-    assert not geom2d.point_in_polygon((1.5, 0.5), unit_square)
+    pts = np.array([(0.5, 0.5), (1.5, 0.5)])
+    assert geom2d._points_in(pts, unit_square.array).tolist() == [True, False]
 
 
 def _point_in_polygon_reference(p, P):
-    """The even-odd loop with its on-edge test that point_in_polygon replaced."""
+    """The even-odd loop with its on-edge test that `_points_in` and
+    `_on_edges` replaced."""
     x, y = p
     verts = P.vertices
     inside = False
@@ -1526,9 +1526,9 @@ def test_point_in_polygon_matches_even_odd_loop():
         V = np.array(P.vertices)
         t = rng.uniform(0, 1, size=(len(V), 1))
         on_edges = V + t * (np.roll(V, -1, axis=0) - V)
-        for p in np.concatenate([rng.uniform(-1.2, 1.2, size=(300, 2)), V, on_edges]):
-            p = tuple(p.tolist())
-            assert geom2d.point_in_polygon(p, P) == _point_in_polygon_reference(p, P)
+        pts = np.concatenate([rng.uniform(-1.2, 1.2, size=(300, 2)), V, on_edges])
+        inside = geom2d._on_edges(pts, P.array).any(1) | geom2d._points_in(pts, P.array)
+        assert inside.tolist() == [_point_in_polygon_reference(p, P) for p in pts.tolist()]
 
 
 def _points_in_reference(pts, V):
@@ -1587,10 +1587,10 @@ def test_points_in_matches_per_edge_loop(V):
 
 
 def test_polygon_distance(unit_square):
-    assert geom2d.polygon_distance((0.5, 0.5), unit_square) == 0.0
-    assert geom2d.polygon_distance((2.0, 0.5), unit_square) == pytest.approx(1.0)
-    assert geom2d.polygon_distance((2.0, 2.0), unit_square) == \
-        pytest.approx(math.sqrt(2))
+    d = geom2d._distances(np.array([(0.5, 0.5), (2.0, 0.5), (2.0, 2.0)]), unit_square.array)
+    assert d[0] == 0.0
+    assert d[1] == pytest.approx(1.0)
+    assert d[2] == pytest.approx(math.sqrt(2))
 
 
 def test_hausdorff_convex(unit_square):
@@ -1612,7 +1612,7 @@ def _point_segment_distance_reference(p: tuple, a: tuple, b: tuple) -> float:
 
 
 def _polygon_distance_reference(p, P):
-    """The per-edge loop polygon_distance replaced: 0 where the even-odd
+    """The per-edge loop `_distances` replaced: 0 where the even-odd
     reference with its on-edge test holds, else the least point-segment
     distance over the edges."""
     p = (float(p[0]), float(p[1]))
@@ -1677,8 +1677,9 @@ _DISTANCE_POLYGONS = [
 def test_polygon_distance_matches_per_edge_loop_bit_for_bit(make):
     rng = np.random.default_rng(29)
     P = make(rng)
-    for p in _distance_probes(P.array, rng).tolist():
-        assert geom2d.polygon_distance(p, P) == _polygon_distance_reference(p, P)
+    pts = _distance_probes(P.array, rng)
+    assert geom2d._distances(pts, P.array).tolist() == \
+        [_polygon_distance_reference(p, P) for p in pts.tolist()]
 
 
 def test_hausdorff_convex_memory_stays_in_blocks():

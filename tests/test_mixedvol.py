@@ -1019,5 +1019,4 @@ def test_d_grid_distance_field_cube():
 def test_d_grid_distance_field_needs_points():
     dist = mixedvol.box_distance((0, 0), (1, 1))
     with pytest.raises(NonDecreasingSchedule):
-        mixedvol.d_grid_distance_field(dist, ((-0.2, 1.2),) * 2, 0.05,
-                                       (0.2, 0.1, 0.05), fit_degree=2)
+        mixedvol.d_grid_distance_field(dist, ((-0.2, 1.2),) * 2, 0.05, (0.2, 0.1, 0.05))

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from mixvol import geom2d, structuring
-from mixvol.errors import DegenerateHull, NegativeScale, ZeroDirection
+from mixvol.errors import DegenerateHull, ZeroDirection
 from mixvol.structuring import Disc, Points, Segment, StructuringSet
 
 
@@ -174,77 +174,6 @@ def test_hull_square_vertices():
     N = StructuringSet((Points(((0, 0), (1, 0), (1, 1), (0, 1))),))
     H = structuring.hull(N)
     assert set(H.vertices) == {(0.0, 0.0), (1.0, 0.0), (1.0, 1.0), (0.0, 1.0)}
-
-
-def test_diameter_plus(plus_set):
-    assert structuring.diameter(plus_set) == 2.0
-
-
-def test_diameter_disc():
-    assert structuring.diameter(StructuringSet((Disc((3, -2), 1.0),))) == 2.0
-
-
-def test_diameter_point():
-    assert structuring.diameter(StructuringSet((Points(((4, 5),)),))) == 0.0
-
-
-def test_diameter_matches_hull():
-    N = StructuringSet((
-        Segment((-1, 0.2), (1, 0)),
-        Points(((0.3, 0.9), (-0.6, -0.8), (0.1, 0.1))),
-    ))
-    H = structuring.hull(N)
-    hd = structuring.diameter(StructuringSet((H,)))
-    assert structuring.diameter(N) == pytest.approx(hd, abs=1e-12)
-
-
-def test_diameter_matches_hull_with_disc():
-    N = mixed_set()
-    H = structuring.hull(N)  # disc polygonalized, so only near-equality
-    hd = structuring.diameter(StructuringSet((H,)))
-    assert structuring.diameter(N) == pytest.approx(hd, abs=1e-6)
-
-
-def test_scale_half(plus_set):
-    S = structuring.scale(plus_set, 0.5)
-    seg = S.components[0]
-    assert seg.a == (-0.5, 0.0) and seg.b == (0.5, 0.0)
-    for th in np.linspace(0.1, 6.0, 25):
-        u = (math.cos(th), math.sin(th))
-        assert structuring.support(S, u) == pytest.approx(
-            0.5 * structuring.support(plus_set, u), rel=1e-12)
-
-
-def test_scale_identity(plus_set):
-    assert structuring.scale(plus_set, 1.0) == plus_set
-
-
-def test_scale_zero(plus_set):
-    S = structuring.scale(plus_set, 0.0)
-    assert structuring.diameter(S) == 0.0
-    assert structuring.support(S, (0.37, -0.92)) == 0.0
-
-
-def test_scale_negative(plus_set):
-    with pytest.raises(NegativeScale):
-        structuring.scale(plus_set, -0.1)
-
-
-def test_scale_disc_radius():
-    N = StructuringSet((Disc((2, 0), 1.0),))
-    S = structuring.scale(N, 0.25)
-    d = S.components[0]
-    assert d.center == (0.5, 0.0)
-    assert d.radius == 0.25
-
-
-def test_recentered(plus_set):
-    shifted = structuring.translate_set(plus_set, (3.0, -1.0))
-    back = structuring.recentered(shifted)
-    for th in np.linspace(0.0, 6.28, 30):
-        u = (math.cos(th), math.sin(th))
-        assert structuring.support(back, u) == pytest.approx(
-            structuring.support(plus_set, u), abs=1e-9)
 
 
 def test_json_round_trip():
