@@ -11,7 +11,9 @@ digits so every emitted value re-parses to the same float.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import csv
+import functools
 import json
 import math
 import os
@@ -104,22 +106,39 @@ def _load_json(path: str) -> dict:
         return json.load(fh)
 
 
+@contextlib.contextmanager
+def _reading(path: str):
+    """Reports a key missing from the JSON of the file at `path` as bad input
+    that names the file and the key."""
+    try:
+        yield
+    except KeyError as exc:
+        raise ValueError(f"{path}: missing key {exc.args[0]!r}") from None
+
+
 def _load_region(path: str, resolution: int):
     """Shape JSON: a polygon or a disc to polygonalize."""
     d = _load_json(path)
     if isinstance(d, dict) and "vertices" in d:
         return geom2d.polygon_from_dict(d)
     if isinstance(d, dict) and isinstance(d.get("disc"), dict):
-        disc = structuring.Disc(d["disc"].get("c", (0.0, 0.0)), d["disc"]["r"])
+        with _reading(path):
+            disc = structuring.Disc(d["disc"].get("c", (0.0, 0.0)), d["disc"]["r"])
         return geom2d.regular_disc(resolution, disc.radius, disc.center)
     raise ValueError(f"{path}: expected 'vertices' or 'disc' (an object with 'r' and 'c')")
+
+
+def _load_set(path: str) -> structuring.StructuringSet:
+    """Structuring set JSON."""
+    with _reading(path):
+        return structuring.from_dict(_load_json(path))
 
 
 def _dilation_inputs(cfg: RunConfig):
     """M and N of a dilation command (estimate, series, probe)."""
     if not cfg.m or not cfg.n:
         raise ValueError(f"{cfg.command} needs --m and --n")
-    return _load_region(cfg.m, cfg.resolution), structuring.from_dict(_load_json(cfg.n))
+    return _load_region(cfg.m, cfg.resolution), _load_set(cfg.n)
 
 
 def _workers() -> int:
@@ -260,7 +279,7 @@ def cmd_lattice(cfg: RunConfig) -> int:
 def cmd_shapes(cfg: RunConfig) -> int:
     if not cfg.n:
         raise ValueError("shapes needs --n (structuring set JSON)")
-    N = structuring.from_dict(_load_json(cfg.n))
+    N = _load_set(cfg.n)
     segs = tuple((c.a, c.b) for c in N.components
                  if isinstance(c, structuring.Segment))
     if not segs:
@@ -314,7 +333,10 @@ _COMMANDS = {
 # Argument handling
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
+    """The one parser of the process, built on first use (not at import):
+    `parse_args` leaves it as it was, so every `main` call shares it."""
     parser = argparse.ArgumentParser(
         prog="mixvol",
         description="Dilation derivatives, limit shapes, and discrete "

@@ -819,19 +819,28 @@ def ray_exit(origin, direction, region: RegionUnion) -> float:
 
 
 def _ray_exit(origin, direction, parts: Sequence[np.ndarray]) -> float:
-    """`ray_exit` for the region whose parts have the vertex arrays `parts`."""
+    """`ray_exit` for the region whose parts have the vertex arrays `parts`:
+    one pass over the edges of all parts, each ring closed by `nxt` as in
+    `_sweep_area`, on contiguous coordinate columns."""
     ox, oy = _as_vec2(origin)
     dx, dy = _as_vec2(direction)
-    best = 0.0
-    for A in parts:
-        E = _shift(A, 1) - A
-        denom = dx * E[:, 1] - dy * E[:, 0]
-        crossing = np.abs(denom) > TAU
-        A, E, denom = A[crossing], E[crossing], denom[crossing]
-        s = ((A[:, 0] - ox) * E[:, 1] - (A[:, 1] - oy) * E[:, 0]) / denom
-        t = (dy * (A[:, 0] - ox) - dx * (A[:, 1] - oy)) / denom
-        best = max([best] + s[(-1e-9 <= t) & (t <= 1.0 + 1e-9)].tolist())
-    return best
+    if not len(parts):
+        return 0.0
+    x, y = np.concatenate(parts).T.copy()
+    n = np.array([len(part) for part in parts])
+    start = n.cumsum() - n
+    nxt = np.arange(1, len(x) + 1)
+    nxt[start + n - 1] = start
+    ex, ey = x.take(nxt) - x, y.take(nxt) - y
+    denom = dx * ey - dy * ex
+    crossing = (np.abs(denom) > TAU).nonzero()[0]
+    ax, ay = x.take(crossing) - ox, y.take(crossing) - oy
+    ex, ey, denom = ex.take(crossing), ey.take(crossing), denom.take(crossing)
+    s = (ax * ey - ay * ex) / denom
+    t = (dy * ax - dx * ay) / denom
+    # max folds left to right with `>`, as the per-part loop did, so a NaN or
+    # a -0.0 resolves the same way
+    return max([0.0] + s[(-1e-9 <= t) & (t <= 1.0 + 1e-9)].tolist())
 
 
 # ---------------------------------------------------------------------------

@@ -1,3 +1,4 @@
+import argparse
 import hashlib
 import json
 import math
@@ -196,6 +197,20 @@ def test_json_of_wrong_shape_exits_2(tmp_path, files, capsys, flag, bad):
     assert cli.main([*argv, "--out-dir", str(tmp_path)]) == 2
     assert "error:" in capsys.readouterr().err
     assert not list(tmp_path.glob("*.csv"))
+
+
+@pytest.mark.parametrize("flag, bad, key", [
+    ("--n", {"components": [{"pts": [[0, 0]]}]}, "type"),
+    ("--n", {"components": [{"type": "polygon"}]}, "vertices"),
+    ("--m", {"disc": {"c": [0, 0]}}, "r"),
+], ids=lambda v: v if isinstance(v, str) else json.dumps(v))
+def test_missing_json_key_names_file_and_key(tmp_path, files, capsys, flag, bad, key):
+    m, n = (bad, PLUS) if flag == "--m" else (SQUARE, bad)
+    m, n = files("m.json", m), files("n.json", n)
+    rc = cli.main(["estimate", "--m", m, "--n", n, "--out-dir", str(tmp_path)])
+    assert rc == 2
+    bad_file = m if flag == "--m" else n
+    assert capsys.readouterr().err == f"error: {bad_file}: missing key {key!r}\n"
 
 
 def test_unknown_shape_schema(tmp_path, files):
@@ -681,6 +696,67 @@ def test_rerun_byte_identical(tmp_path, files):
         assert rc == 0
     for p in sorted(a.iterdir()):
         assert p.read_bytes() == (b / p.name).read_bytes()
+
+
+def _estimate_bytes(argv, out):
+    assert cli.main([*argv, "--out-dir", str(out)]) == 0
+    return {p.name: p.read_bytes() for p in sorted(out.iterdir())}
+
+
+def test_parser_rejection_leaves_next_call_alone(tmp_path, files, capsys):
+    argv = ["estimate", "--m", files("m.json", SQUARE), "--n", files("n.json", PLUS)]
+    alone = _estimate_bytes(argv, tmp_path / "alone")
+    for bad in (["estimate", "--eps-levels", "seven"], ["estimate", "--bogus", "1"],
+                ["lattice", "--mode", "face"], ["nonsense"], []):
+        with pytest.raises(SystemExit) as exc:
+            cli.main(bad)
+        assert exc.value.code == 2
+        assert _estimate_bytes(argv, tmp_path / "after") == alone
+    assert "invalid choice: 'face'" in capsys.readouterr().err
+
+
+def test_config_does_not_leak_into_next_call(tmp_path, files):
+    argv = ["estimate", "--m", files("m.json", SQUARE), "--n", files("n.json", PLUS)]
+    alone = _estimate_bytes(argv, tmp_path / "alone")
+    cfg = files("config.json", {"eps_levels": 4, "eps_start": 0.3})
+    with_config = _estimate_bytes([*argv, "--config", cfg], tmp_path / "config")
+    assert len(with_config["quotients.csv"].splitlines()) == 5
+    assert _estimate_bytes(argv, tmp_path / "after") == alone
+
+
+@pytest.mark.parametrize("command", [[], *([c] for c in cli._COMMANDS)], ids=str)
+def test_help_matches_fresh_parser(capsys, command):
+    cli.main(["estimate", "--m", "no.json", "--n", "no.json"])  # the shared parser, used
+    capsys.readouterr()
+    helps = []
+    for parse in (cli.main, cli._build_parser.__wrapped__().parse_args):
+        with pytest.raises(SystemExit) as exc:
+            parse([*command, "--help"])
+        assert exc.value.code == 0
+        helps.append(capsys.readouterr().out)
+    assert helps[0] == helps[1]
+    assert helps[0].startswith(f"usage: {' '.join(['mixvol', *command])}")
+
+
+def test_main_builds_parser_once(tmp_path, files, monkeypatch):
+    built = []
+    init = argparse.ArgumentParser.__init__
+
+    def counting_init(self, *args, **kwargs):
+        built.append(kwargs.get("prog"))
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting_init)
+    cli._build_parser.cache_clear()
+    try:
+        m, n = files("m.json", SQUARE), files("n.json", PLUS)
+        assert cli.main(["estimate", "--m", m, "--n", n, "--out-dir", str(tmp_path)]) == 0
+        assert len(built) == 1 + len(cli._COMMANDS)  # mixvol and its subcommands
+        assert cli.main(["probe", "--m", m, "--n", n, "--out-dir", str(tmp_path)]) == 0
+        assert cli.main(["shapes", "--n", n, "--out-dir", str(tmp_path)]) == 0
+        assert len(built) == 1 + len(cli._COMMANDS)
+    finally:
+        cli._build_parser.cache_clear()
 
 
 def test_config_file_defaults_and_flag_override(tmp_path, files):

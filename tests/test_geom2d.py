@@ -15,6 +15,7 @@ from hypothesis import strategies as st
 
 from conftest import (NEAR_STRAIGHT_RUN, closed_form_plus_dilation, minkowski_walk,
                       near_collinear_convex)
+from test_cli import MIXED_N, POLY_M
 from mixvol import geom2d, isoperimetric, lattice, mixedvol, structuring
 from mixvol.errors import DegenerateInput, ResolutionTooCoarse
 from mixvol.geom2d import ConvexPolygon, Polygon, RegionUnion
@@ -1714,12 +1715,12 @@ def test_ray_exit(unit_square):
     assert geom2d.ray_exit((0.5, 0.5), (1, 0), R) == pytest.approx(0.5)
 
 
-def _ray_exit_reference(origin, direction, region):
-    """The per-edge loop ray_exit replaced."""
+def _ray_exit_reference(origin, direction, parts):
+    """The per-edge loop `_ray_exit` replaced, over the parts' vertex arrays."""
     (ox, oy), (dx, dy) = origin, direction
     best = 0.0
-    for part in region.parts:
-        verts = part.vertices
+    for A in parts:
+        verts = A.tolist()
         for i in range(len(verts)):
             ax, ay = verts[i]
             bx, by = verts[(i + 1) % len(verts)]
@@ -1738,15 +1739,59 @@ def test_ray_exit_matches_per_edge_loop(unit_square):
     rng = np.random.default_rng(23)
     region = RegionUnion((random_convex(rng, 9), geom2d.translate(unit_square, (0.3, -0.2)),
                           geom2d.regular_disc(64, 0.8)))
+    arrays = [part.array for part in region.parts]
     for _ in range(200):
         origin = tuple(rng.uniform(-1, 1, 2).tolist())
         th = rng.uniform(0, 2 * math.pi)
         direction = (math.cos(th), math.sin(th))
         assert geom2d.ray_exit(origin, direction, region) == \
-            _ray_exit_reference(origin, direction, region)
+            _ray_exit_reference(origin, direction, arrays)
     # axis-parallel rays meet the square's edges end-on
     assert geom2d.ray_exit((0.5, 0.0), (1.0, 0.0), region) == \
-        _ray_exit_reference((0.5, 0.0), (1.0, 0.0), region)
+        _ray_exit_reference((0.5, 0.0), (1.0, 0.0), arrays)
+
+
+def _probe_ray(M, i, t):
+    """The normal ray `local_expansion_probe` casts from inside edge i of M."""
+    (x0, y0), (x1, y1) = M.array[[i, (i + 1) % len(M.array)]].tolist()
+    L = math.hypot(x1 - x0, y1 - y0)
+    return (x0 + t * (x1 - x0), y0 + t * (y1 - y0)), ((y1 - y0) / L, -(x1 - x0) / L)
+
+
+def test_ray_exit_matches_per_edge_loop_on_probe_inputs():
+    """Bit for bit, on the arrays the probe passes: a disc dilated by points
+    and a segment (parts of unequal length) and a nonconvex polygon's
+    convolution cycles."""
+    disc = geom2d.regular_disc(4096, 1.37, (0.41, -0.73))
+    points_segment = structuring.from_dict({"components": [
+        {"type": "points", "pts": [[0.41, 0.38], [-0.27, -0.33]]},
+        {"type": "segment", "a": [-0.61, 0.17], "b": [0.48, -0.29]}]})
+    cases = [(disc, points_segment, range(0, 4096, 293)),
+             (geom2d.polygon_from_dict(POLY_M), structuring.from_dict(MIXED_N), range(5))]
+    for M, N, edges in cases:
+        for eps in (0.1, 0.0125, 0.1 * 0.5 ** 6):
+            parts, cycles = mixedvol._dilation(M, N)(eps)
+            arrays = parts + cycles
+            if M is disc:
+                assert len({len(a) for a in arrays}) > 1
+            else:
+                assert cycles
+            for i, t in itertools.product(edges, (0.37, 0.5)):
+                ray = _probe_ray(M, i, t)
+                want = _ray_exit_reference(*ray, arrays)
+                assert want > 0.0
+                assert geom2d._ray_exit(*ray, arrays).hex() == want.hex()
+                assert mixedvol.local_expansion_probe(M, (i, t), N, eps).hex() == want.hex()
+            # rays aimed at vertices, where t rounds to either side of 0 and 1
+            o, V = M.array.mean(0), np.concatenate(arrays)
+            for v in V[::len(V) // 16 + 1]:
+                ray = tuple(o.tolist()), tuple(((v - o) / math.hypot(*(v - o))).tolist())
+                assert geom2d._ray_exit(*ray, arrays).hex() == \
+                    _ray_exit_reference(*ray, arrays).hex()
+            # a ray whose line misses every edge
+            assert geom2d._ray_exit((10.0, 10.0), (1.0, 0.0), arrays) == \
+                _ray_exit_reference((10.0, 10.0), (1.0, 0.0), arrays) == 0.0
+    assert geom2d._ray_exit((0.5, 0.5), (0.0, 1.0), []) == 0.0
 
 
 def test_ray_exit_takes_farthest(unit_square):
