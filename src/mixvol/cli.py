@@ -418,7 +418,12 @@ def _resolve(args: argparse.Namespace) -> RunConfig:
 
 
 def main(argv: Sequence[str] | None = None) -> int:
-    args = _build_parser().parse_args(argv)
+    try:
+        args = _build_parser().parse_args(argv)
+    except SystemExit as exc:  # argparse printed the usage and the error
+        if not exc.code:  # --help
+            raise
+        return EXIT_BAD_INPUT
     try:
         cfg = _resolve(args)
         return _COMMANDS[cfg.command](cfg)

@@ -13,11 +13,22 @@ private kernels take `(n, 2)` vertex arrays, return arrays or numbers, and
 check nothing, so a chain of them, such as `mixedvol.sum_volume`, builds no
 polygon: `_convolution` (the indices of the convolution cycle of a polygon
 and a convex chain, which winds positively exactly on their sum and bounds
-it where the polygon is convex; `_minkowski` gathers it), `_union_area` (of
-simple parts and such cycles, over their x-monotone chains), `_ray_exit`,
-`_points_in` (by winding number) and `_distances`.  `union_area`,
-`ray_exit` and `hausdorff_convex` read a polygon's `array` and call them.
-`_convex_array` is the check of `ConvexPolygon` on a bare array.
+it where the polygon is convex; `_minkowski` gathers it), `_union_areas`
+(of each of a list of groups, a group being simple parts and such cycles,
+over their x-monotone chains; `_union_area` is the batch of one),
+`_ray_exit`, `_points_in` (by winding number) and `_distances`.
+`union_area`, `ray_exit` and `hausdorff_convex` read a polygon's `array`
+and call them.  `_convex_array` is the check of `ConvexPolygon` on a bare
+array.
+
+The union sweep takes groups so that the volumes of an epsilon ladder,
+each a small union, share one pass: numpy's fixed cost per call, which
+dominates a sweep of a hundred edges, is paid once, not once per epsilon.
+Consecutive groups merge while their edges total at most `_PAIR_BLOCK`; a
+larger group is swept alone.  Every step keeps a group's edges, events,
+super-slabs and block sums to itself and takes them in the order it would
+take them alone, so each area is bit-identical to that of its group swept
+alone.
 
 Conventions: polygons are simple, wound counterclockwise, with positive area.
 Region unions are flat tuples of polygon parts, possibly overlapping.
@@ -134,35 +145,62 @@ def _straddles(d1, d2):
 _PAIR_BLOCK = 1 << 13
 
 
-def _crossings(P: np.ndarray, Q: np.ndarray, owner: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+def _by_group(order: np.ndarray, group: np.ndarray | None) -> np.ndarray:
+    """`order` made group-major, stably, so that each group keeps its order;
+    `group` (uint16, the radix sort's keys) is None where there is one."""
+    return order if group is None else order[group.take(order).argsort(kind="stable")]
+
+
+def _searchsorted_in(a: np.ndarray, a_cuts, v: np.ndarray, v_cuts, side: str) -> np.ndarray:
+    """`searchsorted` of each slice v[v_cuts[k]:v_cuts[k + 1]] in the sorted
+    slice a[a_cuts[k]:a_cuts[k + 1]], as indices into a."""
+    if len(a_cuts) == 2:
+        return a.searchsorted(v, side)
+    out = np.empty(len(v), dtype=np.intp)
+    for lo, hi, vlo, vhi in zip(a_cuts[:-1], a_cuts[1:], v_cuts[:-1], v_cuts[1:]):
+        out[vlo:vhi] = a[lo:hi].searchsorted(v[vlo:vhi], side) + lo
+    return out
+
+
+def _crossings(P: np.ndarray, Q: np.ndarray, owner: np.ndarray,
+               cuts: Sequence[int] | None = None) -> tuple[np.ndarray, np.ndarray, np.ndarray | None]:
     """x of every proper crossing between edges P[i] -> Q[i] of different
     owners, TAU sign tests on all four orientations, and x of every touch:
     an end of one edge that the same tests put within TAU of the other
-    edge, inside its box grown by TAU.
+    edge, inside its box grown by TAU; and the group of each crossing, then
+    of each touch.  Edges cuts[k] .. cuts[k + 1] - 1 are group k, and only
+    edges of one group are paired; where `cuts` is None all edges are one
+    group, and the third array is None.
 
     One sort-and-sweep over x-extents, with no ordered active set as in
-    Shamos and Hoey's sweep: with the edges ordered by their x minimum, the
-    candidates of an edge are the later edges that start before it ends, and
-    those whose y-extents meet too are all tested, `_PAIR_BLOCK` at a time.
-    Edges that share an endpoint never cross: its cross product is exactly
-    0, so they touch there.
+    Shamos and Hoey's sweep: with each group's edges ordered by their x
+    minimum, the candidates of an edge are the later edges of its group
+    that start before it ends, and those whose y-extents meet too are all
+    tested, `_PAIR_BLOCK` at a time.  Edges that share an endpoint never
+    cross: its cross product is exactly 0, so they touch there.  A group
+    orders, pairs and tests its edges as it would alone, so it gets the
+    crossings and touches it would get alone.
 
     P and Q are read once, into four contiguous columns px, py, qx, qy in
     x0 order.  Every step on the pairs (the owner and y-box filter, the four
     turns, the crossing x and the touch tests) gathers from 1-D columns with
     `take`: gathering rows of an (n, 2) array copies them one at a time.
     """
+    cuts = [0, len(P)] if cuts is None else cuts
+    gid = None if len(cuts) == 2 else np.repeat(np.arange(len(cuts) - 1, dtype=np.uint16),
+                                                np.diff(cuts))
     x0 = np.minimum(P[:, 0], Q[:, 0])
-    order = x0.argsort(kind="stable")
+    order = _by_group(x0.argsort(kind="stable"), gid)
     px, py, qx, qy = (c.take(order) for c in (P[:, 0], P[:, 1], Q[:, 0], Q[:, 1]))
     x0, x1, own = x0.take(order), np.maximum(px, qx), owner.take(order)
     ylo, yhi = np.minimum(py, qy), np.maximum(py, qy)
     # edge i's candidate pairs last[i] - count[i] .. last[i] - 1 are the
-    # edges i + 1 .. i + count[i], those that start before it ends
-    count = x0.searchsorted(x1, side="right") - np.arange(1, len(P) + 1)
+    # edges i + 1 .. i + count[i], those of its group that start before it ends
+    count = _searchsorted_in(x0, cuts, x1, cuts, "right") - np.arange(1, len(P) + 1)
     last = count.cumsum()
     skip = count - last + np.arange(1, len(P) + 1)
     crossings, touches = [np.empty(0)], [np.empty(0)]
+    crossed, touched = [np.empty(0, np.uint16)], [np.empty(0, np.uint16)]
     for start in range(0, int(last[-1]), _PAIR_BLOCK):
         stop = min(start + _PAIR_BLOCK, int(last[-1]))
         # the edges with pairs in the block, and how many each has there
@@ -187,6 +225,8 @@ def _crossings(P: np.ndarray, Q: np.ndarray, owner: np.ndarray) -> tuple[np.ndar
         hit = _straddles(d1, d2) & _straddles(d3, d4)
         d1, d2 = d1[hit], d2[hit]
         crossings.append(pix[hit] + d1 / (d1 - d2) * lix[hit])
+        if gid is not None:
+            crossed.append(gid.take(i[hit]))
         # turn c of pair k within TAU: the end of edge i (c = 0, 1) or j
         # (c = 2, 3) in the other edge's box grown by TAU
         c, k = (np.abs(turn) <= TAU).nonzero()
@@ -199,7 +239,10 @@ def _crossings(P: np.ndarray, Q: np.ndarray, owner: np.ndarray) -> tuple[np.ndar
         inside = ((x0.take(o) - TAU <= x) & (x <= x1.take(o) + TAU)
                   & (ylo.take(o) - TAU <= y) & (y <= yhi.take(o) + TAU))
         touches.append(x[inside])
-    return np.concatenate(crossings), np.concatenate(touches)
+        if gid is not None:
+            touched.append(gid.take(i[inside]))
+    at = None if gid is None else np.concatenate(crossed + touched)
+    return np.concatenate(crossings), np.concatenate(touches), at
 
 
 def _is_simple(verts) -> bool:
@@ -569,7 +612,13 @@ def union_area(region: RegionUnion) -> float:
 def _union_area(parts: Sequence[np.ndarray], cycles: Sequence[np.ndarray] = ()) -> float:
     """Exact area of the union of simple CCW parts, convex or not, and of
     the sets of positive winding of closed `cycles` (`_convolution`'s),
-    given as vertex arrays, which are read, never validated.
+    given as vertex arrays, which are read, never validated: the batch of
+    one of `_union_areas`."""
+    return float(_union_areas([(parts, cycles)])[0])
+
+
+def _union_areas(groups: Iterable[tuple[Sequence[np.ndarray], Sequence[np.ndarray]]]) -> np.ndarray:
+    """`_union_area` of each (parts, cycles) group, in order, as a float array.
 
     Every ring is cut into x-monotone chains, runs of edges that all run
     right or none of which does, and at its start.  The events are the x of
@@ -587,53 +636,132 @@ def _union_area(parts: Sequence[np.ndarray], cycles: Sequence[np.ndarray] = ()) 
     the upper chain's integral less the lower's.  A lone part is measured by
     the shoelace formula, a cycle never is.  Super-slabs are taken in blocks
     of at most max(edges, `_PAIR_BLOCK`) (edge, super-slab) pairs, so memory
-    grows with the edges.  Raises NumericalDegeneracy where the area is not
-    finite.
+    grows with the edges.
+
+    Consecutive groups whose edges total at most `_PAIR_BLOCK` are swept
+    together, in one pass of `_sweep_areas` (the volumes of an epsilon
+    ladder on a small polygon cost numpy's fixed work per call once, not
+    once per epsilon); a larger group is swept alone, as soon as it comes,
+    so that at most one large group is held.  Raises NumericalDegeneracy
+    where an area is not finite.
     """
-    one = len(parts) == 1 and not len(cycles)
-    total = _signed_area(parts[0]) if one else _sweep_area(parts, cycles)
-    if not math.isfinite(total):
+    areas: list[float] = []
+    where: list[int] = []  # the place in `areas` of each group in the batch
+    batch: list[list[np.ndarray]] = []
+
+    def sweep():
+        for i, area in zip(where, _sweep_areas(batch)):
+            areas[i] = area
+        where.clear()
+        batch.clear()
+
+    edges = 0
+    for parts, cycles in groups:
+        if len(parts) == 1 and not len(cycles):
+            areas.append(_signed_area(parts[0]))
+            continue
+        n = sum(map(len, parts)) + sum(map(len, cycles))
+        if batch and edges + n > _PAIR_BLOCK:
+            sweep()
+            edges = 0
+        where.append(len(areas))
+        areas.append(math.nan)
+        batch.append([*parts, *cycles])
+        edges += n
+        del parts, cycles  # a large group is freed once swept, before the next is made
+        if edges > _PAIR_BLOCK:
+            sweep()
+            edges = 0
+    if batch:
+        sweep()
+    out = np.array(areas, dtype=float)
+    if not np.isfinite(out).all():
         raise NumericalDegeneracy("union area integration produced non-finite value")
-    return total
+    return out
 
 
-def _sweep_area(parts: Sequence[np.ndarray], cycles: Sequence[np.ndarray]) -> float:
-    """The chain sweep of `_union_area`."""
-    arrays = [*parts, *cycles]
+def _rings(arrays: Sequence[np.ndarray]) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The vertex arrays stacked into one (n, 2) array P, the row where each
+    ring starts, and `nxt`, the row of each vertex's successor round its
+    ring: P[i] -> P[nxt[i]] are the edges of all rings."""
     P = np.concatenate(arrays)
-    n = np.array([len(part) for part in arrays])
+    n = np.array([len(a) for a in arrays])
     start = n.cumsum() - n
     nxt = np.arange(1, len(P) + 1)
     nxt[start + n - 1] = start
+    return P, start, nxt
+
+
+def _sweep_areas(groups: Sequence[Sequence[np.ndarray]]) -> list[float]:
+    """The chain sweep of `_union_areas` over groups of rings, each group
+    the vertex arrays of one union, in one vectorized pass.
+
+    The rings of all groups are stacked, and every step keeps each group
+    to itself: `_crossings` pairs only edges of one group, and the events
+    are sorted by group, then by x, so each group has its own super-slabs
+    (an empty one lies between two groups).  Each group splits its
+    super-slabs into blocks by its own pair counts, as it would alone, and
+    its area is the sum, in order, of one `sum` per block over the same
+    values, so it is bit-identical to a sweep of the group alone: a chain's
+    integral over a super-slab adds the same trapezoids in the same order
+    (by edge) in any batch, and its sorted place is found among its own
+    super-slab's integrals only.  For the integration, consecutive blocks
+    are taken together while their (edge, super-slab) pairs total at most
+    max(edges, `_PAIR_BLOCK`), so memory stays as it is for one group.
+    """
+    cuts = [0]  # group k's edges are cuts[k] .. cuts[k + 1] - 1
+    for g in groups:
+        cuts.append(cuts[-1] + sum(map(len, g)))
+    P, start, nxt = _rings([a for g in groups for a in g])
     Q = P.take(nxt, 0)
     right = Q[:, 0] > P[:, 0]
     head = np.concatenate(([True], right[1:] != right[:-1]))
     head[start] = True
     heads, chain = head.nonzero()[0], head.cumsum() - 1
-    xs = np.sort(np.concatenate((P[heads, 0], *_crossings(P, Q, chain))))
-    xs = xs[np.concatenate(([True], xs[1:] != xs[:-1]))]
+    crossings, touches, at = _crossings(P, Q, chain, cuts if len(groups) > 1 else None)
+    xs = np.concatenate((P[heads, 0], crossings, touches))
+    if at is not None:  # the group of each event
+        at = np.concatenate(((np.searchsorted(cuts, heads, side="right") - 1).astype(np.uint16), at))
+    xs, xcuts = _grouped_events(xs, at, len(groups))
     xl, xr = np.minimum(P[:, 0], Q[:, 0]), np.maximum(P[:, 0], Q[:, 0])
     # edge e overlaps super-slabs first[e] .. last[e] - 1 (a vertical edge one
     # at most); a chain's ends are events, so it spans whole super-slabs
-    first, last = xs.searchsorted(xl, side="right") - 1, xs.searchsorted(xr)
+    first = _searchsorted_in(xs, xcuts, xl, cuts, "right") - 1
+    last = _searchsorted_in(xs, xcuts, xr, cuts, "left")
     cfirst, clast = np.minimum.reduceat(first, heads), np.maximum.reduceat(last, heads)
     sign = right[heads] * 2 - 1
     # the area under each edge, its trapezoid where it overlaps one super-slab
     whole, cut = (xr - xl) * (P[:, 1] + Q[:, 1]) * 0.5, last - first > 1
     spans = (np.bincount(first, minlength=len(xs)) - np.bincount(last, minlength=len(xs))).cumsum()
     done = np.concatenate(([0], spans[:-1].cumsum()))
-    budget, total, s0 = max(len(P), _PAIR_BLOCK), 0.0, 0
-    while s0 < len(xs) - 1:
-        # one super-slab at least, and at most 2**16, so that ordering the
-        # integrals by super-slab is a radix sort of 16-bit keys
-        s1 = int(done.searchsorted(done[s0] + budget, side="right")) - 1
-        s1 = min(max(s1, s0 + 1), s0 + (1 << 16))
-        a = np.maximum(first, s0)
-        k = np.maximum(np.minimum(last, s1) - a, 0)
+    # each group's blocks, of at most max(its edges, `_PAIR_BLOCK`) pairs: one
+    # super-slab at least, and at most 2**16, so that ordering the
+    # integrals by super-slab is a radix sort of 16-bit keys
+    blocks = []
+    for g, (s0, end) in enumerate(zip(xcuts[:-1], xcuts[1:])):
+        budget = max(cuts[g + 1] - cuts[g], _PAIR_BLOCK)
+        while s0 < end - 1:
+            s1 = min(int(done.searchsorted(done[s0] + budget, side="right")) - 1, end - 1)
+            s1 = min(max(s1, s0 + 1), s0 + (1 << 16))
+            blocks.append((s0, s1, g))
+            s0 = s1
+    totals = [0.0] * len(groups)
+    budget = max(len(P), _PAIR_BLOCK)
+    b = 0
+    while b < len(blocks):
+        # blocks b .. b1 - 1, super-slabs lo .. hi - 1, integrated together
+        lo, hi = blocks[b][:2]
+        b1 = b + 1
+        while (b1 < len(blocks) and blocks[b1][1] - lo <= 1 << 16
+               and done[blocks[b1][1]] - done[lo] <= budget):
+            hi = blocks[b1][1]
+            b1 += 1
+        a = np.maximum(first, lo)
+        k = np.maximum(np.minimum(last, hi) - a, 0)
         e = np.arange(len(P)).repeat(k)
         s = np.arange(len(e)) + (a - k.cumsum() + k).repeat(k)
-        ca = np.maximum(cfirst, s0)
-        ck = np.maximum(np.minimum(clast, s1) - ca, 0)
+        ca = np.maximum(cfirst, lo)
+        ck = np.maximum(np.minimum(clast, hi) - ca, 0)
         base = ck.cumsum() - ck - ca  # chain c's integral over super-slab s is I[base[c] + s]
         w, c = whole[e], cut[e].nonzero()[0]
         # a cut edge's piece of a super-slab: its width times the edge's y at
@@ -644,13 +772,36 @@ def _sweep_area(parts: Sequence[np.ndarray], cycles: Sequence[np.ndarray]) -> fl
         d = Q.take(ec, 0) - p
         w[c] = (x1 - x0) * (p[:, 1] + ((x0 + x1) * 0.5 - p[:, 0]) / d[:, 0] * d[:, 1])
         I = np.bincount(base[chain[e]] + s, w, ck.sum())
-        slab = (np.arange(len(I)) - s0 - base.repeat(ck)).astype(np.uint16)
+        slab = (np.arange(len(I)) - lo - base.repeat(ck)).astype(np.uint16)
         order = I.argsort()
-        order = order[slab[order].argsort(kind="stable")]
+        slab = slab[order]
+        order = order[slab.argsort(kind="stable")]
         I, count = I[order], sign.repeat(ck)[order].cumsum()
-        total += float(np.where(count[:-1] > 0, I[1:] - I[:-1], 0.0).sum())
-        s0 = s1
-    return total
+        # every super-slab's signs sum to 0, so the count is 0 where a block
+        # starts, and a block's covered lengths are its own slice of these
+        cover = np.where(count[:-1] > 0, I[1:] - I[:-1], 0.0)
+        at = [0, len(I)]  # block u..v's integrals are I[at[0]:at[1]], the next's I[at[1]:at[2]]
+        if b1 > b + 1:
+            slab.sort(kind="stable")
+            at = slab.searchsorted([u - lo for u, _, _ in blocks[b:b1]] + [hi - lo]).tolist()
+        for (u, v, g), i, j in zip(blocks[b:b1], at, at[1:]):
+            totals[g] += float(cover[i:max(i, j - 1)].sum())
+        b = b1
+    return totals
+
+
+def _grouped_events(xs: np.ndarray, group: np.ndarray | None, n: int) -> tuple[np.ndarray, list[int]]:
+    """The events xs of `n` groups (`group` gives each one's, None where n
+    is 1), sorted by group, then by x, and each group's repeats dropped;
+    and the cuts between groups: group k's are xs[cuts[k]:cuts[k + 1]]."""
+    order = _by_group(xs.argsort(), group)
+    xs = xs.take(order)
+    new = np.concatenate(([True], xs[1:] != xs[:-1]))
+    if group is None:
+        return xs[new], [0, int(np.count_nonzero(new))]
+    group = group.take(order)
+    new[1:] |= group[1:] != group[:-1]
+    return xs[new], [0, *np.bincount(group[new], minlength=n).cumsum().tolist()]
 
 
 # ---------------------------------------------------------------------------
@@ -826,11 +977,8 @@ def _ray_exit(origin, direction, parts: Sequence[np.ndarray]) -> float:
     dx, dy = _as_vec2(direction)
     if not len(parts):
         return 0.0
-    x, y = np.concatenate(parts).T.copy()
-    n = np.array([len(part) for part in parts])
-    start = n.cumsum() - n
-    nxt = np.arange(1, len(x) + 1)
-    nxt[start + n - 1] = start
+    P, _, nxt = _rings(parts)
+    x, y = P.T.copy()
     ex, ey = x.take(nxt) - x, y.take(nxt) - y
     denom = dx * ey - dy * ex
     crossing = (np.abs(denom) > TAU).nonzero()[0]

@@ -111,6 +111,11 @@ def _unit_chains(N: StructuringSet) -> list[np.ndarray]:
     return chains
 
 
+def _check_eps(eps: float) -> None:
+    if not 0.0 <= eps < math.inf:
+        raise ValueError(f"epsilon must be finite and nonnegative: {eps!r}")
+
+
 def _dilation(M: Polygon, N: StructuringSet) -> Callable:
     """The dilation M + eps*N as a function `at(eps)` of eps >= 0, which
     gives a pair (parts, cycles) of lists of vertex arrays, as
@@ -136,8 +141,7 @@ def _dilation(M: Polygon, N: StructuringSet) -> Callable:
              for U in _unit_chains(N)]
 
     def at(eps: float) -> tuple[list[np.ndarray], list[np.ndarray]]:
-        if not 0.0 <= eps < math.inf:
-            raise ValueError(f"epsilon must be finite and nonnegative: {eps!r}")
+        _check_eps(eps)
         if eps == 0.0:
             return [M.array], []
         parts, cycles = [], []
@@ -182,8 +186,7 @@ def sum_region(M: Polygon, N: StructuringSet, eps: float) -> RegionUnion:
 
     For callers outside mixvol: `sum_volume`, `local_expansion_probe` and
     `d_grid` read the arrays of `_dilation` and build no polygon."""
-    if not 0.0 <= eps < math.inf:
-        raise ValueError(f"epsilon must be finite and nonnegative: {eps!r}")
+    _check_eps(eps)
     if eps == 0.0:
         return RegionUnion((M,))
     A, convex = geom2d._convex_probe(M)
@@ -196,11 +199,22 @@ def sum_region(M: Polygon, N: StructuringSet, eps: float) -> RegionUnion:
                              if not geom2d._signed_area(V) <= geom2d.TAU))
 
 
-def sum_volume(M: Polygon, N: StructuringSet, eps: float) -> float:
+def sum_volume(M: Polygon, N: StructuringSet, eps: float | np.ndarray) -> float | np.ndarray:
     """|M + eps*N| as the exact area of the arrays of `_dilation`, shared by
     the calls on one pair (`_dilation_of`); no polygon is built.  eps = 0
-    gives |M|."""
-    return geom2d._union_area(*_dilation_of(M, N)(eps))
+    gives |M|.
+
+    eps is one number, or an array of them, which gives the float array of
+    their volumes, each bit-identical to the volume of its eps alone: the
+    small dilations of a ladder are swept together (`geom2d._union_areas`).
+    Every eps is checked before any is measured."""
+    at = _dilation_of(M, N)
+    if np.ndim(eps) == 0:
+        return geom2d._union_area(*at(eps))
+    ladder = np.asarray(eps, dtype=float).tolist()
+    for e in ladder:
+        _check_eps(e)
+    return geom2d._union_areas(map(at, ladder))
 
 
 # ---------------------------------------------------------------------------
@@ -244,7 +258,7 @@ def d_finite_difference(M: Polygon, N: StructuringSet,
     eps = _check_schedule(schedule if schedule is not None else DEFAULT_SCHEDULE)
     base = geom2d.area(M)
     if volumes is None:
-        volumes = [sum_volume(M, N, e) for e in eps]
+        volumes = sum_volume(M, N, np.array(eps)).tolist()
     elif len(volumes) != len(eps):
         raise ValueError("volumes must align with the schedule")
     return _extrapolated(eps, tuple((v - base) / e for v, e in zip(volumes, eps)))
@@ -313,13 +327,13 @@ def series_fit(M: Polygon, N: StructuringSet, eps_grid: Sequence[float],
         raise ValueError(f"need at least {degree + 3} distinct epsilons")
     if max(eps) / min(eps) < 10.0:
         raise IllConditioned("epsilon grid spans less than one decade")
+    x = np.array(eps)
     if volumes is None:
-        vols = np.array([sum_volume(M, N, e) for e in eps])
+        vols = np.asarray(sum_volume(M, N, x), dtype=float)
     else:
         if len(volumes) != len(eps):
             raise ValueError("volumes must align with the deduplicated grid")
         vols = np.asarray(volumes, dtype=float)
-    x = np.array(eps)
     coeffs = np.polynomial.polynomial.polyfit(x, vols, degree)
     resid = np.abs(np.polynomial.polynomial.polyval(x, coeffs) - vols)
     return SeriesFit(tuple(float(c) for c in coeffs), float(resid.max()),

@@ -7,7 +7,7 @@ import xml.etree.ElementTree as ET
 import pytest
 
 from conftest import NEAR_STRAIGHT_RUN
-from mixvol import cli, geom2d
+from mixvol import cli, geom2d, mixedvol
 
 
 SQRT2 = math.sqrt(2)
@@ -708,11 +708,39 @@ def test_parser_rejection_leaves_next_call_alone(tmp_path, files, capsys):
     alone = _estimate_bytes(argv, tmp_path / "alone")
     for bad in (["estimate", "--eps-levels", "seven"], ["estimate", "--bogus", "1"],
                 ["lattice", "--mode", "face"], ["nonsense"], []):
-        with pytest.raises(SystemExit) as exc:
-            cli.main(bad)
-        assert exc.value.code == 2
+        assert cli.main(bad) == cli.EXIT_BAD_INPUT == 2
         assert _estimate_bytes(argv, tmp_path / "after") == alone
     assert "invalid choice: 'face'" in capsys.readouterr().err
+
+
+STAR = {"vertices": [[(1.0 if i % 2 == 0 else 0.45) * math.cos(math.pi * i / 7),
+                      (1.0 if i % 2 == 0 else 0.45) * math.sin(math.pi * i / 7)]
+                     for i in range(14)]}
+MIXED_N = {"components": [
+    {"type": "points", "pts": [[0.1, 0.2], [-0.3, 0.1]]},
+    {"type": "segment", "a": [-0.4, 0.1], "b": [0.3, -0.2]},
+    {"type": "segment", "a": [0, -0.25], "b": [0, 0.25]},
+]}
+
+
+@pytest.mark.parametrize("m", [STAR, DISC], ids=["star", "disc4096"])
+def test_estimate_writes_what_the_ladder_gives(tmp_path, files, m):
+    """`estimate` measures its volumes one eps per pool task; the value and
+    quotients it writes are, byte for byte, those of `d_finite_difference`,
+    which measures the whole schedule in one `sum_volume` call."""
+    argv = ["estimate", "--m", files("m.json", m), "--n", files("n.json", MIXED_N),
+            "--out-dir", str(tmp_path / "cli")]
+    assert cli.main(argv) == 0
+    cfg = cli._resolve(cli._build_parser().parse_args(argv))
+    M, N = cli._dilation_inputs(cfg)
+    assert len(M.array) == (4096 if m is DISC else 14)
+    fd = mixedvol.d_finite_difference(M, N, cli._schedule(cfg))
+    ladder = tmp_path / "ladder"
+    ladder.mkdir()
+    cli.write_json(ladder / "estimate_finite_difference.json", fd.to_dict())
+    cli.write_csv(ladder / "quotients.csv", ("eps", "quotient"), zip(fd.epsilons, fd.raw_quotients))
+    for name in ("estimate_finite_difference.json", "quotients.csv"):
+        assert (tmp_path / "cli" / name).read_bytes() == (ladder / name).read_bytes()
 
 
 def test_config_does_not_leak_into_next_call(tmp_path, files):

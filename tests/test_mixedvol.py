@@ -12,9 +12,9 @@ from hypothesis import strategies as st
 
 from conftest import (NEAR_STRAIGHT_RUN, closed_form_plus_dilation, minkowski_walk,
                       near_collinear_convex)
-from test_geom2d import (_convex_union_area_reference, _points_in_reference,
-                         _slab_sweep_reference, assert_crossings_match_reference, polar_polygon,
-                         segment_along, union_parts)
+from test_geom2d import (_POINTS_SEGMENT, _convex_union_area_reference, _points_in_reference,
+                         _slab_sweep_reference, assert_crossings_match_reference, convex_part,
+                         polar_polygon, segment_along, union_parts)
 from mixvol import cli, geom2d, mixedvol, structuring
 from mixvol.errors import (DegenerateHull, DegenerateInput, IllConditioned, NonDecreasingSchedule,
                            NumericalDegeneracy, SingularPoint)
@@ -116,12 +116,15 @@ _SEGMENT_DISC = StructuringSet((Segment((-1, 0), (1, 0)), Disc((0, 0), 0.5)))
 _FAR_POINT = StructuringSet((Points(((1e10, 0.0),)),))
 
 
-@pytest.mark.parametrize("M, N, eps", [
+_OVERFLOWS = pytest.mark.parametrize("M, N, eps", [
     (_L_SHAPE, _SEGMENT_DISC, 1e155),
     (_L_SHAPE, _SEGMENT_DISC, 1e300),
     (_L_SHAPE, _FAR_POINT, 1e300),
     (ConvexPolygon(((0, 0), (1, 0), (1, 1), (0, 1))), _FAR_POINT, 1e300),
 ], ids=["L-disc-1e155", "L-disc-1e300", "L-point", "square-point"])
+
+
+@_OVERFLOWS
 def test_sum_volume_raises_where_the_area_overflows(M, N, eps):
     """An overflowed part has a NaN area: it is neither dropped as thin nor
     summed, and a one-part union is checked as a sweep is."""
@@ -430,6 +433,91 @@ def test_schedule_parts_match_one_eps_at_a_time(case, data):
                        for a, b in zip(arrays, want))
 
 
+# ---------------------------------------------------------------------------
+# volumes of a ladder of epsilons in one call
+
+
+def assert_ladder_is_per_eps(M, N, ladder):
+    """`sum_volume` of the ladder, one call, is the float array of the
+    volumes of its epsilons one at a time, bit for bit, sign of zero too."""
+    got = mixedvol.sum_volume(M, N, np.array(ladder, dtype=float))
+    want = [mixedvol.sum_volume(M, N, e) for e in ladder]
+    assert isinstance(got, np.ndarray) and got.dtype == np.float64 and got.shape == (len(ladder),)
+    assert got.tolist() == want
+    assert np.signbit(got).tolist() == np.signbit(want).tolist()
+
+
+def _ladders(eps):
+    """Epsilon sequences around eps: unsorted, with repeats, 0 and an eps at
+    which every segment is shorter than TAU."""
+    return st.lists(st.sampled_from((eps, eps / 3, 0.0, 1e-13, 0.003, 0.05, 0.5)),
+                    min_size=1, max_size=9)
+
+
+@settings(derandomize=True, max_examples=120, deadline=None)
+@given(st.one_of(star_dilations(), polygon_dilations()), st.data())
+def test_ladder_volumes_are_the_volumes_of_each_eps(case, data):
+    M, N, eps = case
+    assert_ladder_is_per_eps(M, N, data.draw(_ladders(eps)))
+
+
+_CONVEX_NS = (
+    _MIXED_N,
+    StructuringSet((Segment((-0.3, 0.1), (0.2, -0.4)), Points(((0.1, 0.2), (-0.2, 0.0))),
+                    ConvexPolygon(((0.0, 0.0), (0.3, 0.0), (0.1, 0.2))))),
+    StructuringSet((Segment((0.0, 0.0), (0.5, 0.0)), Segment((0.0, -0.2), (0.0, 0.3)))),
+)
+
+
+@settings(derandomize=True, max_examples=80, deadline=None)
+@given(st.one_of(near_collinear_convex().map(lambda v: geom2d.polygon_from_dict({"vertices": v})),
+                 convex_part()),
+       st.sampled_from(_CONVEX_NS), st.data())
+def test_ladder_volumes_on_convex_and_near_collinear_m(M, N, data):
+    assert_ladder_is_per_eps(M, N, data.draw(_ladders(data.draw(st.sampled_from((0.01, 0.1))))))
+
+
+def test_union_areas_of_groups_across_the_merge_rule(disc_4096):
+    """Groups of 8000 and 192 edges fill one batch to exactly `_PAIR_BLOCK`
+    edges; two triangles start the next, which a 4096-gon's dilation by
+    three points and a segment (16,386 edges, swept alone) ends; small
+    groups, a lone part, and two groups that meet at x = 1, where one's last
+    event is the next one's first, follow.  Each area is its group's alone."""
+    assert geom2d._PAIR_BLOCK == 8192
+    ring = lambda n, r, c: geom2d.regular_disc(n, r, c).array
+    box = lambda x0, y0, x1, y1: np.array([(x0, y0), (x1, y0), (x1, y1), (x0, y1)], dtype=float)
+    dilated = mixedvol._dilation(disc_4096, _POINTS_SEGMENT)
+    star = mixedvol._dilation(_STAR4, _MIXED_N)
+    groups = [
+        ([ring(4000, 1.0, (0, 0)), ring(4000, 1.0, (0.5, 0.0))], []),
+        ([ring(96, 0.3, (0.1, 0.0)), ring(96, 0.2, (0.2, 0.1))], []),
+        ([ring(3, 1.0, (0, 0)), ring(3, 1.0, (0.2, 0.3))], []),
+        dilated(0.1),
+        star(0.05), star(0.0), star(0.1), dilated(0.025), star(1e-13),
+        ([box(0, 0, 1, 1), box(0.5, 0.5, 1, 2)], []), ([box(1, 0, 2, 1), box(1, 0.5, 3, 2)], []),
+    ]
+    assert sum(map(len, groups[0][0])) + sum(map(len, groups[1][0])) == 8192
+    assert sum(map(len, groups[3][0] + groups[3][1])) == 16386
+    got = geom2d._union_areas(groups)
+    want = [geom2d._union_area(*g) for g in groups]
+    assert got.tolist() == want
+    assert np.signbit(got).tolist() == np.signbit(want).tolist()
+
+
+@_OVERFLOWS
+def test_ladder_raises_where_one_area_overflows(M, N, eps):
+    with np.errstate(all="ignore"), pytest.raises(NumericalDegeneracy):
+        mixedvol.sum_volume(M, N, np.array([0.1, eps, 0.0]))
+
+
+@pytest.mark.parametrize("ladder", [[0.1, -0.1], [math.nan, 0.1], [0.05, 0.1, math.inf],
+                                    [0.0, 0.1, -0.0, -1e-300]])
+def test_ladder_rejects_an_invalid_eps_before_any_volume(ladder, monkeypatch):
+    monkeypatch.setattr(geom2d, "_sweep_areas", lambda groups: pytest.fail("swept"))
+    with pytest.raises(ValueError, match="epsilon must be finite and nonnegative"):
+        mixedvol.sum_volume(_STAR4, _MIXED_N, np.array(ladder))
+
+
 _STAR4 = Polygon(tuple(((1.0 if i % 2 == 0 else 0.4) * math.cos(math.pi * i / 4),
                         (1.0 if i % 2 == 0 else 0.4) * math.sin(math.pi * i / 4))
                        for i in range(8)))
@@ -574,7 +662,8 @@ def _count_dilations(monkeypatch) -> list:
 @pytest.mark.parametrize("M", [_L_SHAPE, ConvexPolygon(((0.0, 0.0), (1.0, 0.0), (1.0, 1.0)))],
                          ids=["L", "triangle"])
 def test_schedule_volumes_go_through_sum_volume(M, plus_set, monkeypatch):
-    # one `_dilation` per schedule, and every volume still from `sum_volume`
+    # one `_dilation` and one `sum_volume` call, on a float array, per
+    # schedule, and every volume from that call
     sched = (0.2, 0.1, 0.05, 0.025)
     want = [mixedvol.sum_volume(M, plus_set, e) for e in sched]
     real_volume = mixedvol.sum_volume
@@ -584,12 +673,18 @@ def test_schedule_volumes_go_through_sum_volume(M, plus_set, monkeypatch):
     built = _count_dilations(monkeypatch)
     est = mixedvol.d_finite_difference(M, plus_set, sched)
     ref = mixedvol.d_finite_difference(M, plus_set, sched, volumes=[v + 1.0 for v in want])
-    assert built == [(M, plus_set)] and seen == list(sched)
-    assert est.raw_quotients == ref.raw_quotients
+    assert built == [(M, plus_set)] and len(seen) == 1
+    assert isinstance(seen[0], np.ndarray) and seen[0].tolist() == list(sched)
+    assert est.raw_quotients == ref.raw_quotients and est.value == ref.value
     built = _count_dilations(monkeypatch)
     seen.clear()
-    mixedvol.series_fit(M, plus_set, (0.01, 0.02, 0.05, 0.1), 1)
-    assert built == [(M, plus_set)] and seen == [0.01, 0.02, 0.05, 0.1]
+    grid = (0.01, 0.02, 0.05, 0.1)
+    fit = mixedvol.series_fit(M, plus_set, grid, 1)
+    ref = mixedvol.series_fit(M, plus_set, grid, 1,
+                              volumes=[real_volume(M, plus_set, e) + 1.0 for e in grid])
+    assert built == [(M, plus_set)] and len(seen) == 1
+    assert isinstance(seen[0], np.ndarray) and seen[0].tolist() == list(grid)
+    assert fit == ref
 
 
 def test_calls_on_one_pair_share_one_dilation(monkeypatch):
