@@ -162,15 +162,15 @@ def _searchsorted_in(a: np.ndarray, a_cuts, v: np.ndarray, v_cuts, side: str) ->
     return out
 
 
-def _crossings(P: np.ndarray, Q: np.ndarray, owner: np.ndarray,
-               cuts: Sequence[int] | None = None) -> tuple[np.ndarray, np.ndarray, np.ndarray | None]:
+def _crossings(P: np.ndarray, Q: np.ndarray, owner: np.ndarray, cuts: Sequence[int] | None = None
+               ) -> tuple[np.ndarray, np.ndarray, np.ndarray | None]:
     """x of every proper crossing between edges P[i] -> Q[i] of different
     owners, TAU sign tests on all four orientations, and x of every touch:
     an end of one edge that the same tests put within TAU of the other
     edge, inside its box grown by TAU; and the group of each crossing, then
     of each touch.  Edges cuts[k] .. cuts[k + 1] - 1 are group k, and only
-    edges of one group are paired; where `cuts` is None all edges are one
-    group, and the third array is None.
+    edges of one group are paired; where there is one group (`cuts` None or
+    of length 2), the third array is None.
 
     One sort-and-sweep over x-extents, with no ordered active set as in
     Shamos and Hoey's sweep: with each group's edges ordered by their x
@@ -649,13 +649,16 @@ def _union_areas(groups: Iterable[tuple[Sequence[np.ndarray], Sequence[np.ndarra
     where: list[int] = []  # the place in `areas` of each group in the batch
     batch: list[list[np.ndarray]] = []
 
+    edges = 0  # in the batch
+
     def sweep():
+        nonlocal edges
         for i, area in zip(where, _sweep_areas(batch)):
             areas[i] = area
         where.clear()
         batch.clear()
+        edges = 0
 
-    edges = 0
     for parts, cycles in groups:
         if len(parts) == 1 and not len(cycles):
             areas.append(_signed_area(parts[0]))
@@ -663,7 +666,6 @@ def _union_areas(groups: Iterable[tuple[Sequence[np.ndarray], Sequence[np.ndarra
         n = sum(map(len, parts)) + sum(map(len, cycles))
         if batch and edges + n > _PAIR_BLOCK:
             sweep()
-            edges = 0
         where.append(len(areas))
         areas.append(math.nan)
         batch.append([*parts, *cycles])
@@ -671,7 +673,6 @@ def _union_areas(groups: Iterable[tuple[Sequence[np.ndarray], Sequence[np.ndarra
         del parts, cycles  # a large group is freed once swept, before the next is made
         if edges > _PAIR_BLOCK:
             sweep()
-            edges = 0
     if batch:
         sweep()
     out = np.array(areas, dtype=float)
@@ -718,10 +719,11 @@ def _sweep_areas(groups: Sequence[Sequence[np.ndarray]]) -> list[float]:
     head = np.concatenate(([True], right[1:] != right[:-1]))
     head[start] = True
     heads, chain = head.nonzero()[0], head.cumsum() - 1
-    crossings, touches, at = _crossings(P, Q, chain, cuts if len(groups) > 1 else None)
+    crossings, touches, at = _crossings(P, Q, chain, cuts)
     xs = np.concatenate((P[heads, 0], crossings, touches))
     if at is not None:  # the group of each event
-        at = np.concatenate(((np.searchsorted(cuts, heads, side="right") - 1).astype(np.uint16), at))
+        head_group = np.searchsorted(cuts, heads, side="right") - 1
+        at = np.concatenate((head_group.astype(np.uint16), at))
     xs, xcuts = _grouped_events(xs, at, len(groups))
     xl, xr = np.minimum(P[:, 0], Q[:, 0]), np.maximum(P[:, 0], Q[:, 0])
     # edge e overlaps super-slabs first[e] .. last[e] - 1 (a vertical edge one
@@ -774,23 +776,24 @@ def _sweep_areas(groups: Sequence[Sequence[np.ndarray]]) -> list[float]:
         I = np.bincount(base[chain[e]] + s, w, ck.sum())
         slab = (np.arange(len(I)) - lo - base.repeat(ck)).astype(np.uint16)
         order = I.argsort()
-        slab = slab[order]
-        order = order[slab.argsort(kind="stable")]
+        order = order[slab[order].argsort(kind="stable")]
         I, count = I[order], sign.repeat(ck)[order].cumsum()
         # every super-slab's signs sum to 0, so the count is 0 where a block
         # starts, and a block's covered lengths are its own slice of these
         cover = np.where(count[:-1] > 0, I[1:] - I[:-1], 0.0)
-        at = [0, len(I)]  # block u..v's integrals are I[at[0]:at[1]], the next's I[at[1]:at[2]]
+        # the integrals of the chunk's k-th block are I[ends[k]:ends[k + 1]]
+        ends = [0, len(I)]
         if b1 > b + 1:
-            slab.sort(kind="stable")
-            at = slab.searchsorted([u - lo for u, _, _ in blocks[b:b1]] + [hi - lo]).tolist()
-        for (u, v, g), i, j in zip(blocks[b:b1], at, at[1:]):
+            before = np.concatenate(([0], np.bincount(slab, minlength=hi - lo).cumsum()))
+            ends = before.take([u - lo for u, _, _ in blocks[b:b1]] + [hi - lo])
+        for (u, v, g), i, j in zip(blocks[b:b1], ends, ends[1:]):
             totals[g] += float(cover[i:max(i, j - 1)].sum())
         b = b1
     return totals
 
 
-def _grouped_events(xs: np.ndarray, group: np.ndarray | None, n: int) -> tuple[np.ndarray, list[int]]:
+def _grouped_events(xs: np.ndarray, group: np.ndarray | None,
+                    n: int) -> tuple[np.ndarray, list[int]]:
     """The events xs of `n` groups (`group` gives each one's, None where n
     is 1), sorted by group, then by x, and each group's repeats dropped;
     and the cuts between groups: group k's are xs[cuts[k]:cuts[k + 1]]."""
