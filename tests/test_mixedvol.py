@@ -504,6 +504,25 @@ def test_union_areas_of_groups_across_the_merge_rule(disc_4096):
     assert np.signbit(got).tolist() == np.signbit(want).tolist()
 
 
+def test_overflowed_groups_leave_the_rest_of_their_batch_alone():
+    """Dilations whose coordinates overflow to infinity (a point 1e10 out,
+    times eps up to 1e308) swept in one batch with finite ones: every area,
+    NaN and inf included, is the one its group gets alone.  No dilation
+    has NaN coordinates, and none are swept here."""
+    N = StructuringSet((Segment((-1, 0), (1, 0)), Segment((0, -1), (0.5, 1)),
+                        Points(((1e10, 0.0), (0.3, 0.1)))))
+    at = mixedvol._dilation(_L_SHAPE, N)
+    with np.errstate(all="ignore"):
+        for big in (1e300, 1e308):
+            groups = [[*parts, *cycles] for parts, cycles in map(at, (0.1, big, 0.05, big / 2, 0.2))]
+            assert all(np.isfinite(np.concatenate(g)[:, 0]).all() != (e > 1) for g, e in
+                       zip(groups, (0.1, big, 0.05, big / 2, 0.2)))
+            got = geom2d._sweep_areas(groups)
+            want = [geom2d._sweep_areas([g])[0] for g in groups]
+            assert [a.hex() for a in got] == [a.hex() for a in want]
+            assert not math.isfinite(got[1]) and not math.isfinite(got[3])
+
+
 @_OVERFLOWS
 def test_ladder_raises_where_one_area_overflows(M, N, eps):
     with np.errstate(all="ignore"), pytest.raises(NumericalDegeneracy):
